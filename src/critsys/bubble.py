@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentConfig, RadialGrid, radial_laplacian
+from .core import ExponentConfig, RadialGrid, RadialProfilePair, radial_laplacian
 from .errors import GridTooCoarse, NonpositiveScale
 
 # residual nodes where FD roundoff could exceed this are excluded
@@ -70,6 +70,14 @@ def eval_bubble_radial(params: BubbleParams, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     n = params.n
     return params.c * (params.t / (params.t ** 2 + r ** 2)) ** ((n - 2) / 2.0)
+
+
+def bubble_profile(params: BubbleParams, grid: RadialGrid) -> RadialProfilePair:
+    """The pair (u, v) = (phi, phi) with its exact derivative on the grid."""
+    r = grid.nodes
+    phi = eval_bubble_radial(params, r)
+    dphi = -(params.n - 2.0) * phi * r / (params.t ** 2 + r ** 2)
+    return RadialProfilePair(grid, phi, phi, dphi, dphi)
 
 
 def bubble_field(params: BubbleParams):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -152,11 +151,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_identity(args) -> int:
     cfg, grid = load_config(args.config)
-    params = bb.make_bubble(cfg, t=args.t)
-    r = grid.nodes
-    phi = bb.eval_bubble_radial(params, r)
-    dphi = -(cfg.n - 2.0) * phi * r / (params.t ** 2 + r ** 2)
-    prof = RadialProfilePair(grid, phi, phi, dphi, dphi)
+    prof = bb.bubble_profile(bb.make_bubble(cfg, t=args.t), grid)
     rep = sh.check_integral_identity(prof, cfg, _parse_floats(args.radii))
     for i, rr in enumerate(rep.r_checked):
         print(f"r {rr:.6g}: lhs {rep.lhs_u[i]:.10g} rhs {rep.rhs_u[i]:.10g}")
@@ -184,12 +179,12 @@ def cmd_potential(args) -> int:
 
 def cmd_picard(args) -> int:
     cfg, grid = load_config(args.config)
-    params = bb.make_bubble(cfg, t=args.t)
-    r = grid.nodes
-    phi = bb.eval_bubble_radial(params, r) * (1.0 + args.perturb)
-    dphi = -(cfg.n - 2.0) * phi * r / (params.t ** 2 + r ** 2)
-    state = pot.PicardState(RadialProfilePair(grid, phi, phi, dphi, dphi),
-                            residual=float("inf"), step=0)
+    prof = bb.bubble_profile(bb.make_bubble(cfg, t=args.t), grid)
+    scale = 1.0 + args.perturb
+    state = pot.PicardState(
+        RadialProfilePair(grid, prof.u * scale, prof.v * scale,
+                          prof.du * scale, prof.dv * scale),
+        residual=float("inf"), step=0)
     history = []
     state = pot.picard_iterate(
         state, cfg, residual_tol=args.tol, max_steps=args.steps,
@@ -201,7 +196,7 @@ def cmd_picard(args) -> int:
 
 def cmd_hls(args) -> int:
     cfg, grid = load_config(args.config)
-    kernel = pot.KernelSpec(cfg.n, args.lam, angular_rule=args.angular)
+    kernel = pot.KernelSpec(cfg.n, args.lam)
     params = bb.make_bubble(cfg, t=args.t)
     f = bb.eval_bubble_radial(params, grid.nodes) ** cfg.critical_sum
     ratio = pot.hls_functional(f, f, grid, kernel, args.rexp, args.sexp)
@@ -252,7 +247,7 @@ def cmd_verify_all(args) -> int:
         lines.append(msg)
         print(msg)
 
-    ok = acceptance.run_all(printer=sink)
+    ok = acceptance.run_all(printer=sink, seed=args.seed)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -271,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("BV_THREADS", "0")))
         p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("bubble", help="evaluate the exact solution family")
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--rexp", type=float, default=6.0 / 5.0)
     p.add_argument("--sexp", type=float, default=6.0 / 5.0)
-    p.add_argument("--angular", type=int, default=64)
     p.add_argument("--t", type=float, default=1.0)
     common(p)
     p.set_defaults(func=cmd_hls)

@@ -91,10 +91,9 @@ def validate_config(n: int, alpha: float, beta: float) -> ExponentConfig:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii with a growth descriptor."""
+    """Strictly increasing positive radii."""
 
     nodes: np.ndarray
-    growth: str = "geometric"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -120,7 +119,7 @@ class RadialGrid:
     @classmethod
     def geometric(cls, r0: float = DEFAULT_R0, rmax: float = DEFAULT_RMAX,
                   num: int = DEFAULT_NODES) -> "RadialGrid":
-        return cls(np.geomspace(r0, rmax, num), growth="geometric")
+        return cls(np.geomspace(r0, rmax, num))
 
     @classmethod
     def default(cls) -> "RadialGrid":
@@ -129,13 +128,13 @@ class RadialGrid:
     def coarsened(self) -> "RadialGrid":
         """Every other node (endpoints kept), for Richardson comparisons."""
         idx = np.unique(np.r_[np.arange(0, len(self.nodes), 2), len(self.nodes) - 1])
-        return RadialGrid(self.nodes[idx], growth=self.growth)
+        return RadialGrid(self.nodes[idx])
 
     def refined(self) -> "RadialGrid":
         """Geometric midpoints inserted between all node pairs."""
         mids = np.sqrt(self.nodes[:-1] * self.nodes[1:])
         merged = np.sort(np.concatenate([self.nodes, mids]))
-        return RadialGrid(merged, growth=self.growth)
+        return RadialGrid(merged)
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,10 @@ class RadialProfilePair:
 
 @dataclass(frozen=True)
 class LpNorm:
-    """An L^p norm value tagged with its integration domain."""
+    """An L^p norm value over R^n."""
 
     p: float
     value: float
-    domain_tag: str = "R^n"
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -181,16 +179,7 @@ class LpNorm:
             raise ValueError("norm value must be nonnegative")
 
 
-def _trapz_weights(nodes: np.ndarray) -> np.ndarray:
-    h = np.diff(nodes)
-    w = np.zeros_like(nodes)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
-    return w
-
-
 def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int,
-                   domain_tag: str = "R^n",
                    check_tol: float | None = None) -> LpNorm:
     """L^p norm of a radial function sampled on the grid.
 
@@ -214,23 +203,7 @@ def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int,
             raise GridTooCoarse(
                 f"estimated relative quadrature error {rel_err:.2e} > {check_tol}"
             )
-    return LpNorm(p=p, value=integral ** (1.0 / p), domain_tag=domain_tag)
-
-
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Weights differentiating m times at x0 from samples at nodes x.
-
-    Solves the local Vandermonde system so that the weights are exact for
-    polynomials up to degree len(x)-1 (Fornberg-style weights).
-    """
-    x = np.asarray(x, dtype=float) - x0
-    scale = np.max(np.abs(x))
-    x = x / scale  # conditioning: solve on O(1) offsets
-    k = len(x)
-    A = np.vander(x, k, increasing=True).T  # A[i, j] = x_j ** i
-    b = np.zeros(k)
-    b[m] = math.factorial(m)
-    return np.linalg.solve(A, b) / scale ** m
+    return LpNorm(p=p, value=integral ** (1.0 / p))
 
 
 def radial_derivatives(samples: np.ndarray, grid: RadialGrid,

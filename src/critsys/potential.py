@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
+from scipy.special import gamma, hyp2f1, zeta
 
 from .core import ExponentConfig, RadialGrid, RadialProfilePair, lp_norm_radial, unit_sphere_area
 from .errors import (
@@ -25,17 +27,14 @@ EXPONENT_RELATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Riesz kernel |x-y|^(-lam) plus the angular quadrature resolution."""
+    """Riesz kernel |x-y|^(-lam) in R^n."""
 
     n: int
     lam: float
-    angular_rule: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.lam < self.n:
             raise QuadratureDivergence(f"need 0 < lambda < n, got {self.lam}")
-        if self.angular_rule < 16:
-            raise ValueError("angular_rule must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -78,13 +77,8 @@ def newton_potential_radial(f: np.ndarray, grid: RadialGrid, n: int,
     if tail_power is None:
         tail_power = n + 2.0
 
-    inner_integrand = r ** (n - 1) * f
-    inner = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(r) * (inner_integrand[:-1] + inner_integrand[1:]))])
-    outer_integrand = r * f
-    outer_rev = np.concatenate([np.cumsum(
-        (0.5 * np.diff(r) * (outer_integrand[:-1] + outer_integrand[1:]))[::-1])[::-1],
-        [0.0]])
+    inner = cumulative_trapezoid(r ** (n - 1) * f, r, initial=0.0)
+    outer_rev = -cumulative_trapezoid((r * f)[::-1], r[::-1], initial=0.0)[::-1]
     # analytic tail: f ~ C s^-tail_power beyond rmax
     c_tail = f[-1] * grid.rmax ** tail_power
     if tail_power > 2.0:
@@ -96,9 +90,8 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
                                 n: int) -> np.ndarray:
     """Exact radial derivative of the potential: u'(r) = -r^(1-n) int_0^r s^(n-1) f."""
     r = grid.nodes
-    inner_integrand = r ** (n - 1) * np.asarray(f, dtype=float)
-    inner = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(r) * (inner_integrand[:-1] + inner_integrand[1:]))])
+    inner = cumulative_trapezoid(r ** (n - 1) * np.asarray(f, dtype=float), r,
+                                 initial=0.0)
     return -inner / r ** (n - 1)
 
 
@@ -147,20 +140,17 @@ def picard_iterate(state: PicardState, config: ExponentConfig,
 def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Sphere average of |r e1 - s omega|^(-lam) over unit directions omega.
 
-    Exact max(r,s)^(2-n) when lam = n-2 (harmonicity); otherwise
-    Gauss-Legendre in cos(theta) with weight (1 - cos^2)^((n-3)/2).
+    Closed form max^(-lam) 2F1(lam/2, (lam-n+2)/2; n/2; (min/max)^2), which
+    is max(r,s)^(2-n) at lam = n-2.  On the diagonal r = s the series is
+    finite only for lam < n-1.
     """
     n, lam = kernel.n, kernel.lam
-    if abs(lam - (n - 2.0)) < 1e-14:
-        return np.maximum(r, s) ** (2.0 - n)
     if lam >= n - 1.0:
         raise QuadratureDivergence(
-            f"lambda = {lam} too close to n = {n} for grid quadrature")
-    u, w = np.polynomial.legendre.leggauss(kernel.angular_rule)
-    wt = w * (1.0 - u ** 2) ** ((n - 3) / 2.0)
-    wt = wt / np.sum(wt)
-    d2 = r[..., None] ** 2 + s[..., None] ** 2 - 2.0 * r[..., None] * s[..., None] * u
-    return np.sum(wt * d2 ** (-lam / 2.0), axis=-1)
+            f"lambda = {lam} >= n-1 = {n - 1}: the sphere average diverges at r = s")
+    hi = np.maximum(r, s)
+    rho = np.minimum(r, s) / hi
+    return hi ** -lam * hyp2f1(lam / 2.0, (lam - n + 2.0) / 2.0, n / 2.0, rho ** 2)
 
 
 def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
@@ -170,10 +160,10 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     J is the bilinear Riesz functional; the exponents must satisfy
     1/r + 1/s + lambda/n = 2.
     """
-    n = kernel.n
-    if abs(1.0 / r_exp + 1.0 / s_exp + kernel.lam / n - 2.0) > EXPONENT_RELATION_TOL:
+    n, lam = kernel.n, kernel.lam
+    if abs(1.0 / r_exp + 1.0 / s_exp + lam / n - 2.0) > EXPONENT_RELATION_TOL:
         raise ExponentRelationViolated(
-            f"1/{r_exp} + 1/{s_exp} + {kernel.lam}/{n} != 2")
+            f"1/{r_exp} + 1/{s_exp} + {lam}/{n} != 2")
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if np.any(f < 0.0) or np.any(g < 0.0):
@@ -192,11 +182,23 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     wg = w * r ** (n - 1) * g
     omega = unit_sphere_area(n)
 
-    total = 0.0
-    chunk = max(1, int(2_000_000 / len(r)))
-    for i in range(0, len(r), chunk):
-        A = _angular_factor(r[i:i + chunk, None], r[None, :], kernel)
-        total += wf[i:i + chunk] @ A @ wg
+    if abs(lam - (n - 2.0)) < 1e-14:
+        # max(r,s)^(2-n) splits into the columns s <= r and the columns s > r
+        below = r ** (2.0 - n) * np.cumsum(wg)
+        above = np.cumsum((wg * r ** (2.0 - n))[::-1])[::-1]
+        total = wf @ (below + np.append(above[1:], 0.0))
+    else:
+        total = wf @ _angular_factor(r[:, None], r[None, :], kernel) @ wg
+        gam = n - 1.0 - lam
+        if gam < 1.0:
+            # near s = r the average carries a cusp r^-lam K (2|r-s|/r)^gam,
+            # for which the trapezoid over s pays 2 zeta(-gam) h^(1+gam) times
+            # the cusp's coefficient (generalized Euler-Maclaurin, Navot 1961);
+            # with the weight s^(n-1) g(s) the powers of r cancel
+            K = (gamma(n / 2.0) * gamma(-gam)
+                 / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
+            hr = np.gradient(r)
+            total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ (hr ** (1.0 + gam) * g))
     J = omega ** 2 * total
     return float(J / (nf * ng))
 

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .core import ExponentConfig, RadialGrid, RadialProfilePair
 from .errors import (
@@ -130,7 +130,7 @@ def _solve(inp: ShootInput, grid: RadialGrid):
     return sol, nodes
 
 
-def _profile_from_sol(sol, nodes: np.ndarray, grid_growth: str) -> RadialProfilePair:
+def _profile_from_sol(sol, nodes: np.ndarray) -> RadialProfilePair:
     k = len(sol.t)
     u = np.zeros_like(nodes)
     du = np.zeros_like(nodes)
@@ -140,7 +140,7 @@ def _profile_from_sol(sol, nodes: np.ndarray, grid_growth: str) -> RadialProfile
     # tiny negatives from the terminal-event root are clipped
     np.clip(u, 0.0, None, out=u)
     np.clip(v, 0.0, None, out=v)
-    return RadialProfilePair(RadialGrid(nodes, growth=grid_growth), u, v, du, dv)
+    return RadialProfilePair(RadialGrid(nodes), u, v, du, dv)
 
 
 def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialProfilePair:
@@ -153,7 +153,7 @@ def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialP
         grid = RadialGrid.geometric(R_START, max(inp.r_max, 1.0 + R_START),
                                     num=4000)
     sol, nodes = _solve(inp, grid)
-    return _profile_from_sol(sol, nodes, grid.growth)
+    return _profile_from_sol(sol, nodes)
 
 
 def _first_crossing(nodes, u, v):
@@ -179,7 +179,7 @@ def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
         grid = RadialGrid.geometric(R_START, max(inp.r_max, 1.0 + R_START),
                                     num=4000)
     sol, nodes = _solve(inp, grid)
-    profile = _profile_from_sol(sol, nodes, grid.growth)
+    profile = _profile_from_sol(sol, nodes)
     n = inp.config.n
 
     crossing = _first_crossing(sol.t, sol.y[0], sol.y[2])
@@ -266,13 +266,8 @@ def _cumulative_nested(profile: RadialProfilePair, forcing: np.ndarray,
     dropped.
     """
     r = profile.grid.nodes
-    inner_integrand = r ** (n - 1) * forcing
-    inner = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(r) * (inner_integrand[:-1] + inner_integrand[1:]))])
-    outer_integrand = inner / r ** (n - 1)
-    outer = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(r) * (outer_integrand[:-1] + outer_integrand[1:]))])
-    return outer
+    inner = cumulative_trapezoid(r ** (n - 1) * forcing, r, initial=0.0)
+    return cumulative_trapezoid(inner / r ** (n - 1), r, initial=0.0)
 
 
 def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from critsys import acceptance
 from critsys.bubble import eval_bubble_radial, make_bubble
 from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run
 from critsys.core import ExponentConfig
@@ -10,6 +11,23 @@ from critsys.core import ExponentConfig
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["--definitely-not-a-flag"]) == EXIT_USAGE
+
+
+def test_threads_flag_removed():
+    assert run(["bubble", "residual", "--threads", "2"]) == EXIT_USAGE
+
+
+def test_verify_all_seed_reaches_property_suite(monkeypatch):
+    seen = []
+
+    def recorder(seed=acceptance.DEFAULT_SEED):
+        seen.append(seed)
+        return True, "recorded"
+
+    monkeypatch.setattr(acceptance, "check_property_suites", recorder)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [("property suites", recorder)])
+    assert run(["verify-all", "--seed", "7"]) == EXIT_OK
+    assert seen == [7]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from critsys.bubble import eval_bubble_radial, make_bubble
+from critsys.bubble import bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import (
     ExponentConfig,
     RadialGrid,
@@ -36,11 +36,20 @@ def indicator_grid(num=9000):
     return RadialGrid(np.unique(np.concatenate([base, [1.0, 1.0 + 1e-9]])))
 
 
-def bubble_profile(t, grid):
-    b = make_bubble(CFG, t=t)
-    phi = eval_bubble_radial(b, grid.nodes)
-    dphi = -phi * grid.nodes / (t ** 2 + grid.nodes ** 2)
-    return RadialProfilePair(grid, phi, phi, dphi, dphi)
+def lieb_constant(n, lam):
+    """Lieb's sharp HLS constant for p = r = 2n/(2n - lam) (Ann. Math. 1983)."""
+    g = math.gamma
+    return (math.pi ** (lam / 2) * g(n / 2 - lam / 2) / g(n - lam / 2)
+            * (g(n / 2) / g(n)) ** (-1 + lam / n))
+
+
+def lieb_rel_error(n, lam, num):
+    """Relative error of the functional at Lieb's extremal (1+r^2)^(-(2n-lam)/2)."""
+    grid = RadialGrid.geometric(num=num)
+    f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
+    p = 2.0 * n / (2.0 * n - lam)
+    val = hls_functional(f, f, grid, KernelSpec(n, lam), p, p)
+    return abs(val / lieb_constant(n, lam) - 1.0)
 
 
 class TestNewtonPotential:
@@ -104,7 +113,8 @@ class TestNewtonPotential:
 class TestPicard:
     def test_bubble_pair_is_fixed_point(self):
         grid = RadialGrid.default()
-        state = PicardState(bubble_profile(1.0, grid), residual=np.inf, step=0)
+        state = PicardState(bubble_profile(make_bubble(CFG, t=1.0), grid),
+                            residual=np.inf, step=0)
         out = picard_step(state, CFG)
         assert out.residual <= 1e-4
         assert out.step == 1
@@ -115,7 +125,7 @@ class TestPicard:
         # the first residual is |(1+e)^5 - (1+e)| * phi(0); the subsequent
         # ratio is diagnostic only (the amplitude mode is not contracting)
         grid = RadialGrid.default()
-        prof = bubble_profile(1.0, grid)
+        prof = bubble_profile(make_bubble(CFG, t=1.0), grid)
         scaled = RadialProfilePair(grid, prof.u * (1 + eps), prof.v * (1 + eps),
                                    prof.du * (1 + eps), prof.dv * (1 + eps))
         s1 = picard_step(PicardState(scaled, residual=np.inf, step=0), CFG)
@@ -178,17 +188,31 @@ class TestHlsFunctional:
 
     def test_angular_rule_against_closed_form(self):
         # at n = 3 the sphere average has the closed form
-        # ((r+s)^{2-lam} - |r-s|^{2-lam}) / ((2-lam) 2 r s); the
-        # Gauss-Legendre path must reproduce it for lam != n-2
+        # ((r+s)^{2-lam} - |r-s|^{2-lam}) / ((2-lam) 2 r s); the general-n
+        # hypergeometric form must reproduce it for lam != n-2
         from critsys.potential import _angular_factor
 
         lam = 0.9
         r = np.array([[0.3], [1.7], [5.0]])
         s = np.array([[0.4, 2.0, 6.0]])
-        got = _angular_factor(r, s, KernelSpec(3, lam, 128))
+        got = _angular_factor(r, s, KernelSpec(3, lam))
         want = (((r + s) ** (2 - lam) - np.abs(r - s) ** (2 - lam))
                 / ((2 - lam) * 2 * r * s))
         assert np.allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 2.5), (5, 3.5)])
+    def test_lieb_sharp_constant(self, n, lam):
+        assert lieb_rel_error(n, lam, 1000) <= 1e-4
+
+    def test_lieb_error_second_order(self):
+        # the diagonal cusp correction restores O(h^2) near lam = n-1
+        assert lieb_rel_error(3, 1.8, 1000) / lieb_rel_error(3, 1.8, 2000) >= 3.5
+
+    def test_diagonal_divergence_refused(self):
+        grid = RadialGrid.geometric(num=500)
+        f = (1.0 + grid.nodes ** 2) ** -2.75
+        with pytest.raises(QuadratureDivergence):
+            hls_functional(f, f, grid, KernelSpec(3, 2.5), 12 / 7, 12 / 7)
 
     def test_exponent_relation_enforced(self):
         grid = RadialGrid.geometric(num=500)
