@@ -41,7 +41,6 @@ class RunManifest:
     subcommand: str
     parameters: dict
     outputs: list
-    seed: int
     version: str
     config_path: str | None = None
 
@@ -74,11 +73,6 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
                         for x in row])
 
 
-def _profile_csv(path: str, prof: RadialProfilePair) -> None:
-    _write_csv(path, ["r", "u", "v", "du", "dv"],
-               [prof.grid.nodes, prof.u, prof.v, prof.du, prof.dv])
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -86,11 +80,9 @@ def _parse_floats(text: str) -> list[float]:
 def _manifest(args, outputs: list[str]) -> None:
     if not outputs:
         return
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func",) and not callable(v)}
+    params = {k: v for k, v in vars(args).items() if not callable(v)}
     RunManifest(subcommand=args.subcommand, parameters=params,
-                outputs=outputs, seed=getattr(args, "seed", 0),
-                version=__version__,
+                outputs=outputs, version=__version__,
                 config_path=getattr(args, "config", None)).write(outputs[0])
 
 
@@ -112,24 +104,33 @@ def cmd_bubble(args) -> int:
     return EXIT_OK
 
 
-def cmd_shoot(args) -> int:
+def _shooting_config(args) -> tuple[ExponentConfig, RadialGrid]:
+    """The config and its grid, stretched to --rmax when that is given."""
     cfg, grid = load_config(args.config)
-    inp = sh.ShootInput(cfg, args.u0, args.v0, r_max=args.rmax,
+    args.rmax = grid.rmax if args.rmax is None else args.rmax  # for the manifest
+    return cfg, RadialGrid.geometric(grid.r0, args.rmax, len(grid))
+
+
+def cmd_shoot(args) -> int:
+    cfg, grid = _shooting_config(args)
+    inp = sh.ShootInput(cfg, args.u0, args.v0, r_max=grid.rmax,
                         atol=args.tol, rtol=args.tol)
-    out = sh.classify(inp)
+    out = sh.classify(inp, grid)
     print(f"kind {out.kind.value}"
           + (f" which {out.which} at_r {out.at_r:.6g}" if out.which else "")
           + (f" crossing_r {out.crossing_r:.6g}" if out.crossing_r else ""))
     if args.out:
-        _profile_csv(args.out, out.profile)
+        p = out.profile
+        _write_csv(args.out, ["r", "u", "v", "du", "dv"], [p.grid.nodes, p.u, p.v, p.du, p.dv])
         _manifest(args, [args.out])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg, grid = load_config(args.config)
+    cfg, grid = _shooting_config(args)
     ratios = _parse_floats(args.ratios)
-    rows = sh.uniqueness_sweep(cfg, ratios, base=args.base, r_max=args.rmax)
+    rows = sh.uniqueness_sweep(cfg, ratios, base=args.base, grid=grid,
+                               atol=args.tol, rtol=args.tol)
     records = []
     for row in rows:
         records.append((row.ratio, row.kind.value,
@@ -262,49 +263,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=1e-10)
+    flags = {"config": dict(help="JSON config path"), "out": dict(help="output file path"),
+             "tol": dict(type=float, default=1e-10)}
+
+    def add_flags(p, *names):  # each subcommand takes only the flags it reads
+        for name in names:
+            p.add_argument("--" + name, **flags[name])
 
     p = sub.add_parser("bubble", help="evaluate the exact solution family")
     p.add_argument("action", choices=["eval", "residual"])
     p.add_argument("--t", type=float, default=1.0)
-    common(p)
+    add_flags(p, "config", "out")
     p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("shoot", help="integrate and classify one trajectory")
     p.add_argument("--u0", type=float, required=True)
     p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--rmax", type=float, default=1e4)
-    common(p)
+    p.add_argument("--rmax", type=float, help="default: the grid's rmax")
+    add_flags(p, "config", "out", "tol")
     p.set_defaults(func=cmd_shoot)
 
     p = sub.add_parser("sweep", help="uniqueness sweep over initial ratios")
     p.add_argument("--ratios", default="0.5,0.8,0.9,0.95,1,1.05,1.1,1.25,2")
     p.add_argument("--base", type=float, default=1.0)
-    p.add_argument("--rmax", type=float, default=1e4)
-    common(p)
+    p.add_argument("--rmax", type=float, help="default: the grid's rmax")
+    add_flags(p, "config", "out", "tol")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("identity", help="nested integral identity check")
     p.add_argument("--radii", default="0.1,1,10")
     p.add_argument("--t", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_identity)
-    p.set_defaults(tol=1e-5)
+    add_flags(p, "config", "tol")
+    p.set_defaults(func=cmd_identity, tol=1e-5)
 
     p = sub.add_parser("potential", help="apply the radial inverse Laplacian")
     p.add_argument("--input", help="CSV with columns r,value")
-    common(p)
+    add_flags(p, "config", "out")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("picard", help="fixed-point iteration from a bubble")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--perturb", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=200)
-    common(p)
+    add_flags(p, "config", "tol")
     p.set_defaults(func=cmd_picard, tol=1e-8)
 
     p = sub.add_parser("hls", help="HLS bilinear functional ratio")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rexp", type=float, default=6.0 / 5.0)
     p.add_argument("--sexp", type=float, default=6.0 / 5.0)
     p.add_argument("--t", type=float, default=1.0)
-    common(p)
+    add_flags(p, "config")
     p.set_defaults(func=cmd_hls)
 
     p = sub.add_parser("mp", help="moving-plane scans and checks")
@@ -326,11 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmin", type=float, default=-2.0)
     p.add_argument("--lmax", type=float, default=3.0)
     p.add_argument("--lnum", type=int, default=41)
-    common(p)
+    add_flags(p, "config", "out")
     p.set_defaults(func=cmd_mp)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    common(p)
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    add_flags(p, "out")
     p.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -91,17 +91,23 @@ class CartesianSampler:
         return pts, ring * dx * drho
 
 
+def _half_space(pts: np.ndarray, plane: PlaneParam) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the sampler nodes in H_lam = {x1 < lam} and their mirror images."""
+    if not plane.is_axis_aligned:
+        raise ValueError("the sampler fast path requires direction e1")
+    half = pts[:, 0] < plane.lam
+    return half, reflect(pts[half], plane)
+
+
 def exceedance_sets(field, plane: PlaneParam, sampler: CartesianSampler):
     """Grid measure and member nodes of {x in H_lam : field(x_lam) > field(x)}.
 
     Membership uses the strict inequality; ties are excluded.
     """
-    if not plane.is_axis_aligned:
-        raise ValueError("the sampler fast path requires direction e1")
     pts, w = sampler.nodes()
-    half = pts[:, 0] < plane.lam
+    half, refl = _half_space(pts, plane)
     pts_h = pts[half]
-    exceeds = field(reflect(pts_h, plane)) > field(pts_h)
+    exceeds = field(refl) > field(pts_h)
     measure = float(np.sum(w[half][exceeds]))
     return measure, pts_h[exceeds]
 
@@ -132,16 +138,14 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     |u_lam|, |v_lam| restricted to both sets, with p = 2n/(n-2).  Empty sets
     give exactly zero norms (the estimates hold vacuously).
     """
-    if not plane.is_axis_aligned:
-        raise ValueError("the sampler fast path requires direction e1")
     n = config.n
     p = 2.0 * n / (n - 2.0)
     pts, w = sampler.nodes()
-    half = pts[:, 0] < plane.lam
-    pts_h, w_h = pts[half], w[half]
-    refl = reflect(pts_h, plane)
+    half, refl = _half_space(pts, plane)
+    w_h = w[half]
 
-    u, v = u_field(pts_h), v_field(pts_h)
+    u_all, v_all = u_field(pts), v_field(pts)
+    u, v = u_all[half], v_all[half]
     ul, vl = u_field(refl), v_field(refl)
     bu = ul > u
     bv = vl > v
@@ -153,8 +157,8 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
         "v_lam_p_Bu": _lp_on_set(vl[bu], w_h[bu], p),
         "u_lam_p_Bv": _lp_on_set(ul[bv], w_h[bv], p),
         "v_lam_p_Bv": _lp_on_set(vl[bv], w_h[bv], p),
-        "u_p_global": _lp_on_set(u_field(pts), w, p),
-        "v_p_global": _lp_on_set(v_field(pts), w, p),
+        "u_p_global": _lp_on_set(u_all, w, p),
+        "v_p_global": _lp_on_set(v_all, w, p),
     }
     # smallness factors multiplying the difference norms in the estimates
     margins = {
@@ -180,23 +184,23 @@ class ScanResult:
 
 def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
                         lambdas) -> ScanResult:
-    """Smallest swept lam with empty exceedance set at every lam' >= lam.
+    """Smallest swept lam with empty B_u and B_v at every lam' >= lam.
 
-    For a bubble centered at c1*e1 the answer is c1 up to one grid cell.
-    Non-monotone emptiness across the sweep raises ScanInconclusive.
+    For bubbles centered at c1*e1 the answer is the larger c1 up to one grid
+    cell.  Non-monotone emptiness across the sweep raises ScanInconclusive.
     """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
-    pts, w = sampler.nodes()
-    u_all = u_field(pts)
-    if np.max(np.abs(u_all)) == 0.0:
-        warnings.warn("field is identically zero; every set is empty",
+    pts, _ = sampler.nodes()
+    u_all, v_all = u_field(pts), v_field(pts)
+    if np.max(np.abs(u_all)) == 0.0 and np.max(np.abs(v_all)) == 0.0:
+        warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
     empty = np.empty(len(lambdas), dtype=bool)
     for i, lam in enumerate(lambdas):
-        measure, _ = exceedance_sets(u_field, PlaneParam(lam, n=sampler.n),
-                                     sampler)
-        empty[i] = measure == 0.0
+        half, refl = _half_space(pts, PlaneParam(lam, n=sampler.n))
+        exceeds = (u_field(refl) > u_all[half]) | (v_field(refl) > v_all[half])
+        empty[i] = not exceeds.any()
     if not np.any(empty):
         raise ScanInconclusive("no swept plane has an empty exceedance set")
     # emptiness must be an up-set of the sweep

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .core import ExponentConfig, RadialGrid, RadialProfilePair
+from .core import DEFAULT_NODES, DEFAULT_R0, ExponentConfig, RadialGrid, RadialProfilePair
 from .errors import (
     HypothesisNotApplicable,
     NonpositiveInput,
@@ -21,7 +21,6 @@ from .errors import (
     ToleranceNotMet,
 )
 
-R_START = 1e-6  # Taylor handoff radius; the (n-1)/r coefficient is singular at 0
 DECAY_PLATEAU_RTOL = 0.01  # relative variation of r^(n-2)u over the last decade
 
 
@@ -39,8 +38,8 @@ class ShootInput:
     def __post_init__(self):
         if self.u0 <= 0.0 or self.v0 <= 0.0:
             raise NonpositiveInput("need u0 > 0 and v0 > 0")
-        if self.r_max <= R_START:
-            raise ValueError(f"need r_max > {R_START}")
+        if self.r_max <= DEFAULT_R0:
+            raise ValueError(f"need r_max > {DEFAULT_R0}")
 
 
 class Kind(enum.Enum):
@@ -104,8 +103,12 @@ def _taylor_start(inp: ShootInput, r0: float):
     ])
 
 
-def _solve(inp: ShootInput, grid: RadialGrid):
+def _solve(inp: ShootInput, grid: RadialGrid | None):
     cfg = inp.config
+    if grid is None:
+        # the Taylor handoff sits at DEFAULT_R0: (n-1)/r is singular at 0
+        grid = RadialGrid.geometric(DEFAULT_R0, max(inp.r_max, 1.0 + DEFAULT_R0),
+                                    DEFAULT_NODES)
     nodes = grid.nodes[grid.nodes <= inp.r_max]
 
     def u_zero(r, y):
@@ -127,16 +130,13 @@ def _solve(inp: ShootInput, grid: RadialGrid):
         if "step size" in sol.message.lower():
             raise StepSizeUnderflow(sol.message)
         raise ToleranceNotMet(sol.message)
-    return sol, nodes
+    return sol, _profile_from_sol(sol, nodes)
 
 
 def _profile_from_sol(sol, nodes: np.ndarray) -> RadialProfilePair:
-    k = len(sol.t)
-    u = np.zeros_like(nodes)
-    du = np.zeros_like(nodes)
-    v = np.zeros_like(nodes)
-    dv = np.zeros_like(nodes)
-    u[:k], du[:k], v[:k], dv[:k] = sol.y
+    y = np.zeros((4, len(nodes)))
+    y[:, :len(sol.t)] = sol.y
+    u, du, v, dv = y
     # tiny negatives from the terminal-event root are clipped
     np.clip(u, 0.0, None, out=u)
     np.clip(v, 0.0, None, out=v)
@@ -149,11 +149,7 @@ def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialP
     If u or v hits zero the trajectory terminates there and the remaining
     nodes are filled with zeros (flag available through classify()).
     """
-    if grid is None:
-        grid = RadialGrid.geometric(R_START, max(inp.r_max, 1.0 + R_START),
-                                    num=4000)
-    sol, nodes = _solve(inp, grid)
-    return _profile_from_sol(sol, nodes)
+    return _solve(inp, grid)[1]
 
 
 def _first_crossing(nodes, u, v):
@@ -161,12 +157,13 @@ def _first_crossing(nodes, u, v):
     w = v - u
     pos = (u > 0.0) & (v > 0.0)
     sign = np.sign(w)
-    for i in range(len(nodes) - 1):
-        if pos[i] and pos[i + 1] and sign[i] != 0 and sign[i + 1] == -sign[i]:
-            # linear interpolation of the sign change
-            t = w[i] / (w[i] - w[i + 1])
-            return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
-    return None
+    hit = pos[:-1] & pos[1:] & (sign[:-1] != 0) & (sign[1:] == -sign[:-1])
+    if not hit.any():
+        return None
+    i = int(np.argmax(hit))
+    # linear interpolation of the sign change
+    t = w[i] / (w[i] - w[i + 1])
+    return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
 
 
 def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
@@ -175,11 +172,7 @@ def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
     Priority: PositivityFailure if a component reaches zero, else BoundState
     if r^(n-2)u and r^(n-2)v both plateau over the last decade, else NoDecay.
     """
-    if grid is None:
-        grid = RadialGrid.geometric(R_START, max(inp.r_max, 1.0 + R_START),
-                                    num=4000)
-    sol, nodes = _solve(inp, grid)
-    profile = _profile_from_sol(sol, nodes)
+    sol, profile = _solve(inp, grid)
     n = inp.config.n
 
     crossing = _first_crossing(sol.t, sol.y[0], sol.y[2])
@@ -215,9 +208,9 @@ class SweepRow:
 
 
 def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
-                     r_max: float = 1e4, atol: float = 1e-10,
+                     grid: RadialGrid | None = None, atol: float = 1e-10,
                      rtol: float = 1e-10) -> list[SweepRow]:
-    """Classify (u0, v0) = (base, ratio*base) for each ratio.
+    """Classify (u0, v0) = (base, ratio*base) for each ratio, out to grid.rmax.
 
     Only meaningful in the ordered regime alpha < beta, where a bound state
     should occur exactly at ratio 1.
@@ -225,12 +218,13 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
     if not config.uniqueness_applicable:
         raise HypothesisNotApplicable(
             f"need alpha < beta, got ({config.alpha}, {config.beta})")
+    grid = RadialGrid.default() if grid is None else grid
     rows = []
     for rho in ratios:
         if rho <= 0.0:
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
-        out = classify(ShootInput(config, base, rho * base, r_max=r_max,
-                                  atol=atol, rtol=rtol))
+        out = classify(ShootInput(config, base, rho * base, r_max=grid.rmax,
+                                  atol=atol, rtol=rtol), grid)
         rows.append(SweepRow(float(rho), out.kind, out.crossing_r,
                              out.diagnostics, out.profile))
     return rows

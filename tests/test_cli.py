@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from critsys import acceptance
+from critsys import shooting as sh
 from critsys.bubble import eval_bubble_radial, make_bubble
 from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run
 from critsys.core import ExponentConfig
@@ -13,8 +15,19 @@ def test_unknown_flag_is_usage_error(capsys):
     assert run(["--definitely-not-a-flag"]) == EXIT_USAGE
 
 
-def test_threads_flag_removed():
-    assert run(["bubble", "residual", "--threads", "2"]) == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["bubble", "residual", "--threads", "2"],
+    *[[*cmd, "--seed", "1"] for cmd in
+      (["bubble", "residual"], ["shoot", "--u0", "1", "--v0", "1"], ["sweep"],
+       ["identity"], ["potential"], ["picard"], ["hls"], ["mp", "scan"])],
+    *[[*cmd, "--tol", "1e-3"] for cmd in
+      (["bubble", "residual"], ["potential"], ["hls"], ["mp", "scan"],
+       ["verify-all"])],
+    *[[*cmd, "--out", "x.txt"] for cmd in (["identity"], ["picard"], ["hls"])],
+    ["verify-all", "--config", "cfg.json"],
+], ids=" ".join)
+def test_removed_flag_is_usage_error(argv):
+    assert run(argv) == EXIT_USAGE
 
 
 def test_verify_all_seed_reaches_property_suite(monkeypatch):
@@ -28,6 +41,18 @@ def test_verify_all_seed_reaches_property_suite(monkeypatch):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [("property suites", recorder)])
     assert run(["verify-all", "--seed", "7"]) == EXIT_OK
     assert seen == [7]
+
+
+def test_sweep_tol_reaches_the_solver(monkeypatch):
+    seen = []
+
+    def recorder(cfg, ratios, base, grid, atol, rtol):
+        seen.append((atol, rtol))
+        return []
+
+    monkeypatch.setattr(sh, "uniqueness_sweep", recorder)
+    assert run(["sweep", "--ratios", "1", "--tol", "1e-8"]) == EXIT_OK
+    assert seen == [(1e-8, 1e-8)]
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -88,6 +113,32 @@ def test_config_file_roundtrip(tmp_path, capsys):
         "grid": {"r0": 1e-6, "rmax": 100.0, "nodes": 1500},
     }))
     assert run(["bubble", "residual", "--config", str(cfg_path)]) == EXIT_OK
+
+
+def test_shoot_and_sweep_use_config_grid(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 3, "alpha": 2.0, "beta": 3.0,
+        "grid": {"r0": 1e-6, "rmax": 100.0, "nodes": 1500},
+    }))
+    shot = tmp_path / "shoot.csv"
+    run(["shoot", "--u0", "1", "--v0", "1", "--config", str(cfg_path),
+         "--out", str(shot)])
+    data = np.loadtxt(shot, delimiter=",", skiprows=1)
+    assert len(data) == 1500 and data[-1, 0] == 100.0
+    # the exit code is not checked: at rmax = 100 the plateau test may
+    # classify rows differently
+    sweep = tmp_path / "sweep.csv"
+    run(["sweep", "--ratios", "0.9,1,1.1", "--config", str(cfg_path),
+         "--out", str(sweep)])
+    with open(sweep, newline="") as fh:
+        rows = {row["ratio"]: row for row in csv.DictReader(fh)}
+    assert json.loads(rows["1.0"]["diagnostics"])["r_reached"] == 100.0
+    # --rmax replaces the config's rmax
+    run(["shoot", "--u0", "1", "--v0", "1", "--config", str(cfg_path),
+         "--rmax", "50", "--out", str(shot)])
+    data = np.loadtxt(shot, delimiter=",", skiprows=1)
+    assert len(data) == 1500 and data[-1, 0] == 50.0
 
 
 def test_bad_config_is_numerical_failure(tmp_path):

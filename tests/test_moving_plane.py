@@ -101,6 +101,48 @@ class TestCriticalPlaneScan:
         r1 = critical_plane_scan(f1, f1, sampler, lams - 1.0 + 1.0)
         assert abs((r1.lambda0 - r0.lambda0) - 1.0) <= sampler.cell
 
+    def test_both_components_scanned(self, sampler):
+        # u is symmetric about 0, v only about 1: the planes in [0, 1) have an
+        # empty B_u but a nonempty B_v
+        lams = np.linspace(-2, 3, 41)
+        u = bubble_field(make_bubble(CFG, t=1.0))
+        v = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
+        res = critical_plane_scan(u, v, sampler, lams)
+        assert abs(res.lambda0 - 1.0) <= sampler.cell
+        assert critical_plane_scan(v, u, sampler, lams).lambda0 == res.lambda0
+
+    def test_one_zero_field_not_degenerate(self, sampler):
+        zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
+        v = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
+        res = critical_plane_scan(zero, v, sampler, np.linspace(-2, 3, 41))
+        assert not res.degenerate
+        assert abs(res.lambda0 - 1.0) <= sampler.cell
+
+    def test_each_field_evaluated_once_per_plane(self, sampler, monkeypatch):
+        calls = {"nodes": 0, "u": 0, "v": 0}
+        nodes = CartesianSampler.nodes
+
+        def counted_nodes(self):
+            calls["nodes"] += 1
+            return nodes(self)
+
+        def counted(key, field):
+            def f(pts):
+                calls[key] += 1
+                return field(pts)
+            return f
+
+        monkeypatch.setattr(CartesianSampler, "nodes", counted_nodes)
+        field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
+        lams = np.linspace(-2, 3, 41)
+        critical_plane_scan(counted("u", field), counted("v", field), sampler, lams)
+        assert calls == {"nodes": 1, "u": len(lams) + 1, "v": len(lams) + 1}
+
+        calls.update(nodes=0, u=0, v=0)
+        reflection_inequality_check(counted("u", field), counted("v", field),
+                                    PlaneParam(0.0), CFG, sampler)
+        assert calls == {"nodes": 1, "u": 2, "v": 2}
+
     def test_zero_field_degenerate(self, sampler):
         zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
         with pytest.warns(UserWarning):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from critsys import shooting
 from critsys.bubble import amplitude_constant, eval_bubble_radial, make_bubble
 from critsys.core import ExponentConfig, RadialGrid, RadialProfilePair
 from critsys.errors import HypothesisNotApplicable, NonpositiveInput
@@ -20,6 +21,18 @@ from critsys.shooting import (
 
 CFG = ExponentConfig(3, 2.0, 3.0)
 C3 = amplitude_constant(3)
+
+
+def first_crossing_loop(nodes, u, v):
+    """Reference for shooting._first_crossing: the scan node by node."""
+    w = v - u
+    pos = (u > 0.0) & (v > 0.0)
+    sign = np.sign(w)
+    for i in range(len(nodes) - 1):
+        if pos[i] and pos[i + 1] and sign[i] != 0 and sign[i + 1] == -sign[i]:
+            t = w[i] / (w[i] - w[i + 1])
+            return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
+    return None
 
 
 def bubble_profile(t, grid):
@@ -82,6 +95,37 @@ class TestClassify:
         b = integrate_radial(ShootInput(CFG, 1.3, 1.0, r_max=50.0))
         assert np.max(np.abs(a.u - b.v)) < 1e-7
         assert np.max(np.abs(a.v - b.u)) < 1e-7
+
+
+class TestFirstCrossing:
+    def test_matches_loop_on_random_arrays(self):
+        rng = np.random.default_rng(11)
+        found = 0
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            nodes = np.cumsum(rng.uniform(0.1, 1.0, size))
+            # small integers make zeros, ties (w = 0) and nonpositive entries
+            u = rng.integers(-1, 4, size).astype(float)
+            v = rng.integers(-1, 4, size).astype(float)
+            got = shooting._first_crossing(nodes, u, v)
+            assert got == first_crossing_loop(nodes, u, v)
+            found += got is not None
+        assert 0 < found < 300
+
+    def test_matches_loop_on_default_sweep(self, monkeypatch):
+        pairs = []
+        fast = shooting._first_crossing
+
+        def both(nodes, u, v):
+            pairs.append((fast(nodes, u, v), first_crossing_loop(nodes, u, v)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(shooting, "_first_crossing", both)
+        ratios = [0.5, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25, 2.0]
+        rows = uniqueness_sweep(CFG, ratios)
+        assert len(pairs) == len(ratios)
+        assert all(a == b for a, b in pairs)
+        assert [row.crossing_r for row in rows] == [a for a, _ in pairs]
 
 
 class TestUniquenessSweep:
