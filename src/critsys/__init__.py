@@ -32,7 +32,9 @@ from .shooting import (
     ShootOutcome,
     check_integral_identity,
     classify,
+    classify_batch,
     integrate_radial,
+    integrate_radial_batch,
     ordering_term,
     uniqueness_sweep,
 )

@@ -207,19 +207,26 @@ def cmd_hls(args) -> int:
 
 def cmd_mp(args) -> int:
     cfg, grid = load_config(args.config)
-    center = np.zeros(cfg.n)
-    center[0] = args.center
-    params = bb.make_bubble(cfg, center=center, t=args.t)
-    fld = bb.bubble_field(params)
+
+    def bubble_at(x1):
+        center = np.zeros(cfg.n)
+        center[0] = x1
+        return bb.make_bubble(cfg, center=center, t=args.t)
+
+    if args.v_center is None:
+        args.v_center = args.center  # for the manifest
+    params = bubble_at(args.center)
+    u_fld = bb.bubble_field(params)
+    v_fld = bb.bubble_field(bubble_at(args.v_center))
     sampler = mp.CartesianSampler(L=args.L, m=args.m, n=cfg.n)
 
     if args.action == "scan":
         lams = np.linspace(args.lmin, args.lmax, args.lnum)
-        res = mp.critical_plane_scan(fld, fld, sampler, lams)
+        res = mp.critical_plane_scan(u_fld, v_fld, sampler, lams)
         print(f"lambda0 {res.lambda0:.6g}" + (" (degenerate)" if res.degenerate else ""))
         return EXIT_OK
     if args.action == "check":
-        rep = mp.reflection_inequality_check(fld, fld, mp.PlaneParam(args.lam, n=cfg.n),
+        rep = mp.reflection_inequality_check(u_fld, v_fld, mp.PlaneParam(args.lam, n=cfg.n),
                                              cfg, sampler)
         report = {"lambda": rep.lam, "Bu_measure": rep.Bu_measure,
                   "Bv_measure": rep.Bv_measure, "norms": rep.norms,
@@ -318,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mp", help="moving-plane scans and checks")
     p.add_argument("action", choices=["scan", "check", "identity"])
-    p.add_argument("--center", type=float, default=0.0)
+    p.add_argument("--center", type=float, default=0.0, help="x1 of the u bubble")
+    p.add_argument("--v-center", type=float, help="x1 of the v bubble (default: --center)")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--L", type=float, default=10.0)
     p.add_argument("--m", type=int, default=64)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.optimize import brentq
 
 from .core import DEFAULT_NODES, DEFAULT_R0, ExponentConfig, RadialGrid, RadialProfilePair
 from .errors import (
@@ -81,75 +82,104 @@ class IntegralIdentityReport:
 
 
 def _rhs(n: int, alpha: float, beta: float):
+    """Right-hand side on the flattened (4, k) state of k stacked shots."""
     def rhs(r, y):
-        u, du, v, dv = y
-        uu = u if u > 0.0 else 0.0
-        vv = v if v > 0.0 else 0.0
-        fu = uu ** alpha * vv ** beta
-        fv = uu ** beta * vv ** alpha
+        u, du, v, dv = y.reshape(4, -1)
+        uu = np.maximum(u, 0.0)
+        vv = np.maximum(v, 0.0)
         c = (n - 1) / r
-        return (du, -c * du - fu, dv, -c * dv - fv)
+        return np.concatenate((du, -c * du - uu ** alpha * vv ** beta,
+                               dv, -c * dv - uu ** beta * vv ** alpha))
     return rhs
 
 
-def _taylor_start(inp: ShootInput, r0: float):
-    """Second-order series data at r0 consistent with u'(0) = v'(0) = 0."""
-    n = inp.config.n
-    fu = inp.u0 ** inp.config.alpha * inp.v0 ** inp.config.beta
-    fv = inp.u0 ** inp.config.beta * inp.v0 ** inp.config.alpha
-    return np.array([
-        inp.u0 - fu * r0 ** 2 / (2 * n), -fu * r0 / n,
-        inp.v0 - fv * r0 ** 2 / (2 * n), -fv * r0 / n,
-    ])
+def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
+    """Second-order series data at r0 consistent with u'(0) = v'(0) = 0.
+
+    Returns the (4, k) state (u, u', v, v') of the k shots.
+    """
+    cfg = inputs[0].config
+    u0 = np.array([inp.u0 for inp in inputs])
+    v0 = np.array([inp.v0 for inp in inputs])
+    fu = u0 ** cfg.alpha * v0 ** cfg.beta
+    fv = u0 ** cfg.beta * v0 ** cfg.alpha
+    return np.array([u0 - fu * r0 ** 2 / (2 * cfg.n), -fu * r0 / cfg.n,
+                     v0 - fv * r0 ** 2 / (2 * cfg.n), -fv * r0 / cfg.n])
 
 
-def _solve(inp: ShootInput, grid: RadialGrid | None):
-    cfg = inp.config
+def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
+    """Integrate k shots as one RK45 system with state shape (4, k).
+
+    Error control is the RMS over the whole stack.  A column that fails
+    (u or v reaches zero) keeps being integrated with the clamped RHS; the
+    one terminal event, max_j min(u_j, v_j), stops the solve once every
+    column has failed.  Returns the nodes up to r_max, the solver result and
+    each column's count of samples before its first nonpositive one.
+    """
+    if not inputs:
+        raise ValueError("need at least one shot")
+    first = inputs[0]
+    shared = (first.config, first.r_max, first.atol, first.rtol)
+    if any((inp.config, inp.r_max, inp.atol, inp.rtol) != shared for inp in inputs):
+        raise ValueError("shots of a batch must share config, r_max and tolerances")
+    cfg, k = first.config, len(inputs)
     if grid is None:
         # the Taylor handoff sits at DEFAULT_R0: (n-1)/r is singular at 0
-        grid = RadialGrid.geometric(DEFAULT_R0, max(inp.r_max, 1.0 + DEFAULT_R0),
+        grid = RadialGrid.geometric(DEFAULT_R0, max(first.r_max, 1.0 + DEFAULT_R0),
                                     DEFAULT_NODES)
-    nodes = grid.nodes[grid.nodes <= inp.r_max]
+    nodes = grid.nodes[grid.nodes <= first.r_max]
 
-    def u_zero(r, y):
-        return y[0]
+    def all_failed(r, y):
+        u, _, v, _ = y.reshape(4, k)
+        return np.max(np.minimum(u, v))
 
-    def v_zero(r, y):
-        return y[2]
-
-    u_zero.terminal = v_zero.terminal = True
-    u_zero.direction = v_zero.direction = -1.0
+    all_failed.terminal = True
+    all_failed.direction = -1.0
 
     sol = solve_ivp(
-        _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], inp.r_max),
-        _taylor_start(inp, nodes[0]), method="RK45",
-        t_eval=nodes, events=(u_zero, v_zero),
-        rtol=inp.rtol, atol=inp.atol,
+        _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max),
+        _taylor_start(inputs, nodes[0]).ravel(), method="RK45",
+        t_eval=nodes, events=all_failed, rtol=first.rtol, atol=first.atol,
     )
     if sol.status == -1:
         if "step size" in sol.message.lower():
             raise StepSizeUnderflow(sol.message)
         raise ToleranceNotMet(sol.message)
-    return sol, _profile_from_sol(sol, nodes)
+
+    samples = sol.y.reshape(4, k, -1)
+    nonpositive = np.minimum(samples[0], samples[2]) <= 0.0
+    positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(sol.t))
+    return nodes, sol, positive
 
 
-def _profile_from_sol(sol, nodes: np.ndarray) -> RadialProfilePair:
-    y = np.zeros((4, len(nodes)))
-    y[:, :len(sol.t)] = sol.y
+def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfilePair]:
+    """One profile per column, zero from its first nonpositive sample on.
+
+    Zero-fills the solver's samples in place (no second copy of the batch).
+    """
+    grid, k = RadialGrid(nodes), len(positive)
+    y = sol.y.reshape(4, k, -1)
+    if y.shape[2] < len(nodes):  # stopped early: nodes past the event are zero
+        y = np.concatenate((y, np.zeros((4, k, len(nodes) - y.shape[2]))), axis=2)
+    for j, m in enumerate(positive):
+        y[:, j, m:] = 0.0
     u, du, v, dv = y
-    # tiny negatives from the terminal-event root are clipped
-    np.clip(u, 0.0, None, out=u)
-    np.clip(v, 0.0, None, out=v)
-    return RadialProfilePair(RadialGrid(nodes), u, v, du, dv)
+    return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(k)]
+
+
+def integrate_radial_batch(inputs: list[ShootInput],
+                           grid: RadialGrid | None = None) -> list[RadialProfilePair]:
+    """Solve k shots sharing config, r_max and tolerances as one system.
+
+    A trajectory whose u or v hits zero is zero from its first nonpositive
+    node on (flag available through classify_batch()).
+    """
+    return _profiles(*_solve_batch(inputs, grid))
 
 
 def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialProfilePair:
-    """Solve the coupled radial system from the origin out to r_max.
-
-    If u or v hits zero the trajectory terminates there and the remaining
-    nodes are filled with zeros (flag available through classify()).
-    """
-    return _solve(inp, grid)[1]
+    """Solve the coupled radial system from the origin out to r_max."""
+    return integrate_radial_batch([inp], grid)[0]
 
 
 def _first_crossing(nodes, u, v):
@@ -166,36 +196,86 @@ def _first_crossing(nodes, u, v):
     return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
 
 
-def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
-    """Integrate and classify the trajectory.
+def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
+    """First zero of u or v on [ra, rb] from the cubic Hermite interpolant.
+
+    ``ya``, ``yb`` are the states (u, u', v, v') at the ends; u and v are
+    positive at ra and at least one of them is nonpositive at rb.
+    """
+    h = rb - ra
+    roots = {}
+    for which, i in (("u", 0), ("v", 2)):
+        f0, d0, f1, d1 = ya[i], ya[i + 1], yb[i], yb[i + 1]
+        if f1 > 0.0:
+            continue
+
+        def cubic(s):
+            return ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * h * d0 \
+                + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * h * d1
+
+        roots[which] = ra + h * brentq(cubic, 0.0, 1.0, xtol=1e-15)
+    which = min(roots, key=roots.get)
+    return which, float(roots[which])
+
+
+def classify_batch(inputs: list[ShootInput],
+                   grid: RadialGrid | None = None) -> list[ShootOutcome]:
+    """Integrate k shots as one system and classify each trajectory.
 
     Priority: PositivityFailure if a component reaches zero, else BoundState
     if r^(n-2)u and r^(n-2)v both plateau over the last decade, else NoDecay.
+    The zero radius ``at_r`` is the cubic-Hermite root on the bracketing
+    nodes.  A zero past the last node is bracketed by the event state; the
+    column that stops the solve takes the solver's event root.
     """
-    sol, profile = _solve(inp, grid)
-    n = inp.config.n
+    nodes, sol, positive = _solve_batch(inputs, grid)
+    k = len(inputs)
+    samples = sol.y.reshape(4, k, -1)
+    n = inputs[0].config.n
+    if sol.status == 1:  # every column failed
+        r_event, y_event = sol.t_events[0][0], sol.y_events[0][0].reshape(4, k)
+        event_min = np.minimum(y_event[0], y_event[2])
+    zeros = {}  # column -> (which, at_r), found before _profiles zero-fills
+    for j in np.flatnonzero(positive < len(nodes)):
+        m = positive[j]
+        if m < len(sol.t):
+            zeros[j] = _hermite_zero(nodes[m - 1], nodes[m],
+                                     samples[:, j, m - 1], samples[:, j, m])
+        elif event_min[j] == event_min.max():  # this column stops the solve
+            zeros[j] = ("u" if y_event[0, j] <= y_event[2, j] else "v"), float(r_event)
+        else:
+            zeros[j] = _hermite_zero(nodes[m - 1], r_event,
+                                     samples[:, j, m - 1], y_event[:, j])
+    outcomes = []
+    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, sol, positive))):
+        crossing = _first_crossing(nodes, prof.u, prof.v)
+        diagnostics = {"u0": inp.u0, "v0": inp.v0,
+                       "r_reached": float(nodes[positive[j] - 1]),
+                       "nfev": int(sol.nfev), "batch": k}
+        if j in zeros:  # a component reached zero
+            which, at_r = zeros[j]
+            outcomes.append(ShootOutcome(Kind.POSITIVITY_FAILURE, prof, which=which,
+                                         at_r=at_r, crossing_r=crossing,
+                                         diagnostics=diagnostics))
+            continue
 
-    crossing = _first_crossing(sol.t, sol.y[0], sol.y[2])
-    diagnostics = {"u0": inp.u0, "v0": inp.v0, "r_reached": float(sol.t[-1])}
+        last_decade = nodes >= inp.r_max / 10.0
+        plateau = True
+        for comp in (prof.u, prof.v):
+            w = nodes[last_decade] ** (n - 2) * comp[last_decade]
+            spread = (np.max(w) - np.min(w)) / max(np.mean(np.abs(w)), 1e-300)
+            diagnostics.setdefault("plateau_spread", []).append(float(spread))
+            plateau &= spread < DECAY_PLATEAU_RTOL
+        kind = Kind.BOUND_STATE if plateau else Kind.NO_DECAY
+        outcomes.append(ShootOutcome(kind, prof,
+                                     at_r=None if plateau else float(inp.r_max),
+                                     crossing_r=crossing, diagnostics=diagnostics))
+    return outcomes
 
-    if sol.status == 1:  # terminated by a positivity event
-        hit_u = len(sol.t_events[0]) > 0
-        at_r = float((sol.t_events[0] if hit_u else sol.t_events[1])[0])
-        return ShootOutcome(Kind.POSITIVITY_FAILURE, profile,
-                            which="u" if hit_u else "v", at_r=at_r,
-                            crossing_r=crossing, diagnostics=diagnostics)
 
-    last_decade = sol.t >= inp.r_max / 10.0
-    plateau = True
-    for comp in (sol.y[0], sol.y[2]):
-        w = sol.t[last_decade] ** (n - 2) * comp[last_decade]
-        spread = (np.max(w) - np.min(w)) / max(np.mean(np.abs(w)), 1e-300)
-        diagnostics.setdefault("plateau_spread", []).append(float(spread))
-        plateau &= spread < DECAY_PLATEAU_RTOL
-    kind = Kind.BOUND_STATE if plateau else Kind.NO_DECAY
-    return ShootOutcome(kind, profile,
-                        at_r=None if plateau else float(inp.r_max),
-                        crossing_r=crossing, diagnostics=diagnostics)
+def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
+    """Integrate and classify one trajectory (see classify_batch)."""
+    return classify_batch([inp], grid)[0]
 
 
 @dataclass(frozen=True)
@@ -212,6 +292,8 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
                      rtol: float = 1e-10) -> list[SweepRow]:
     """Classify (u0, v0) = (base, ratio*base) for each ratio, out to grid.rmax.
 
+    All ratios are columns of one stacked solve (see classify_batch).
+
     Only meaningful in the ordered regime alpha < beta, where a bound state
     should occur exactly at ratio 1.
     """
@@ -219,15 +301,16 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
         raise HypothesisNotApplicable(
             f"need alpha < beta, got ({config.alpha}, {config.beta})")
     grid = RadialGrid.default() if grid is None else grid
-    rows = []
+    ratios = list(ratios)
     for rho in ratios:
         if rho <= 0.0:
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
-        out = classify(ShootInput(config, base, rho * base, r_max=grid.rmax,
-                                  atol=atol, rtol=rtol), grid)
-        rows.append(SweepRow(float(rho), out.kind, out.crossing_r,
-                             out.diagnostics, out.profile))
-    return rows
+    if not ratios:
+        return []
+    outcomes = classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax,
+                                          atol=atol, rtol=rtol) for rho in ratios], grid)
+    return [SweepRow(float(rho), out.kind, out.crossing_r, out.diagnostics, out.profile)
+            for rho, out in zip(ratios, outcomes)]
 
 
 def sweep_consistent(rows: list[SweepRow], window: float = 1e-3) -> bool:

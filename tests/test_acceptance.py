@@ -1,7 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
+import numpy as np
 import pytest
 
+from critsys import acceptance
+from critsys import shooting as sh
 from critsys.acceptance import ALL_CRITERIA
+from critsys.core import RadialProfilePair
 
 
 @pytest.mark.parametrize("name,check", ALL_CRITERIA,
@@ -11,3 +15,50 @@ def test_criterion(name, check, capsys):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def test_property_suite_batches_match_single_shots(monkeypatch):
+    batches = []
+    solves = []
+    batch, solve = sh.integrate_radial_batch, sh.solve_ivp
+
+    def recording(inputs, grid=None):
+        batches.append((inputs, batch(inputs, grid)))
+        return batches[-1][1]
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sh, "integrate_radial_batch", recording)
+    monkeypatch.setattr(sh, "solve_ivp", counting)
+    assert acceptance.check_property_suites() == (True, "no violations")
+    # a, b (swapped) and c (equal start): three solves of 100 columns each
+    assert len(solves) == 3
+    assert [len(inputs) for inputs, _ in batches] == [100, 100, 100]
+    monkeypatch.undo()
+    for inputs, profiles in batches:
+        for j in range(0, 100, 10):
+            ref = sh.integrate_radial(inputs[j])
+            got = profiles[j]
+            for g, r in ((got.u, ref.u), (got.v, ref.v)):
+                assert np.max(np.abs(g - r)) <= 1e-8 * np.max(np.abs(r))
+                assert np.array_equal(g == 0.0, r == 0.0)
+
+
+def test_property_suite_catches_planted_swap_violation(monkeypatch):
+    batch, calls = sh.integrate_radial_batch, []
+
+    def planted(inputs, grid=None):
+        calls.append(inputs)
+        profiles = batch(inputs, grid)
+        if len(calls) != 2:
+            return profiles
+        # the second, swapped (b) batch: v off by 1e-6
+        return [RadialProfilePair(p.grid, p.u, p.v + 1e-6, p.du, p.dv)
+                for p in profiles]
+
+    monkeypatch.setattr(sh, "integrate_radial_batch", planted)
+    ok, detail = acceptance.check_property_suites()
+    assert not ok and "swap-antisymmetry" in detail
+    assert "equal-start-collapse" not in detail

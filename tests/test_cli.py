@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,41 @@ def test_mp_scan(capsys):
     assert run(["mp", "scan", "--center", "1.0", "--m", "32"]) == EXIT_OK
     lam0 = float(capsys.readouterr().out.split()[-1])
     assert abs(lam0 - 1.0) <= 0.7
+
+
+def test_mp_scan_v_center(capsys):
+    # u at 0, v at 1: the two-component scan stops at v's centre
+    assert run(["mp", "scan", "--center", "0", "--v-center", "1"]) == EXIT_OK
+    lam0 = float(capsys.readouterr().out.split()[-1])
+    assert abs(lam0 - 1.0) <= 20.0 / 64
+
+
+def test_mp_check_v_center(capsys):
+    assert run(["mp", "check", "--center", "1", "--v-center", "0",
+                "--lam", "0.5"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["Bu_measure"] != rep["Bv_measure"]
+
+
+def test_mp_v_center_defaults_to_center(tmp_path, capsys):
+    outs = []
+    for extra in ([], ["--v-center", "1.0"]):
+        path = tmp_path / f"check{len(outs)}.json"
+        assert run(["mp", "check", "--center", "1.0", "--lam", "0.5", "--out", str(path),
+                    *extra]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+        manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+        assert manifest["parameters"]["v_center"] == 1.0
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["Bu_measure"] == json.loads(outs[0])["Bv_measure"]
+
+
+def test_verify_all_prints_seconds(capsys):
+    assert run(["verify-all"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(acceptance.ALL_CRITERIA) == 12
+    for line, (name, _) in zip(lines, acceptance.ALL_CRITERIA):
+        assert re.match(rf"\[PASS\] {re.escape(name)} \(\d+\.\d\d s\): ", line), line
 
 
 def test_mp_identity(capsys):

@@ -12,8 +12,10 @@ from critsys.shooting import (
     ShootInput,
     check_integral_identity,
     classify,
+    classify_batch,
     contradiction_witness,
     integrate_radial,
+    integrate_radial_batch,
     ordering_term,
     sweep_consistent,
     uniqueness_sweep,
@@ -33,6 +35,18 @@ def first_crossing_loop(nodes, u, v):
             t = w[i] / (w[i] - w[i + 1])
             return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
     return None
+
+
+def record_solves(monkeypatch):
+    """Route shooting's solve_ivp through a recorder; returns the results."""
+    sols, solve = [], shooting.solve_ivp
+
+    def recording(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(shooting, "solve_ivp", recording)
+    return sols
 
 
 def bubble_profile(t, grid):
@@ -95,6 +109,61 @@ class TestClassify:
         b = integrate_radial(ShootInput(CFG, 1.3, 1.0, r_max=50.0))
         assert np.max(np.abs(a.u - b.v)) < 1e-7
         assert np.max(np.abs(a.v - b.u)) < 1e-7
+
+
+class TestBatch:
+    def test_mixed_batch_matches_single_shots(self):
+        # at r_max 10: bound state, u fails, v fails, no decay
+        inputs = [ShootInput(CFG, u0, v0, r_max=10.0)
+                  for u0, v0 in [(5.0, 5.0), (1.0, 2.0), (2.0, 1.0), (0.2, 0.2)]]
+        batch = classify_batch(inputs)
+        assert [out.kind for out in batch] == [
+            Kind.BOUND_STATE, Kind.POSITIVITY_FAILURE, Kind.POSITIVITY_FAILURE,
+            Kind.NO_DECAY]
+        for inp, got in zip(inputs, batch):
+            ref = classify(inp)
+            assert (got.kind, got.which, got.crossing_r) == (ref.kind, ref.which,
+                                                            ref.crossing_r)
+            if ref.at_r is None:
+                assert got.at_r is None
+            else:
+                assert got.at_r == pytest.approx(ref.at_r, rel=1e-9, abs=0.0)
+            assert got.diagnostics["r_reached"] == ref.diagnostics["r_reached"]
+            assert got.diagnostics["batch"] == 4 and ref.diagnostics["batch"] == 1
+        assert len({out.diagnostics["nfev"] for out in batch}) == 1
+        assert batch[1].which == "u" and batch[2].which == "v"
+
+    def test_all_failing_batch_stops_early(self, monkeypatch):
+        # every column fails, so the one terminal event stops the solve
+        sols = record_solves(monkeypatch)
+        inputs = [ShootInput(CFG, 1.0, v0) for v0 in (2.0, 1.5, 0.5)]
+        outs = classify_batch(inputs)
+        assert all(out.kind is Kind.POSITIVITY_FAILURE for out in outs)
+        assert sols[0].status == 1
+        assert sols[0].t_events[0][0] == max(out.at_r for out in outs) < 20.0
+        for inp, got in zip(inputs, outs):
+            ref = classify(inp)
+            assert got.which == ref.which
+            assert got.at_r == pytest.approx(ref.at_r, rel=1e-9, abs=0.0)
+        # mirror shots reach zero together: both stop the solve at its event
+        u_fails, v_fails = classify_batch([ShootInput(CFG, 1.0, 2.0),
+                                           ShootInput(CFG, 2.0, 1.0)])
+        assert (u_fails.which, v_fails.which) == ("u", "v")
+        assert u_fails.at_r == v_fails.at_r
+        assert u_fails.at_r == pytest.approx(1.861433885, abs=1e-6)
+
+    def test_rejects_mixed_settings_and_empty_batch(self):
+        with pytest.raises(ValueError):
+            integrate_radial_batch([ShootInput(CFG, 1.0, 1.0, r_max=10.0),
+                                    ShootInput(CFG, 1.0, 1.0, r_max=20.0)])
+        with pytest.raises(ValueError):
+            integrate_radial_batch([])
+
+    def test_sweep_is_one_solve(self, monkeypatch):
+        sols = record_solves(monkeypatch)
+        rows = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0])
+        assert len(sols) == 1
+        assert all(row.diagnostics["batch"] == 5 for row in rows)
 
 
 class TestFirstCrossing:
