@@ -139,12 +139,9 @@ def check_moving_plane_symmetry() -> tuple[bool, str]:
         params = bb.make_bubble(cfg, center=(center_x1, 0.0, 0.0), t=1.0)
         field = bb.bubble_field(params)
         res = mp.critical_plane_scan(field, field, sampler, lambdas)
-        good = abs(res.lambda0 - center_x1) <= sampler.cell
-        # sets must stay empty strictly above lambda0 + one cell
-        for lam in lambdas[lambdas > res.lambda0 + sampler.cell]:
-            measure, _ = mp.exceedance_sets(field, mp.PlaneParam(float(lam)), sampler)
-            good &= measure == 0.0
-        ok &= good
+        # the scan itself raises ScanInconclusive unless every plane >= lambda0
+        # has empty exceedance sets
+        ok &= abs(res.lambda0 - center_x1) <= sampler.cell
         details.append(f"center {center_x1}: lambda0 {res.lambda0:+.4f}")
     return ok, "; ".join(details) + f" (cell {sampler.cell})"
 
@@ -166,13 +163,11 @@ def check_hls_invariance() -> tuple[bool, str]:
     cfg = ExponentConfig(3, 2.0, 3.0)
     grid = RadialGrid.default()
     kernel = pot.KernelSpec(3, 1.0)
-    vals = []
-    for t in (0.5, 1.0, 2.0):
-        f = bb.eval_bubble_radial(bb.make_bubble(cfg, t=t), grid.nodes) ** 5
-        vals.append(pot.hls_functional(f, f, grid, kernel, 6.0 / 5.0, 6.0 / 5.0))
+    fs = [bb.eval_bubble_radial(bb.make_bubble(cfg, t=t), grid.nodes) ** 5
+          for t in (0.5, 1.0, 2.0)]
+    vals = [pot.hls_functional(f, f, grid, kernel, 6.0 / 5.0, 6.0 / 5.0) for f in fs]
     spread = (max(vals) - min(vals)) / np.mean(vals)
-    f = bb.eval_bubble_radial(bb.make_bubble(cfg, t=1.0), grid.nodes) ** 5
-    base = pot.hls_functional(f, f, grid, kernel, 6.0 / 5.0, 6.0 / 5.0)
+    f, base = fs[1], vals[1]  # t = 1
     hom = max(abs(pot.hls_functional(c1 * f, c2 * f, grid, kernel,
                                      6.0 / 5.0, 6.0 / 5.0) - base)
               for c1 in (2.0, 10.0) for c2 in (2.0, 10.0))

@@ -23,7 +23,8 @@ from . import bubble as bb
 from . import moving_plane as mp
 from . import potential as pot
 from . import shooting as sh
-from .core import ExponentConfig, RadialGrid, RadialProfilePair, validate_config
+from .core import (DEFAULT_NODES, DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid,
+                   RadialProfilePair, validate_config)
 from .errors import CritsysError
 
 EXIT_OK = 0
@@ -59,8 +60,8 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
         raw = json.load(fh)
     cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
     g = raw.get("grid", {})
-    grid = RadialGrid.geometric(g.get("r0", 1e-6), g.get("rmax", 1e4),
-                                g.get("nodes", 4000))
+    grid = RadialGrid.geometric(g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
+                                g.get("nodes", DEFAULT_NODES))
     return cfg, grid
 
 
@@ -113,8 +114,7 @@ def _shooting_config(args) -> tuple[ExponentConfig, RadialGrid]:
 
 def cmd_shoot(args) -> int:
     cfg, grid = _shooting_config(args)
-    inp = sh.ShootInput(cfg, args.u0, args.v0, r_max=grid.rmax,
-                        atol=args.tol, rtol=args.tol)
+    inp = sh.ShootInput(cfg, args.u0, args.v0, r_max=grid.rmax, tol=args.tol)
     out = sh.classify(inp, grid)
     print(f"kind {out.kind.value}"
           + (f" which {out.which} at_r {out.at_r:.6g}" if out.which else "")
@@ -129,8 +129,7 @@ def cmd_shoot(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, grid = _shooting_config(args)
     ratios = _parse_floats(args.ratios)
-    rows = sh.uniqueness_sweep(cfg, ratios, base=args.base, grid=grid,
-                               atol=args.tol, rtol=args.tol)
+    rows = sh.uniqueness_sweep(cfg, ratios, base=args.base, grid=grid, tol=args.tol)
     records = []
     for row in rows:
         records.append((row.ratio, row.kind.value,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ CRITICALITY_TOL = 1e-12
 DEFAULT_R0 = 1e-6
 DEFAULT_RMAX = 1e4
 DEFAULT_NODES = 4000
+
+FD_STENCIL = 5  # nodes per finite-difference stencil
 
 
 def unit_sphere_area(n: int) -> float:
@@ -155,7 +157,9 @@ class RadialProfilePair:
                 raise ValueError(f"{name} must match grid length {len(self.grid)}")
         if np.any(self.u < -1e-12) or np.any(self.v < -1e-12):
             raise ValueError("profile samples must be nonnegative")
-        # loose guard for u'(0) = v'(0) = 0: the slope at r0 must be O(r0)
+        # loose guard for u'(0) = v'(0) = 0: the slope at r0 must be O(r0).
+        # alpha + beta = (n+2)/(n-2) <= 5 for n >= 3, so (1+u0+v0)^5 bounds
+        # the forcing u0^alpha v0^beta that sets the slope
         r0 = self.grid.r0
         scale = (1.0 + self.u[0] + self.v[0]) ** 5
         bound = 100.0 * r0 * scale
@@ -165,22 +169,8 @@ class RadialProfilePair:
             )
 
 
-@dataclass(frozen=True)
-class LpNorm:
-    """An L^p norm value over R^n."""
-
-    p: float
-    value: float
-
-    def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError(f"need p > 1, got {self.p}")
-        if self.value < 0.0:
-            raise ValueError("norm value must be nonnegative")
-
-
 def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int,
-                   check_tol: float | None = None) -> LpNorm:
+                   check_tol: float | None = None) -> float:
     """L^p norm of a radial function sampled on the grid.
 
     Composite trapezoid of |f|^p * omega_{n-1} * r^{n-1}.  When ``check_tol``
@@ -203,30 +193,30 @@ def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int,
             raise GridTooCoarse(
                 f"estimated relative quadrature error {rel_err:.2e} > {check_tol}"
             )
-    return LpNorm(p=p, value=integral ** (1.0 / p))
+    return integral ** (1.0 / p)
 
 
-def radial_derivatives(samples: np.ndarray, grid: RadialGrid,
-                       stencil: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def radial_derivatives(samples: np.ndarray,
+                       grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of grid samples via local FD stencils.
 
-    Interior nodes get centered stencils of the requested width; stencils are
+    Interior nodes get centered stencils of FD_STENCIL nodes; stencils are
     shifted one-sidedly near the boundaries.
     """
     r = grid.nodes
     samples = np.asarray(samples, dtype=float)
     k = len(r)
-    if k < stencil:
-        raise GridTooCoarse(f"grid has {k} nodes, stencil needs {stencil}")
-    half = stencil // 2
-    lo = np.clip(np.arange(k) - half, 0, k - stencil)
-    idx = lo[:, None] + np.arange(stencil)[None, :]
+    if k < FD_STENCIL:
+        raise GridTooCoarse(f"grid has {k} nodes, stencil needs {FD_STENCIL}")
+    half = FD_STENCIL // 2
+    lo = np.clip(np.arange(k) - half, 0, k - FD_STENCIL)
+    idx = lo[:, None] + np.arange(FD_STENCIL)[None, :]
     x = r[idx] - r[:, None]
     scale = np.max(np.abs(x), axis=1, keepdims=True)
     xs = x / scale
-    # batched Vandermonde solve, exact for local polynomials of degree < stencil
-    A = np.swapaxes(xs[:, :, None] ** np.arange(stencil)[None, None, :], 1, 2)
-    b = np.zeros((k, stencil, 2))
+    # batched Vandermonde solve, exact for local polynomials of degree < FD_STENCIL
+    A = np.swapaxes(xs[:, :, None] ** np.arange(FD_STENCIL)[None, None, :], 1, 2)
+    b = np.zeros((k, FD_STENCIL, 2))
     b[:, 1, 0] = 1.0
     b[:, 2, 1] = 2.0
     w = np.linalg.solve(A, b)
@@ -236,8 +226,7 @@ def radial_derivatives(samples: np.ndarray, grid: RadialGrid,
     return d1, d2
 
 
-def radial_laplacian(samples: np.ndarray, grid: RadialGrid, n: int,
-                     stencil: int = 5) -> np.ndarray:
+def radial_laplacian(samples: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """u'' + (n-1) u'/r computed by finite differences on the grid."""
-    d1, d2 = radial_derivatives(samples, grid, stencil=stencil)
+    d1, d2 = radial_derivatives(samples, grid)
     return d2 + (n - 1) * d1 / grid.nodes

@@ -70,9 +70,5 @@ class BudgetExceeded(CritsysError):
     pass
 
 
-class QuadratureBudgetExceeded(BudgetExceeded):
-    pass
-
-
 class ScanInconclusive(CritsysError):
     pass

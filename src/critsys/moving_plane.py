@@ -10,12 +10,15 @@ runs on an exact axisymmetric 2D reduction in coordinates (x1, rho).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .bubble import eval_bubble, eval_bubble_radial
 from .core import ExponentConfig, unit_sphere_area
-from .errors import BudgetExceeded, QuadratureBudgetExceeded, ScanInconclusive
+from .errors import BudgetExceeded, ScanInconclusive
+
+SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
 
 
 def _e1(n: int) -> np.ndarray:
@@ -63,14 +66,13 @@ class CartesianSampler:
     L: float
     m: int
     n: int = 3
-    budget: int = 4_000_000
 
     def __post_init__(self):
         if self.m < 8:
             raise ValueError("need m >= 8 nodes per axis")
-        if self.m * self.m > self.budget:
+        if self.m * self.m > SAMPLER_BUDGET:
             raise BudgetExceeded(
-                f"m^2 = {self.m * self.m} exceeds node budget {self.budget}")
+                f"m^2 = {self.m * self.m} exceeds node budget {SAMPLER_BUDGET}")
 
     @property
     def cell(self) -> float:
@@ -212,23 +214,17 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
 
 
 def greens_reflection_identity(params, plane: PlaneParam, x,
-                               config: ExponentConfig,
-                               ny: int = 1200, nrho: int = 600,
-                               box: float = 40.0,
-                               budget: int = 2_000_000) -> tuple[float, float]:
+                               config: ExponentConfig) -> tuple[float, float]:
     """Both sides of u_lam(x) - u(x) = int_{H_lam} (source diff)(kernel diff).
 
     The field is the bubble pair u = v = phi (closed form), so the left side
     is exact while the right side is a tensor midpoint quadrature over the
     half-space (axisymmetric reduction; x and the bubble center must lie on
-    the x1 axis).  Kernel normalized as the inverse Laplacian.
+    the x1 axis), ny x nrho cells on [-box, lam] x [0, box].  Kernel
+    normalized as the inverse Laplacian.
     """
-    from .bubble import eval_bubble  # local import to avoid a cycle
-
     if not plane.is_axis_aligned:
         raise ValueError("the quadrature fast path requires direction e1")
-    if ny * nrho > budget:
-        raise QuadratureBudgetExceeded(f"{ny * nrho} nodes exceed {budget}")
     x = np.asarray(x, dtype=float)
     n = config.n
     if np.max(np.abs(x[1:])) > 1e-14 or np.max(np.abs(params.center[1:])) > 1e-14:
@@ -241,6 +237,7 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
 
     crit = config.critical_sum
     lam = plane.lam
+    ny, nrho, box = 1200, 600, 40.0
     dy = (lam + box) / ny
     drho = box / nrho
     y1 = -box + (np.arange(ny) + 0.5) * dy
@@ -248,10 +245,8 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     Y1, RHO = np.meshgrid(y1, rho, indexing="ij")
 
     c1 = params.center[0]
-    d_center = np.sqrt((Y1 - c1) ** 2 + RHO ** 2)
-    d_center_l = np.sqrt((Y1 - (2 * lam - c1)) ** 2 + RHO ** 2)
-    phi = params.c * (params.t / (params.t ** 2 + d_center ** 2)) ** ((n - 2) / 2.0)
-    phi_l = params.c * (params.t / (params.t ** 2 + d_center_l ** 2)) ** ((n - 2) / 2.0)
+    phi = eval_bubble_radial(params, np.sqrt((Y1 - c1) ** 2 + RHO ** 2))
+    phi_l = eval_bubble_radial(params, np.sqrt((Y1 - (2 * lam - c1)) ** 2 + RHO ** 2))
     source = phi_l ** crit - phi ** crit
 
     d_x = np.sqrt((Y1 - x[0]) ** 2 + RHO ** 2)

@@ -7,7 +7,7 @@ the sphere |y| = s equals max(r,s)^(2-n) by harmonicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -61,28 +61,24 @@ def _check_integrable_tail(f: np.ndarray, grid: RadialGrid) -> None:
             "s^(n-1) f(s) s^(2-n) shows no decay over the last decade")
 
 
-def newton_potential_radial(f: np.ndarray, grid: RadialGrid, n: int,
-                            tail_power: float | None = None) -> np.ndarray:
+def newton_potential_radial(f: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """u with -Laplace(u) = f for radial data f >= 0.
 
     u(r) = (1/(n-2)) [ r^(2-n) * int_0^r s^(n-1) f ds + int_r^inf s f ds ].
-    Beyond the grid, f is extrapolated as C * s^(-tail_power) (default n+2,
-    the decay of the critical nonlinearity) and the tail added analytically.
+    Beyond the grid, f is extrapolated as C * s^-(n+2), the decay of the
+    critical nonlinearity, and the tail added analytically.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0.0):
         raise NonintegrableInput("f must be nonnegative")
     _check_integrable_tail(f, grid)
     r = grid.nodes
-    if tail_power is None:
-        tail_power = n + 2.0
 
     inner = cumulative_trapezoid(r ** (n - 1) * f, r, initial=0.0)
     outer_rev = -cumulative_trapezoid((r * f)[::-1], r[::-1], initial=0.0)[::-1]
-    # analytic tail: f ~ C s^-tail_power beyond rmax
-    c_tail = f[-1] * grid.rmax ** tail_power
-    if tail_power > 2.0:
-        outer_rev = outer_rev + c_tail * grid.rmax ** (2.0 - tail_power) / (tail_power - 2.0)
+    # analytic tail: int_rmax^inf s * C s^-(n+2) ds = C rmax^-n / n
+    c_tail = f[-1] * grid.rmax ** (n + 2.0)
+    outer_rev = outer_rev + c_tail * grid.rmax ** -float(n) / n
     return (r ** (2.0 - n) * inner + outer_rev) / (n - 2.0)
 
 
@@ -168,8 +164,8 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     g = np.asarray(g, dtype=float)
     if np.any(f < 0.0) or np.any(g < 0.0):
         raise NonintegrableInput("f and g must be nonnegative")
-    nf = lp_norm_radial(f, grid, r_exp, n).value
-    ng = lp_norm_radial(g, grid, s_exp, n).value
+    nf = lp_norm_radial(f, grid, r_exp, n)
+    ng = lp_norm_radial(g, grid, s_exp, n)
     if nf == 0.0 or ng == 0.0:
         return 0.0
 
@@ -216,6 +212,6 @@ def verify_hls_operator_bound(f: np.ndarray, grid: RadialGrid,
     if np.max(np.abs(f)) == 0.0:
         return 0.0, 0.0
     tf = apply_hls_operator(f, grid, n)
-    lhs = lp_norm_radial(tf, grid, p, n).value
-    rhs = lp_norm_radial(f, grid, q, n).value
+    lhs = lp_norm_radial(tf, grid, p, n)
+    rhs = lp_norm_radial(f, grid, q, n)
     return float(lhs), float(rhs)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq
 
-from .core import DEFAULT_NODES, DEFAULT_R0, ExponentConfig, RadialGrid, RadialProfilePair
+from .core import DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid, RadialProfilePair
 from .errors import (
     HypothesisNotApplicable,
     NonpositiveInput,
@@ -23,18 +23,21 @@ from .errors import (
 )
 
 DECAY_PLATEAU_RTOL = 0.01  # relative variation of r^(n-2)u over the last decade
+DIAGONAL_WINDOW = 1e-3  # |ratio - 1| below which shooting cannot tell off-diagonal
 
 
 @dataclass(frozen=True)
 class ShootInput:
-    """Initial data and integration controls for one shot."""
+    """Initial data and integration controls for one shot.
+
+    ``tol`` is the solver's absolute and relative tolerance.
+    """
 
     config: ExponentConfig
     u0: float
     v0: float
-    r_max: float = 1e4
-    atol: float = 1e-10
-    rtol: float = 1e-10
+    r_max: float = DEFAULT_RMAX
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.u0 <= 0.0 or self.v0 <= 0.0:
@@ -119,14 +122,13 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     if not inputs:
         raise ValueError("need at least one shot")
     first = inputs[0]
-    shared = (first.config, first.r_max, first.atol, first.rtol)
-    if any((inp.config, inp.r_max, inp.atol, inp.rtol) != shared for inp in inputs):
-        raise ValueError("shots of a batch must share config, r_max and tolerances")
+    shared = (first.config, first.r_max, first.tol)
+    if any((inp.config, inp.r_max, inp.tol) != shared for inp in inputs):
+        raise ValueError("shots of a batch must share config, r_max and tol")
     cfg, k = first.config, len(inputs)
     if grid is None:
-        # the Taylor handoff sits at DEFAULT_R0: (n-1)/r is singular at 0
-        grid = RadialGrid.geometric(DEFAULT_R0, max(first.r_max, 1.0 + DEFAULT_R0),
-                                    DEFAULT_NODES)
+        # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
+        grid = RadialGrid.geometric(rmax=first.r_max)
     nodes = grid.nodes[grid.nodes <= first.r_max]
 
     def all_failed(r, y):
@@ -139,7 +141,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     sol = solve_ivp(
         _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max),
         _taylor_start(inputs, nodes[0]).ravel(), method="RK45",
-        t_eval=nodes, events=all_failed, rtol=first.rtol, atol=first.atol,
+        t_eval=nodes, events=all_failed, rtol=first.tol, atol=first.tol,
     )
     if sol.status == -1:
         if "step size" in sol.message.lower():
@@ -169,7 +171,7 @@ def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfil
 
 def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
-    """Solve k shots sharing config, r_max and tolerances as one system.
+    """Solve k shots sharing config, r_max and tol as one system.
 
     A trajectory whose u or v hits zero is zero from its first nonpositive
     node on (flag available through classify_batch()).
@@ -288,8 +290,7 @@ class SweepRow:
 
 
 def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
-                     grid: RadialGrid | None = None, atol: float = 1e-10,
-                     rtol: float = 1e-10) -> list[SweepRow]:
+                     grid: RadialGrid | None = None, tol: float = 1e-10) -> list[SweepRow]:
     """Classify (u0, v0) = (base, ratio*base) for each ratio, out to grid.rmax.
 
     All ratios are columns of one stacked solve (see classify_batch).
@@ -307,20 +308,20 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
     if not ratios:
         return []
-    outcomes = classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax,
-                                          atol=atol, rtol=rtol) for rho in ratios], grid)
+    outcomes = classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax, tol=tol)
+                               for rho in ratios], grid)
     return [SweepRow(float(rho), out.kind, out.crossing_r, out.diagnostics, out.profile)
             for rho, out in zip(ratios, outcomes)]
 
 
-def sweep_consistent(rows: list[SweepRow], window: float = 1e-3) -> bool:
+def sweep_consistent(rows: list[SweepRow]) -> bool:
     """True iff BoundState occurs exactly at ratio 1 within the sweep.
 
-    Ratios within ``window`` of 1 are exempt from the no-bound-state check:
-    shooting cannot resolve the diagonal that finely.
+    Ratios within DIAGONAL_WINDOW of 1 are exempt from the no-bound-state
+    check: shooting cannot resolve the diagonal that finely.
     """
     for row in rows:
-        on_diagonal = abs(row.ratio - 1.0) <= window
+        on_diagonal = abs(row.ratio - 1.0) <= DIAGONAL_WINDOW
         if on_diagonal and row.kind is not Kind.BOUND_STATE:
             return False
         if not on_diagonal and row.kind is Kind.BOUND_STATE:

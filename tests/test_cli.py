@@ -47,13 +47,13 @@ def test_verify_all_seed_reaches_property_suite(monkeypatch):
 def test_sweep_tol_reaches_the_solver(monkeypatch):
     seen = []
 
-    def recorder(cfg, ratios, base, grid, atol, rtol):
-        seen.append((atol, rtol))
+    def recorder(cfg, ratios, base, grid, tol):
+        seen.append(tol)
         return []
 
     monkeypatch.setattr(sh, "uniqueness_sweep", recorder)
     assert run(["sweep", "--ratios", "1", "--tol", "1e-8"]) == EXIT_OK
-    assert seen == [(1e-8, 1e-8)]
+    assert seen == [1e-8]
 
 
 def test_unknown_subcommand_is_usage_error():

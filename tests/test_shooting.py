@@ -78,6 +78,23 @@ class TestIntegrateRadial:
         with pytest.raises(NonpositiveInput):
             ShootInput(CFG, 0.0, 1.0)
 
+    def test_short_r_max_keeps_default_node_count(self):
+        # the default shooting grid runs from DEFAULT_R0 to r_max even below 1
+        prof = integrate_radial(ShootInput(CFG, 1.0, 1.0, r_max=0.5))
+        assert len(prof.grid) == 4000
+        assert prof.grid.rmax == 0.5
+
+    def test_tol_is_both_solver_tolerances(self, monkeypatch):
+        seen, solve = [], shooting.solve_ivp
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["atol"], kwargs["rtol"]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", recording)
+        integrate_radial(ShootInput(CFG, 1.0, 1.0, r_max=10.0, tol=1e-8))
+        assert seen == [(1e-8, 1e-8)]
+
 
 class TestClassify:
     def test_diagonal_bound_state(self):
@@ -156,6 +173,9 @@ class TestBatch:
         with pytest.raises(ValueError):
             integrate_radial_batch([ShootInput(CFG, 1.0, 1.0, r_max=10.0),
                                     ShootInput(CFG, 1.0, 1.0, r_max=20.0)])
+        with pytest.raises(ValueError):
+            integrate_radial_batch([ShootInput(CFG, 1.0, 1.0, r_max=10.0),
+                                    ShootInput(CFG, 1.0, 1.0, r_max=10.0, tol=1e-8)])
         with pytest.raises(ValueError):
             integrate_radial_batch([])
 
