@@ -43,14 +43,12 @@ from .potential import (
     hls_functional,
     newton_potential_radial,
     picard_step,
-    verify_hls_operator_bound,
 )
 from .moving_plane import (
     CartesianSampler,
     PlaneParam,
     ReflectionReport,
     critical_plane_scan,
-    exceedance_sets,
     greens_reflection_identity,
     reflect,
     reflection_inequality_check,

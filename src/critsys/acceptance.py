@@ -84,9 +84,7 @@ def check_sign_lemma() -> tuple[bool, str]:
         u, v = row.profile.u, row.profile.v
         mask = (u > 0.0) & (v > 0.0) & (u < v)
         checked += int(np.sum(mask))
-        term = (u[mask] ** cfg.alpha * v[mask] ** cfg.beta
-                - u[mask] ** cfg.beta * v[mask] ** cfg.alpha)
-        violations += int(np.sum(term <= 0.0))
+        violations += int(np.sum(sh.ordering_term(u[mask], v[mask], cfg) <= 0.0))
     return violations == 0, f"{checked} ordered nodes, {violations} violations"
 
 
@@ -147,7 +145,7 @@ def check_moving_plane_symmetry() -> tuple[bool, str]:
 
 
 def check_greens_identity() -> tuple[bool, str]:
-    """Reflection identity: closed form vs half-space quadrature within 2%."""
+    """Reflection identity: closed form vs half-space quadrature within 1e-10."""
     cfg = ExponentConfig(3, 2.0, 3.0)
     params = bb.make_bubble(cfg, center=(1.0, 0.0, 0.0), t=1.0)
     worst = 0.0
@@ -155,7 +153,7 @@ def check_greens_identity() -> tuple[bool, str]:
         lhs, rhs = mp.greens_reflection_identity(
             params, mp.PlaneParam(lam), np.array([x1, 0.0, 0.0]), cfg)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst <= 0.02, f"max relative disagreement {worst:.4f} (tol 0.02)"
+    return worst <= 1e-10, f"max relative disagreement {worst:.3e} (tol 1e-10)"
 
 
 def check_hls_invariance() -> tuple[bool, str]:

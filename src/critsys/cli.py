@@ -243,7 +243,7 @@ def cmd_mp(args) -> int:
     lhs, rhs = mp.greens_reflection_identity(params, mp.PlaneParam(args.lam, n=cfg.n),
                                              x, cfg)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    print(f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.4f}")
+    print(f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.3e}")
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
-"""Reflections, exceedance sets, and L^p estimates for plane scans.
+"""Reflections, exceedance sets, L^p estimates and the Green's reflection identity.
 
 Verifies the symmetry apparatus on known solutions: for a field radial about
 a point P and a plane through P the exceedance set is empty, and the critical
 plane position recovered by a scan sits at the center coordinate.
 
-All test fields are radial about a point on the x1 axis, so the full scan
-runs on an exact axisymmetric 2D reduction in coordinates (x1, rho).
+All test fields are radial about a point on the x1 axis, so scans and
+reflection reports run on an exact axisymmetric 2D reduction in coordinates
+(x1, rho), and the Green's identity on a Gauss rule in polar coordinates.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from .core import ExponentConfig, unit_sphere_area
 from .errors import BudgetExceeded, ScanInconclusive
 
 SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
+GREENS_NODES = 64  # Gauss-Legendre nodes per variable on each panel of the Green's rule
+_GREENS_RULE = np.polynomial.legendre.leggauss(GREENS_NODES)
 
 
 def _e1(n: int) -> np.ndarray:
@@ -93,25 +96,19 @@ class CartesianSampler:
         return pts, ring * dx * drho
 
 
-def _half_space(pts: np.ndarray, plane: PlaneParam) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the sampler nodes in H_lam = {x1 < lam} and their mirror images."""
+def _half_space(pts: np.ndarray, plane: PlaneParam) -> tuple[slice, np.ndarray]:
+    """Slice of the sampler nodes in H_lam = {x1 < lam} and their mirror images.
+
+    The sampler's nodes are x1-major, so H_lam is a prefix; a mirror image
+    differs from its node only in x1, where it takes reflect's expression.
+    """
     if not plane.is_axis_aligned:
         raise ValueError("the sampler fast path requires direction e1")
-    half = pts[:, 0] < plane.lam
-    return half, reflect(pts[half], plane)
-
-
-def exceedance_sets(field, plane: PlaneParam, sampler: CartesianSampler):
-    """Grid measure and member nodes of {x in H_lam : field(x_lam) > field(x)}.
-
-    Membership uses the strict inequality; ties are excluded.
-    """
-    pts, w = sampler.nodes()
-    half, refl = _half_space(pts, plane)
-    pts_h = pts[half]
-    exceeds = field(refl) > field(pts_h)
-    measure = float(np.sum(w[half][exceeds]))
-    return measure, pts_h[exceeds]
+    half = slice(0, int(np.searchsorted(pts[:, 0], plane.lam)))
+    x1 = pts[half, 0]
+    refl = pts[half].copy()
+    refl[:, 0] = x1 + 2.0 * (plane.lam - x1)
+    return half, refl
 
 
 @dataclass(frozen=True)
@@ -213,15 +210,28 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     return ScanResult(float(lambdas[first_empty]))
 
 
+def _gauss(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (a, b); a may be a column of bounds."""
+    s, w = _GREENS_RULE
+    return 0.5 * (b - a) * s + 0.5 * (b + a), 0.5 * (b - a) * w
+
+
 def greens_reflection_identity(params, plane: PlaneParam, x,
                                config: ExponentConfig) -> tuple[float, float]:
     """Both sides of u_lam(x) - u(x) = int_{H_lam} (source diff)(kernel diff).
 
     The field is the bubble pair u = v = phi (closed form), so the left side
-    is exact while the right side is a tensor midpoint quadrature over the
-    half-space (axisymmetric reduction; x and the bubble center must lie on
-    the x1 axis), ny x nrho cells on [-box, lam] x [0, box].  Kernel
-    normalized as the inverse Laplacian.
+    is exact.  The right side is a Gauss-Legendre rule in polar coordinates
+    (R, theta) about x, theta measured from e1 (x and the bubble center must
+    lie on the x1 axis).  With D = lam - x1, H_lam is every theta for R < D
+    and theta > arccos(D/R) beyond.  The volume element R^(n-1) sin^(n-2)
+    theta cancels the kernel's R^(2-n), so each panel is smooth: the ball
+    R < D, log R beyond, and R = b/tau past the last breakpoint b.  The
+    distances from x to the bubble center and to its mirror image are
+    breakpoints too.  Both factors of the integrand vanish on the plane, so
+    the square-root edge of arccos(D/R) at R = D enters only at order
+    (R - D)^((n+3)/2) and needs no panel of its own.  Kernel normalized as
+    the inverse Laplacian.
     """
     if not plane.is_axis_aligned:
         raise ValueError("the quadrature fast path requires direction e1")
@@ -232,28 +242,35 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     if x[0] >= plane.lam:
         raise ValueError("x must lie in the half-space x1 < lambda")
 
-    x_l = reflect(x, plane)
-    lhs = float(eval_bubble(params, x_l) - eval_bubble(params, x))
+    lhs = float(eval_bubble(params, reflect(x, plane)) - eval_bubble(params, x))
 
+    lam, x1, c1 = plane.lam, x[0], params.center[0]
+    D = lam - x1
+    mirror_c1 = 2.0 * lam - c1
+    centers = [d for d in (abs(c1 - x1), abs(mirror_c1 - x1)) if d > 0.0]
+    knots = np.unique([0.0, D, *centers])
+    radii, weights = [], []
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b <= D:
+            r, w = _gauss(a, b)
+        else:
+            s, w = _gauss(np.log(a), np.log(b))
+            r, w = np.exp(s), w * np.exp(s)
+        radii.append(r)
+        weights.append(w)
+    tau, w = _gauss(0.0, 1.0)
+    radii.append(knots[-1] / tau)
+    weights.append(w * knots[-1] / tau ** 2)
+    R = np.concatenate(radii)[:, None]
+    theta, w_theta = _gauss(np.arccos(np.minimum(D / R, 1.0)), np.pi)
+
+    y1, rho = x1 + R * np.cos(theta), R * np.sin(theta)
     crit = config.critical_sum
-    lam = plane.lam
-    ny, nrho, box = 1200, 600, 40.0
-    dy = (lam + box) / ny
-    drho = box / nrho
-    y1 = -box + (np.arange(ny) + 0.5) * dy
-    rho = (np.arange(nrho) + 0.5) * drho
-    Y1, RHO = np.meshgrid(y1, rho, indexing="ij")
-
-    c1 = params.center[0]
-    phi = eval_bubble_radial(params, np.sqrt((Y1 - c1) ** 2 + RHO ** 2))
-    phi_l = eval_bubble_radial(params, np.sqrt((Y1 - (2 * lam - c1)) ** 2 + RHO ** 2))
-    source = phi_l ** crit - phi ** crit
-
-    d_x = np.sqrt((Y1 - x[0]) ** 2 + RHO ** 2)
-    d_xl = np.sqrt((Y1 - x_l[0]) ** 2 + RHO ** 2)
-    kernel = d_x ** (2.0 - n) - d_xl ** (2.0 - n)
-
-    ring = unit_sphere_area(n - 1) * RHO ** (n - 2)
-    norm = 1.0 / ((n - 2.0) * unit_sphere_area(n))
-    rhs = norm * float(np.sum(source * kernel * ring) * dy * drho)
-    return lhs, rhs
+    source = (eval_bubble_radial(params, np.hypot(y1 - mirror_c1, rho)) ** crit
+              - eval_bubble_radial(params, np.hypot(y1 - c1, rho)) ** crit)
+    # R^(n-1) (R^(2-n) - |x_lam - y|^(2-n)) with |x_lam - y|^2 = R^2 (1 + q)
+    q = 4.0 * D * (lam - y1) / R ** 2
+    kernel = -R * np.expm1((2.0 - n) / 2.0 * np.log1p(q))
+    ring = unit_sphere_area(n - 1) * np.sin(theta) ** (n - 2)
+    total = np.sum(np.concatenate(weights)[:, None] * w_theta * source * kernel * ring)
+    return lhs, float(total) / ((n - 2.0) * unit_sphere_area(n))

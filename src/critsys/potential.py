@@ -91,11 +91,6 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
     return -inner / r ** (n - 1)
 
 
-def apply_hls_operator(f: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """Un-normalized operator Tf(x) = int |x-y|^(2-n) f(y) dy on radial f."""
-    return (n - 2.0) * unit_sphere_area(n) * newton_potential_radial(f, grid, n)
-
-
 def picard_step(state: PicardState, config: ExponentConfig) -> PicardState:
     """One application of u <- (-Lap)^-1(u^a v^b), v <- (-Lap)^-1(u^b v^a)."""
     prof = state.iterate
@@ -198,20 +193,3 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     J = omega ** 2 * total
     return float(J / (nf * ng))
 
-
-def verify_hls_operator_bound(f: np.ndarray, grid: RadialGrid,
-                              config: ExponentConfig) -> tuple[float, float]:
-    """(|Tf|_p, |f|_{np/(n+2p)}) with p = 2n/(n-2), for comparing both sides.
-
-    The sharp constant is not asserted; callers inspect the ratio.
-    """
-    n = config.n
-    p = 2.0 * n / (n - 2.0)
-    q = n * p / (n + 2.0 * p)
-    f = np.asarray(f, dtype=float)
-    if np.max(np.abs(f)) == 0.0:
-        return 0.0, 0.0
-    tf = apply_hls_operator(f, grid, n)
-    lhs = lp_norm_radial(tf, grid, p, n)
-    rhs = lp_norm_radial(f, grid, q, n)
-    return float(lhs), float(rhs)

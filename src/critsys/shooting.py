@@ -329,10 +329,11 @@ def sweep_consistent(rows: list[SweepRow]) -> bool:
     return True
 
 
-def ordering_term(u: float, v: float, config: ExponentConfig) -> float:
-    """u^alpha v^beta - u^beta v^alpha; positive iff v > u when alpha < beta."""
-    if u <= 0.0 or v <= 0.0:
-        raise NonpositiveInput(f"need u, v > 0, got ({u}, {v})")
+def ordering_term(u, v, config: ExponentConfig):
+    """u^alpha v^beta - u^beta v^alpha elementwise; positive iff v > u when alpha < beta."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if np.any(u <= 0.0) or np.any(v <= 0.0):
+        raise NonpositiveInput(f"need u, v > 0, got minima ({np.min(u)}, {np.min(v)})")
     return u ** config.alpha * v ** config.beta - u ** config.beta * v ** config.alpha
 
 

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from critsys.bubble import bubble_field, make_bubble
 from critsys.core import ExponentConfig
-from critsys.errors import BudgetExceeded
+from critsys.errors import BudgetExceeded, ScanInconclusive
 from critsys.moving_plane import (
     CartesianSampler,
     PlaneParam,
     critical_plane_scan,
-    exceedance_sets,
     greens_reflection_identity,
     reflect,
     reflection_inequality_check,
@@ -52,20 +51,24 @@ class TestReflect:
 
 
 class TestExceedanceSets:
+    """B_u = {x in H_lam : u(x_lam) > u(x)} through its grid measure."""
+
+    @staticmethod
+    def measure(field, lam, sampler):
+        return reflection_inequality_check(field, field, PlaneParam(lam), CFG,
+                                           sampler).Bu_measure
+
     def test_centered_bubble_empty_right_of_center(self, sampler):
         field = bubble_field(make_bubble(CFG, t=1.0))
-        measure, nodes = exceedance_sets(field, PlaneParam(0.5), sampler)
-        assert measure == 0.0 and len(nodes) == 0
+        assert self.measure(field, 0.5, sampler) == 0.0
 
     def test_offset_bubble_nonempty(self, sampler):
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
-        measure, nodes = exceedance_sets(field, PlaneParam(0.0), sampler)
-        assert measure > 0.0 and len(nodes) > 0
+        assert self.measure(field, 0.0, sampler) > 0.0
 
     def test_far_plane_empty(self, sampler):
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
-        measure, _ = exceedance_sets(field, PlaneParam(35.0), sampler)
-        assert measure == 0.0
+        assert self.measure(field, 35.0, sampler) == 0.0
 
     def test_symmetry_detection_random_centers(self, sampler):
         # radial field about P, plane through P: empty set, for 5 draws
@@ -74,8 +77,7 @@ class TestExceedanceSets:
             c1 = float(rng.uniform(-2.0, 2.0))
             field = bubble_field(make_bubble(CFG, center=(c1, 0, 0),
                                              t=float(rng.uniform(0.5, 2.0))))
-            measure, _ = exceedance_sets(field, PlaneParam(c1), sampler)
-            assert measure == 0.0
+            assert self.measure(field, c1, sampler) == 0.0
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
@@ -143,6 +145,20 @@ class TestCriticalPlaneScan:
                                     PlaneParam(0.0), CFG, sampler)
         assert calls == {"nodes": 1, "u": 2, "v": 2}
 
+    def test_no_empty_plane_inconclusive(self, sampler):
+        field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
+        with pytest.raises(ScanInconclusive, match="no swept plane"):
+            critical_plane_scan(field, field, sampler, [-2.0, -1.0])
+
+    def test_non_monotone_emptiness_inconclusive(self, sampler):
+        # equal bubbles at x1 = -3 and 3: empty at the symmetry plane 0,
+        # nonempty at 1 (the right bubble mirrors onto the left one), empty at 5
+        left = bubble_field(make_bubble(CFG, center=(-3.0, 0, 0), t=1.0))
+        right = bubble_field(make_bubble(CFG, center=(3.0, 0, 0), t=1.0))
+        field = lambda pts: left(pts) + right(pts)
+        with pytest.raises(ScanInconclusive, match="non-monotone"):
+            critical_plane_scan(field, field, sampler, [0.0, 1.0, 5.0])
+
     def test_zero_field_degenerate(self, sampler):
         zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
         with pytest.warns(UserWarning):
@@ -190,7 +206,26 @@ class TestGreensReflectionIdentity:
         params = make_bubble(CFG, center=(1.0, 0, 0), t=1.0)
         lhs, rhs = greens_reflection_identity(
             params, PlaneParam(0.0), np.array([-1.0, 0, 0]), CFG)
-        assert rhs == pytest.approx(lhs, rel=0.02)
+        assert rhs == pytest.approx(lhs, rel=1e-10)
+
+    @pytest.mark.parametrize("t, bound", [(1.0, 1e-10), (5.0, 1e-9), (20.0, 1e-8),
+                                          (0.2, 1e-3)])
+    def test_polar_rule_accuracy(self, t, bound):
+        # narrow bubbles far from x are the rule's weak case (t = 0.2)
+        cfgs = [CFG, ExponentConfig(4, 1.0, 2.0), ExponentConfig(5, 1.0, 4.0 / 3.0)]
+        planes = [(0.0, -1.0), (0.5, -0.5), (1.5, 0.0), (0.0, -0.01), (0.0, -1e-4),
+                  (0.0, -3.0), (0.0, -10.0), (2.0, 1.9)]
+        worst = 0.0
+        for cfg in cfgs:
+            e1 = np.eye(cfg.n)[0]
+            for c1 in (0.5, 1.0, 2.0, -1.5):
+                params = make_bubble(cfg, center=c1 * e1, t=t)
+                for lam, x1 in planes:
+                    lhs, rhs = greens_reflection_identity(
+                        params, PlaneParam(lam, n=cfg.n), x1 * e1, cfg)
+                    # a bubble centered on the plane has lhs = 0 and no source
+                    worst = max(worst, abs(rhs - lhs) / abs(lhs) if lhs else abs(rhs))
+        assert worst <= bound
 
     def test_kernel_difference_positive(self):
         # 1/|x-y|^{n-2} > 1/|x_lam-y|^{n-2} for x, y in the half space

@@ -19,13 +19,11 @@ from critsys.errors import (
 from critsys.potential import (
     KernelSpec,
     PicardState,
-    apply_hls_operator,
     hls_functional,
     newton_potential_derivative,
     newton_potential_radial,
     picard_iterate,
     picard_step,
-    verify_hls_operator_bound,
 )
 
 CFG = ExponentConfig(3, 2.0, 3.0)
@@ -224,32 +222,3 @@ class TestHlsFunctional:
         with pytest.raises(QuadratureDivergence):
             KernelSpec(3, 3.5)
 
-
-class TestOperatorBound:
-    def test_scale_stability(self):
-        grid = RadialGrid.default()
-        ratios = []
-        for t in (0.5, 1.0, 2.0):
-            f = eval_bubble_radial(make_bubble(CFG, t=t), grid.nodes) ** 5
-            lhs, rhs = verify_hls_operator_bound(f, grid, CFG)
-            ratios.append(lhs / rhs)
-        assert max(ratios) - min(ratios) < 0.01 * np.mean(ratios)
-
-    def test_zero_input(self):
-        grid = RadialGrid.geometric(num=500)
-        assert verify_hls_operator_bound(np.zeros(len(grid)), grid, CFG) == (0.0, 0.0)
-
-    def test_one_homogeneity(self):
-        grid = RadialGrid.default()
-        f = eval_bubble_radial(make_bubble(CFG, t=1.0), grid.nodes) ** 5
-        lhs, rhs = verify_hls_operator_bound(f, grid, CFG)
-        lhs2, rhs2 = verify_hls_operator_bound(2.0 * f, grid, CFG)
-        assert lhs2 == pytest.approx(2.0 * lhs, rel=1e-12)
-        assert rhs2 == pytest.approx(2.0 * rhs, rel=1e-12)
-
-    def test_operator_matches_potential_normalization(self):
-        grid = indicator_grid(4000)
-        f = (grid.nodes <= 1.0).astype(float)
-        tf = apply_hls_operator(f, grid, 3)
-        u = newton_potential_radial(f, grid, 3)
-        assert np.allclose(tf, 4.0 * math.pi * u)

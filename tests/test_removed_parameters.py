@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import critsys
-from critsys import core, errors
+from critsys import core, errors, moving_plane, potential
 from critsys.bubble import make_bubble
 from critsys.core import ExponentConfig, RadialGrid, radial_laplacian
 from critsys.moving_plane import CartesianSampler, PlaneParam, greens_reflection_identity
@@ -34,3 +34,13 @@ def test_removed_names_are_gone():
     assert not hasattr(critsys, "LpNorm")
     assert not hasattr(errors, "QuadratureBudgetExceeded")
     assert isinstance(core.lp_norm_radial(F, GRID, 2.0, 3), float)
+
+
+@pytest.mark.parametrize("module, name", [
+    (moving_plane, "exceedance_sets"),
+    (potential, "apply_hls_operator"),
+    (potential, "verify_hls_operator_bound"),
+])
+def test_deleted_function_is_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(critsys, name)

@@ -299,6 +299,12 @@ class TestOrderingTerm:
         with pytest.raises(NonpositiveInput):
             ordering_term(0.0, 1.0, CFG)
 
+    def test_arrays_elementwise(self):
+        u, v = np.array([1.0, 5.0, 2.0]), np.array([2.0, 5.0, 1.0])
+        assert np.allclose(ordering_term(u, v, CFG), [4.0, 0.0, -4.0])
+        with pytest.raises(NonpositiveInput):
+            ordering_term(u, np.array([2.0, 0.0, 1.0]), CFG)
+
     @given(u=st.floats(0.01, 10.0), v=st.floats(0.01, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_sign_contract(self, u, v):
