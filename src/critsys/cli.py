@@ -78,26 +78,32 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _manifest(args, outputs: list[str]) -> None:
-    if not outputs:
-        return
+def _manifest(args) -> None:
     params = {k: v for k, v in vars(args).items() if not callable(v)}
     RunManifest(subcommand=args.subcommand, parameters=params,
-                outputs=outputs, version=__version__,
-                config_path=getattr(args, "config", None)).write(outputs[0])
+                outputs=[args.out], version=__version__,
+                config_path=getattr(args, "config", None)).write(args.out)
+
+
+def _saved(args, text: str) -> str:
+    """The text, after writing it to --out and its manifest when --out is given."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+        _manifest(args)
+    return text
 
 
 def cmd_bubble(args) -> int:
     cfg, grid = load_config(args.config)
     params = bb.make_bubble(cfg, t=args.t)
     if args.action == "residual":
-        res = bb.bubble_residual(params, cfg, grid)
-        print(f"residual {res:.6e}")
+        print(_saved(args, f"residual {bb.bubble_residual(params, cfg, grid):.6e}"))
         return EXIT_OK
     phi = bb.eval_bubble_radial(params, grid.nodes)
     if args.out:
         _write_csv(args.out, ["r", "phi"], [grid.nodes, phi])
-        _manifest(args, [args.out])
+        _manifest(args)
         print(f"wrote {args.out}")
     else:
         for r in (0.0, 0.1, 1.0, 10.0):
@@ -122,7 +128,7 @@ def cmd_shoot(args) -> int:
     if args.out:
         p = out.profile
         _write_csv(args.out, ["r", "u", "v", "du", "dv"], [p.grid.nodes, p.u, p.v, p.du, p.dv])
-        _manifest(args, [args.out])
+        _manifest(args)
     return EXIT_OK
 
 
@@ -141,7 +147,7 @@ def cmd_sweep(args) -> int:
             w = csv.writer(fh)
             w.writerow(["ratio", "kind", "R0", "diagnostics"])
             w.writerows(records)
-        _manifest(args, [args.out])
+        _manifest(args)
     if not sh.sweep_consistent(rows):
         print("sweep assertion FAILED: bound state pattern inconsistent",
               file=sys.stderr)
@@ -170,7 +176,7 @@ def cmd_potential(args) -> int:
     u = pot.newton_potential_radial(f, grid, cfg.n)
     if args.out:
         _write_csv(args.out, ["r", "value"], [grid.nodes, u])
-        _manifest(args, [args.out])
+        _manifest(args)
         print(f"wrote {args.out}")
     else:
         print(f"u(r0) = {u[0]:.12g}, u(rmax) = {u[-1]:.12g}")
@@ -222,28 +228,22 @@ def cmd_mp(args) -> int:
     if args.action == "scan":
         lams = np.linspace(args.lmin, args.lmax, args.lnum)
         res = mp.critical_plane_scan(u_fld, v_fld, sampler, lams)
-        print(f"lambda0 {res.lambda0:.6g}" + (" (degenerate)" if res.degenerate else ""))
-        return EXIT_OK
-    if args.action == "check":
+        text = f"lambda0 {res.lambda0:.6g}" + (" (degenerate)" if res.degenerate else "")
+    elif args.action == "check":
         rep = mp.reflection_inequality_check(u_fld, v_fld, mp.PlaneParam(args.lam, n=cfg.n),
                                              cfg, sampler)
         report = {"lambda": rep.lam, "Bu_measure": rep.Bu_measure,
                   "Bv_measure": rep.Bv_measure, "norms": rep.norms,
                   "inequality_margins": rep.inequality_margins}
         text = json.dumps(report, indent=2, sort_keys=True)
-        print(text)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            _manifest(args, [args.out])
-        return EXIT_OK
-    # identity
-    x = np.zeros(cfg.n)
-    x[0] = args.x
-    lhs, rhs = mp.greens_reflection_identity(params, mp.PlaneParam(args.lam, n=cfg.n),
-                                             x, cfg)
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    print(f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.3e}")
+    else:  # identity
+        x = np.zeros(cfg.n)
+        x[0] = args.x
+        lhs, rhs = mp.greens_reflection_identity(params, mp.PlaneParam(args.lam, n=cfg.n),
+                                                 x, cfg)
+        rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        text = f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.3e}"
+    print(_saved(args, text))
     return EXIT_OK
 
 
@@ -255,10 +255,7 @@ def cmd_verify_all(args) -> int:
         print(msg)
 
     ok = acceptance.run_all(printer=sink, seed=args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _manifest(args, [args.out])
+    _saved(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_ASSERTION
 
 

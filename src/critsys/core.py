@@ -118,6 +118,12 @@ class RadialGrid:
     def rmax(self) -> float:
         return float(self.nodes[-1])
 
+    @property
+    def log_step(self) -> float | None:
+        """The ratio q of r_i = r0 q^i, or None when a node ratio is off q by 1e-12 relative."""
+        q = (self.rmax / self.r0) ** (1.0 / (len(self) - 1))
+        return q if np.max(np.abs(self.nodes[1:] / self.nodes[:-1] / q - 1.0)) <= 1e-12 else None
+
     @classmethod
     def geometric(cls, r0: float = DEFAULT_R0, rmax: float = DEFAULT_RMAX,
                   num: int = DEFAULT_NODES) -> "RadialGrid":

@@ -43,6 +43,10 @@ class ExponentRelationViolated(CritsysError):
     pass
 
 
+class NonGeometricGrid(CritsysError):
+    pass
+
+
 # ODE integration
 class StepSizeUnderflow(CritsysError):
     pass

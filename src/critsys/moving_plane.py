@@ -96,15 +96,17 @@ class CartesianSampler:
         return pts, ring * dx * drho
 
 
-def _half_space(pts: np.ndarray, plane: PlaneParam) -> tuple[slice, np.ndarray]:
-    """Slice of the sampler nodes in H_lam = {x1 < lam} and their mirror images.
+def _half_space(pts: np.ndarray, plane: PlaneParam,
+                last: int | None = None) -> tuple[slice, np.ndarray]:
+    """Slice of the sampler nodes in H_lam = {x1 < lam} (or its ``last`` rows), mirror images.
 
     The sampler's nodes are x1-major, so H_lam is a prefix; a mirror image
     differs from its node only in x1, where it takes reflect's expression.
     """
     if not plane.is_axis_aligned:
         raise ValueError("the sampler fast path requires direction e1")
-    half = slice(0, int(np.searchsorted(pts[:, 0], plane.lam)))
+    end = int(np.searchsorted(pts[:, 0], plane.lam))
+    half = slice(0 if last is None else max(end - last, 0), end)
     x1 = pts[half, 0]
     refl = pts[half].copy()
     refl[:, 0] = x1 + 2.0 * (plane.lam - x1)
@@ -123,8 +125,6 @@ class ReflectionReport:
 
 
 def _lp_on_set(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if len(values) == 0:
-        return 0.0
     return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
 
 
@@ -195,11 +195,15 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
-    empty = np.empty(len(lambdas), dtype=bool)
+    empty = np.zeros(len(lambdas), dtype=bool)
     for i, lam in enumerate(lambdas):
-        half, refl = _half_space(pts, PlaneParam(lam, n=sampler.n))
-        exceeds = (u_field(refl) > u_all[half]) | (v_field(refl) > v_all[half])
-        empty[i] = not exceeds.any()
+        plane = PlaneParam(lam, n=sampler.n)
+        for last in (sampler.m, None):  # the node column next to the plane first
+            half, refl = _half_space(pts, plane, last)
+            if np.any(u_field(refl) > u_all[half]) or np.any(v_field(refl) > v_all[half]):
+                break
+        else:
+            empty[i] = True
     if not np.any(empty):
         raise ScanInconclusive("no swept plane has an empty exceedance set")
     # emptiness must be an up-set of the sweep

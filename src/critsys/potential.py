@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import matmul_toeplitz
 from scipy.special import gamma, hyp2f1, zeta
 
 from .core import ExponentConfig, RadialGrid, RadialProfilePair, lp_norm_radial, unit_sphere_area
 from .errors import (
     ExponentRelationViolated,
     IterateBlowup,
+    NonGeometricGrid,
     NonintegrableInput,
     QuadratureDivergence,
 )
@@ -148,8 +150,8 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
                    kernel: KernelSpec, r_exp: float, s_exp: float) -> float:
     """J(f, g) / (||f||_r ||g||_s) for nonnegative radial f, g.
 
-    J is the bilinear Riesz functional; the exponents must satisfy
-    1/r + 1/s + lambda/n = 2.
+    J is the bilinear Riesz functional, with 1/r + 1/s + lambda/n = 2; off
+    lambda = n-2 the grid must be geometric (NonGeometricGrid otherwise).
     """
     n, lam = kernel.n, kernel.lam
     if abs(1.0 / r_exp + 1.0 / s_exp + lam / n - 2.0) > EXPONENT_RELATION_TOL:
@@ -171,7 +173,6 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     w[1:] += 0.5 * h
     wf = w * r ** (n - 1) * f
     wg = w * r ** (n - 1) * g
-    omega = unit_sphere_area(n)
 
     if abs(lam - (n - 2.0)) < 1e-14:
         # max(r,s)^(2-n) splits into the columns s <= r and the columns s > r
@@ -179,7 +180,12 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
         above = np.cumsum((wg * r ** (2.0 - n))[::-1])[::-1]
         total = wf @ (below + np.append(above[1:], 0.0))
     else:
-        total = wf @ _angular_factor(r[:, None], r[None, :], kernel) @ wg
+        if (q := grid.log_step) is None:
+            raise NonGeometricGrid("HLS off lambda = n-2 needs a geometric grid")
+        # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix
+        t = q ** np.arange(len(r))
+        toeplitz = (_angular_factor(1.0, 1.0 / t, kernel), _angular_factor(1.0, t, kernel))
+        total = (wf * r ** -lam) @ matmul_toeplitz(toeplitz, wg)
         gam = n - 1.0 - lam
         if gam < 1.0:
             # near s = r the average carries a cusp r^-lam K (2|r-s|/r)^gam,
@@ -190,6 +196,5 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
                  / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
             hr = np.gradient(r)
             total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ (hr ** (1.0 + gam) * g))
-    J = omega ** 2 * total
-    return float(J / (nf * ng))
+    return float(unit_sphere_area(n) ** 2 * total / (nf * ng))
 

@@ -52,6 +52,19 @@ class TestEvalBubble:
         assert eval_bubble(b, np.array([1.0, 0, 0])) == pytest.approx(
             3 ** 0.25 * 0.5 ** 0.5)
 
+    @pytest.mark.parametrize("lead", [(), (7,), (150,), (4, 9)], ids=str)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bitwise_equal_to_axis_sum(self, n, lead):
+        # random nonzero entries in every column, so a change of summation
+        # order would show (sampler points have x3 = 0 and cannot tell)
+        rng = np.random.default_rng(n)
+        b = make_bubble(cfg_for(n), center=rng.normal(size=n), t=0.7)
+        x = rng.normal(size=(*lead, n)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, n))
+        d2 = np.sum((np.atleast_2d(x) - b.center) ** 2, axis=-1)
+        want = b.c * (b.t / (b.t ** 2 + d2)) ** ((n - 2) / 2.0)
+        got = eval_bubble(b, x)
+        assert np.array_equal(got, want[0] if lead == () else want)
+
     def test_decay_monotone(self):
         b = make_bubble(cfg_for(3), t=1.0)
         r = np.geomspace(0.01, 1e6, 200)

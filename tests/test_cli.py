@@ -210,6 +210,21 @@ def test_mp_identity(capsys):
     assert "rel" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bubble", "residual"],
+    ["mp", "scan", "--center", "1.0", "--m", "32"],
+    ["mp", "check", "--center", "1.0", "--lam", "0.5", "--m", "32"],
+    ["mp", "identity", "--center", "1.0", "--lam", "0", "--x", "-1.0"],
+], ids=" ".join)
+def test_out_file_holds_stdout(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["outputs"] == [str(out)]
+
+
 def test_picard_stream(capsys):
     assert run(["picard", "--steps", "2"]) == EXIT_OK
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from critsys.errors import BudgetExceeded, ScanInconclusive
 from critsys.moving_plane import (
     CartesianSampler,
     PlaneParam,
+    ScanResult,
     critical_plane_scan,
     greens_reflection_identity,
     reflect,
@@ -122,7 +125,9 @@ class TestCriticalPlaneScan:
 
     def test_each_field_evaluated_once_per_plane(self, sampler, monkeypatch):
         calls = {"nodes": 0, "u": 0, "v": 0}
+        sizes = {"u": [], "v": []}
         nodes = CartesianSampler.nodes
+        x1 = nodes(sampler)[0][:, 0]
 
         def counted_nodes(self):
             calls["nodes"] += 1
@@ -131,14 +136,26 @@ class TestCriticalPlaneScan:
         def counted(key, field):
             def f(pts):
                 calls[key] += 1
+                sizes[key].append(len(pts))
                 return field(pts)
             return f
 
         monkeypatch.setattr(CartesianSampler, "nodes", counted_nodes)
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
         lams = np.linspace(-2, 3, 41)
-        critical_plane_scan(counted("u", field), counted("v", field), sampler, lams)
-        assert calls == {"nodes": 1, "u": len(lams) + 1, "v": len(lams) + 1}
+        res = critical_plane_scan(counted("u", field), counted("v", field), sampler, lams)
+        assert calls["nodes"] == 1
+        half_spaces = np.array([np.count_nonzero(x1 < lam) for lam in lams])
+        empty = lams >= res.lambda0
+        for key in ("u", "v"):
+            # all nodes once, a probe of at most one node column (m points)
+            # per plane, and the whole half-space only on the empty planes
+            assert sizes[key][0] == len(x1)
+            whole = [k for k in sizes[key][1:] if k > sampler.m]
+            assert sorted(whole) == sorted(half_spaces[empty])
+            assert sum(sizes[key]) <= len(x1) + len(lams) * sampler.m + sum(whole)
+            # without the probe every plane evaluated its whole half-space
+            assert sum(sizes[key]) < len(x1) + sum(half_spaces)
 
         calls.update(nodes=0, u=0, v=0)
         reflection_inequality_check(counted("u", field), counted("v", field),
@@ -165,6 +182,78 @@ class TestCriticalPlaneScan:
             res = critical_plane_scan(zero, zero, sampler, np.linspace(-2, 3, 11))
         assert res.degenerate
         assert res.lambda0 == -2.0
+
+
+def full_scan(u_field, v_field, sampler, lambdas):
+    """critical_plane_scan without the probe: each plane evaluates all of H_lam."""
+    lambdas = np.sort(np.asarray(lambdas, dtype=float))
+    pts, _ = sampler.nodes()
+    u_all, v_all = u_field(pts), v_field(pts)
+    if not (np.any(u_all) or np.any(v_all)):
+        return ScanResult(float(lambdas[0]), degenerate=True)
+    empty = []
+    for lam in lambdas:
+        half = pts[:, 0] < lam
+        refl = reflect(pts[half], PlaneParam(lam, n=sampler.n))
+        empty.append(not np.any((u_field(refl) > u_all[half]) | (v_field(refl) > v_all[half])))
+    if not any(empty):
+        raise ScanInconclusive("no swept plane has an empty exceedance set")
+    first = empty.index(True)
+    if not all(empty[first:]):
+        raise ScanInconclusive(
+            "set emptiness is non-monotone across the sweep (grid artifacts)")
+    return ScanResult(float(lambdas[first]))
+
+
+def scan_outcome(scan, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the all-zero case warns
+        try:
+            return scan(*args)
+        except ScanInconclusive as exc:
+            return str(exc)
+
+
+def _bubble_at(c1):
+    return bubble_field(make_bubble(CFG, center=(c1, 0, 0), t=1.0))
+
+
+def _two_bubbles(pts):
+    return _bubble_at(-3.0)(pts) + _bubble_at(3.0)(pts)
+
+
+def _bubble_and_far_bump(pts):
+    # the unit ball about (5, 0, 0) lifts H_0's nodes near x1 = -5 onto it,
+    # far from the plane's node column, where the bubble at 0 is symmetric
+    pts = np.atleast_2d(pts)
+    return _bubble_at(0.0)(pts) + (np.hypot(pts[:, 0] - 5.0, pts[:, 1]) < 1.0)
+
+
+def _zero(pts):
+    return np.zeros(len(np.atleast_2d(pts)))
+
+
+SWEEP = np.linspace(-2, 3, 41)
+
+
+@pytest.mark.parametrize("u, v, lams", [
+    *[(_bubble_at(c), _bubble_at(c), SWEEP) for c in (0.0, 0.5, 1.0, 1.375, 2.0)],
+    (_bubble_at(0.0), _bubble_at(1.0), SWEEP),
+    (_bubble_at(1.0), _bubble_at(0.0), SWEEP),
+    (_bubble_at(2.0), _bubble_at(-0.5), SWEEP),
+    (_zero, _bubble_at(1.0), SWEEP),
+    (_zero, _zero, SWEEP),
+    (_bubble_at(1.0), _bubble_at(1.0), [-2.0, -1.0]),  # no empty plane
+    (_two_bubbles, _two_bubbles, [0.0, 1.0, 5.0]),  # non-monotone
+    (_bubble_at(1.0), _bubble_at(1.0), np.linspace(-10, 3, 41)),  # prefixes below m rows
+    (_bubble_and_far_bump, _bubble_and_far_bump, [-2.0, 0.0, 2.5, 4.0, 6.0]),  # clean probes
+], ids=["c0", "c0.5", "c1", "c1.375", "c2", "u0-v1", "u1-v0", "u2-v-0.5", "zero-u",
+        "zero", "no-empty", "non-monotone", "short-prefix", "far-exceedance"])
+@pytest.mark.parametrize("m", [32, 64])
+def test_probe_scan_matches_full_evaluation(u, v, lams, m):
+    sampler = CartesianSampler(L=10.0, m=m)
+    assert (scan_outcome(critical_plane_scan, u, v, sampler, lams)
+            == scan_outcome(full_scan, u, v, sampler, lams))
 
 
 class TestReflectionInequalityCheck:

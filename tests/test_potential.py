@@ -2,23 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, zeta
 
 from critsys.bubble import bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import (
     ExponentConfig,
     RadialGrid,
     RadialProfilePair,
+    lp_norm_radial,
     radial_laplacian,
+    unit_sphere_area,
 )
 from critsys.errors import (
     ExponentRelationViolated,
     IterateBlowup,
+    NonGeometricGrid,
     NonintegrableInput,
     QuadratureDivergence,
 )
 from critsys.potential import (
     KernelSpec,
     PicardState,
+    _angular_factor,
     hls_functional,
     newton_potential_derivative,
     newton_potential_radial,
@@ -48,6 +53,23 @@ def lieb_rel_error(n, lam, num):
     p = 2.0 * n / (2.0 * n - lam)
     val = hls_functional(f, f, grid, KernelSpec(n, lam), p, p)
     return abs(val / lieb_constant(n, lam) - 1.0)
+
+
+def dense_hls(f, grid, kernel, p):
+    """hls_functional(f, f, ...) off lam = n-2 with the N x N sphere-average matrix."""
+    n, lam = kernel.n, kernel.lam
+    r = grid.nodes
+    w = np.zeros_like(r)
+    w[:-1] += 0.5 * np.diff(r)
+    w[1:] += 0.5 * np.diff(r)
+    wf = w * r ** (n - 1) * f
+    total = wf @ _angular_factor(r[:, None], r[None, :], kernel) @ wf
+    gam = n - 1.0 - lam
+    if gam < 1.0:  # the Navot cusp correction, as in hls_functional
+        K = (gamma(n / 2.0) * gamma(-gam)
+             / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
+        total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ (np.gradient(r) ** (1.0 + gam) * f))
+    return float(unit_sphere_area(n) ** 2 * total / lp_norm_radial(f, grid, p, n) ** 2)
 
 
 class TestNewtonPotential:
@@ -151,6 +173,20 @@ class TestPicard:
             picard_iterate(state, CFG, max_steps=10)
 
 
+class TestLogStep:
+    @pytest.mark.parametrize("grid, q", [
+        (RadialGrid.geometric(1e-5, 10.0, 301), 10.0 ** (6 / 300)),
+        (RadialGrid.default(), 1e10 ** (1 / 3999)),
+        (RadialGrid.default().refined(), 1e10 ** (1 / 7998)),
+        (RadialGrid.default().refined().refined().refined(), 1e10 ** (1 / 31992)),
+    ], ids=["geometric", "default", "refined", "refined x3"])
+    def test_geometric_grids(self, grid, q):
+        assert grid.log_step == pytest.approx(q, rel=1e-14)
+
+    def test_indicator_grid_is_not_geometric(self):
+        assert indicator_grid().log_step is None
+
+
 class TestHlsFunctional:
     def test_indicator_against_analytic_oracle(self):
         # n=3, lambda=1: kernel average is exactly 1/max(r,s), so
@@ -188,8 +224,6 @@ class TestHlsFunctional:
         # at n = 3 the sphere average has the closed form
         # ((r+s)^{2-lam} - |r-s|^{2-lam}) / ((2-lam) 2 r s); the general-n
         # hypergeometric form must reproduce it for lam != n-2
-        from critsys.potential import _angular_factor
-
         lam = 0.9
         r = np.array([[0.3], [1.7], [5.0]])
         s = np.array([[0.4, 2.0, 6.0]])
@@ -201,6 +235,23 @@ class TestHlsFunctional:
     @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 2.5), (5, 3.5)])
     def test_lieb_sharp_constant(self, n, lam):
         assert lieb_rel_error(n, lam, 1000) <= 1e-4
+
+    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 2.5), (5, 3.5)])
+    def test_toeplitz_matches_dense_kernel(self, n, lam):
+        grid = RadialGrid.geometric(num=500)
+        f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
+        p = 2.0 * n / (2.0 * n - lam)
+        kernel = KernelSpec(n, lam)
+        assert hls_functional(f, f, grid, kernel, p, p) == pytest.approx(
+            dense_hls(f, grid, kernel, p), rel=1e-13, abs=0.0)
+
+    def test_non_geometric_grid_refused_off_harmonic(self):
+        grid = indicator_grid(num=500)
+        f = np.exp(-grid.nodes)
+        with pytest.raises(NonGeometricGrid):
+            hls_functional(f, f, grid, KernelSpec(3, 1.5), 12 / 9, 12 / 9)
+        # the harmonic exponent lam = n-2 sums two cumsums on any grid
+        assert hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5) > 0.0
 
     def test_lieb_error_second_order(self):
         # the diagonal cusp correction restores O(h^2) near lam = n-1
