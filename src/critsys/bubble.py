@@ -84,15 +84,14 @@ def bubble_field(params: BubbleParams):
     return lambda pts: eval_bubble(params, np.atleast_2d(pts))
 
 
-def _trusted_residual(phi: np.ndarray, rhs: np.ndarray, grid: RadialGrid,
-                      n: int) -> float:
-    """Max |(-Lap phi) - rhs| on nodes where the FD stencil is trustworthy.
+def _trusted_residual(phi: np.ndarray, lap: np.ndarray, rhs: np.ndarray,
+                      grid: RadialGrid) -> float:
+    """Max |(-lap) - rhs| on nodes where the FD Laplacian ``lap`` of phi is trustworthy.
 
     Near the origin the geometric spacing shrinks so fast that second
     differences of phi are pure cancellation noise; nodes whose estimated
     roundoff eps*|phi|/h^2 exceeds the budget are excluded.
     """
-    lap = radial_laplacian(phi, grid, n)
     residual = np.abs(-lap - rhs)
     h = np.gradient(grid.nodes)
     roundoff = 16.0 * _EPS * np.abs(phi) / h ** 2
@@ -112,9 +111,9 @@ def bubble_residual(params: BubbleParams, config: ExponentConfig,
     """
     if np.any(params.center != 0.0):
         raise ValueError("residual check requires an origin-centered bubble")
-    n = config.n
     phi = eval_bubble_radial(params, grid.nodes)
-    return _trusted_residual(phi, phi ** config.critical_sum, grid, n)
+    lap = radial_laplacian(phi, grid, config.n)
+    return _trusted_residual(phi, lap, phi ** config.critical_sum, grid)
 
 
 def pair_residual(params: BubbleParams, config: ExponentConfig,
@@ -125,9 +124,9 @@ def pair_residual(params: BubbleParams, config: ExponentConfig,
     """
     if np.any(params.center != 0.0):
         raise ValueError("residual check requires an origin-centered bubble")
-    n = config.n
     phi = eval_bubble_radial(params, grid.nodes)
+    lap = radial_laplacian(phi, grid, config.n)  # shared by both equations
     rhs_u = phi ** config.alpha * phi ** config.beta
     rhs_v = phi ** config.beta * phi ** config.alpha
-    return (_trusted_residual(phi, rhs_u, grid, n),
-            _trusted_residual(phi, rhs_v, grid, n))
+    return (_trusted_residual(phi, lap, rhs_u, grid),
+            _trusted_residual(phi, lap, rhs_v, grid))

@@ -58,11 +58,14 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
         return ExponentConfig(3, 2.0, 3.0), RadialGrid.default()
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not {"n", "alpha", "beta"} <= raw.keys():
+        raise ValueError(f"{path}: config must be an object with keys n, alpha and beta")
     cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
     g = raw.get("grid", {})
-    grid = RadialGrid.geometric(g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
-                                g.get("nodes", DEFAULT_NODES))
-    return cfg, grid
+    if not isinstance(g, dict) or not isinstance(g.get("nodes", DEFAULT_NODES), int):
+        raise ValueError(f"{path}: grid must be an object with an integer node count")
+    return cfg, RadialGrid.geometric(g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
+                                     g.get("nodes", DEFAULT_NODES))
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -168,7 +171,9 @@ def cmd_identity(args) -> int:
 def cmd_potential(args) -> int:
     cfg, grid = load_config(args.config)
     if args.input:
-        data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+        data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 3 or data.shape[1] < 2:
+            raise ValueError(f"{args.input}: need columns r,value and at least 3 rows")
         grid = RadialGrid(data[:, 0])
         f = data[:, 1]
     else:

@@ -133,11 +133,6 @@ class RadialGrid:
     def default(cls) -> "RadialGrid":
         return cls.geometric()
 
-    def coarsened(self) -> "RadialGrid":
-        """Every other node (endpoints kept), for Richardson comparisons."""
-        idx = np.unique(np.r_[np.arange(0, len(self.nodes), 2), len(self.nodes) - 1])
-        return RadialGrid(self.nodes[idx])
-
     def refined(self) -> "RadialGrid":
         """Geometric midpoints inserted between all node pairs."""
         mids = np.sqrt(self.nodes[:-1] * self.nodes[1:])
@@ -175,30 +170,16 @@ class RadialProfilePair:
             )
 
 
-def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int,
-                   check_tol: float | None = None) -> float:
+def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int) -> float:
     """L^p norm of a radial function sampled on the grid.
 
-    Composite trapezoid of |f|^p * omega_{n-1} * r^{n-1}.  When ``check_tol``
-    is given, a half-resolution Richardson comparison estimates the relative
-    quadrature error and GridTooCoarse is raised if it exceeds the tolerance.
+    Composite trapezoid of |f|^p * omega_{n-1} * r^{n-1}.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     f = np.abs(np.asarray(profile, dtype=float))
     integrand = f ** p * grid.nodes ** (n - 1)
-    omega = unit_sphere_area(n)
-    integral = omega * float(np.trapezoid(integrand, grid.nodes))
-    if check_tol is not None and integral > 0.0:
-        coarse = grid.coarsened()
-        idx = np.searchsorted(grid.nodes, coarse.nodes)
-        integral_half = omega * float(np.trapezoid(integrand[idx], coarse.nodes))
-        # second-order rule: error ~ |I - I_half| / 3
-        rel_err = abs(integral - integral_half) / (3.0 * integral)
-        if rel_err > check_tol:
-            raise GridTooCoarse(
-                f"estimated relative quadrature error {rel_err:.2e} > {check_tol}"
-            )
+    integral = unit_sphere_area(n) * float(np.trapezoid(integrand, grid.nodes))
     return integral ** (1.0 / p)
 
 

@@ -111,13 +111,13 @@ def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
 
 
 def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
-    """Integrate k shots as one RK45 system with state shape (4, k).
+    """Integrate k shots as one RK45 system with state shape (4, k) out to r_max.
 
     Error control is the RMS over the whole stack.  A column that fails
-    (u or v reaches zero) keeps being integrated with the clamped RHS; the
-    one terminal event, max_j min(u_j, v_j), stops the solve once every
-    column has failed.  Returns the nodes up to r_max, the solver result and
-    each column's count of samples before its first nonpositive one.
+    (u or v reaches zero) keeps being integrated with the clamped RHS, so
+    every solve samples every node.  Returns the nodes up to r_max, the
+    solver result and each column's count of samples before its first
+    nonpositive one.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -130,18 +130,10 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
         # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
         grid = RadialGrid.geometric(rmax=first.r_max)
     nodes = grid.nodes[grid.nodes <= first.r_max]
-
-    def all_failed(r, y):
-        u, _, v, _ = y.reshape(4, k)
-        return np.max(np.minimum(u, v))
-
-    all_failed.terminal = True
-    all_failed.direction = -1.0
-
     sol = solve_ivp(
         _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max),
         _taylor_start(inputs, nodes[0]).ravel(), method="RK45",
-        t_eval=nodes, events=all_failed, rtol=first.tol, atol=first.tol,
+        t_eval=nodes, rtol=first.tol, atol=first.tol,
     )
     if sol.status == -1:
         if "step size" in sol.message.lower():
@@ -150,7 +142,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
 
     samples = sol.y.reshape(4, k, -1)
     nonpositive = np.minimum(samples[0], samples[2]) <= 0.0
-    positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(sol.t))
+    positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(nodes))
     return nodes, sol, positive
 
 
@@ -161,8 +153,6 @@ def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfil
     """
     grid, k = RadialGrid(nodes), len(positive)
     y = sol.y.reshape(4, k, -1)
-    if y.shape[2] < len(nodes):  # stopped early: nodes past the event are zero
-        y = np.concatenate((y, np.zeros((4, k, len(nodes) - y.shape[2]))), axis=2)
     for j, m in enumerate(positive):
         y[:, j, m:] = 0.0
     u, du, v, dv = y
@@ -171,7 +161,7 @@ def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfil
 
 def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
-    """Solve k shots sharing config, r_max and tol as one system.
+    """Solve k shots sharing config, r_max and tol as one system out to r_max.
 
     A trajectory whose u or v hits zero is zero from its first nonpositive
     node on (flag available through classify_batch()).
@@ -226,28 +216,15 @@ def classify_batch(inputs: list[ShootInput],
 
     Priority: PositivityFailure if a component reaches zero, else BoundState
     if r^(n-2)u and r^(n-2)v both plateau over the last decade, else NoDecay.
-    The zero radius ``at_r`` is the cubic-Hermite root on the bracketing
-    nodes.  A zero past the last node is bracketed by the event state; the
-    column that stops the solve takes the solver's event root.
+    The zero radius ``at_r`` is the cubic-Hermite root on the two nodes that
+    bracket the column's first nonpositive sample.
     """
     nodes, sol, positive = _solve_batch(inputs, grid)
     k = len(inputs)
     samples = sol.y.reshape(4, k, -1)
     n = inputs[0].config.n
-    if sol.status == 1:  # every column failed
-        r_event, y_event = sol.t_events[0][0], sol.y_events[0][0].reshape(4, k)
-        event_min = np.minimum(y_event[0], y_event[2])
-    zeros = {}  # column -> (which, at_r), found before _profiles zero-fills
-    for j in np.flatnonzero(positive < len(nodes)):
-        m = positive[j]
-        if m < len(sol.t):
-            zeros[j] = _hermite_zero(nodes[m - 1], nodes[m],
-                                     samples[:, j, m - 1], samples[:, j, m])
-        elif event_min[j] == event_min.max():  # this column stops the solve
-            zeros[j] = ("u" if y_event[0, j] <= y_event[2, j] else "v"), float(r_event)
-        else:
-            zeros[j] = _hermite_zero(nodes[m - 1], r_event,
-                                     samples[:, j, m - 1], y_event[:, j])
+    zeros = {j: _hermite_zero(nodes[m - 1], nodes[m], samples[:, j, m - 1], samples[:, j, m])
+             for j, m in enumerate(positive) if m < len(nodes)}  # before _profiles zero-fills
     outcomes = []
     for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, sol, positive))):
         crossing = _first_crossing(nodes, prof.u, prof.v)
@@ -366,20 +343,13 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
     nested_v = _cumulative_nested(profile, fv, config.n)
 
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    lhs_u, rhs_u, lhs_v, rhs_v, checked = [], [], [], [], []
-    for rad in radii:
-        if rad <= r[0]:
-            checked.append(0.0)
-            lhs_u.append(0.0); rhs_u.append(0.0)
-            lhs_v.append(0.0); rhs_v.append(0.0)
-            continue
-        i = int(np.argmin(np.abs(r - rad)))
-        checked.append(float(r[i]))
-        lhs_u.append(u0 - float(u[i])); rhs_u.append(float(nested_u[i]))
-        lhs_v.append(v0 - float(v[i])); rhs_v.append(float(nested_v[i]))
-    return IntegralIdentityReport(
-        np.array(checked), np.array(lhs_u), np.array(rhs_u),
-        np.array(lhs_v), np.array(rhs_v))
+    i = np.argmin(np.abs(r[:, None] - radii), axis=0)
+    inside = radii > r[0]
+
+    def at(values):  # snapped samples; zero at radii <= r0
+        return np.where(inside, values[i], 0.0)
+
+    return IntegralIdentityReport(at(r), at(u0 - u), at(nested_u), at(v0 - v), at(nested_v))
 
 
 def contradiction_witness(profile: RadialProfilePair,

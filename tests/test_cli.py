@@ -148,6 +148,22 @@ def test_bad_config_is_numerical_failure(tmp_path):
     assert run(["bubble", "residual", "--config", str(cfg_path)]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("argv, name, text", [
+    (["bubble", "residual", "--config"], "cfg.json", '{"alpha": 2.0, "beta": 3.0}'),
+    (["bubble", "residual", "--config"], "cfg.json", "[3, 2.0, 3.0]"),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"nodes": 1500.0}}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": []}'),
+    (["potential", "--input"], "f.csv", "r,value\n0.5,1.0\n"),
+], ids=["missing key", "json list", "float nodes", "grid list", "one-row csv"])
+def test_malformed_input_is_usage_error(argv, name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(argv + [str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_identity_subcommand(capsys):
     assert run(["identity", "--radii", "0.1,1,10"]) == EXIT_OK
     assert "max_abs_gap" in capsys.readouterr().out

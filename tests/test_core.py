@@ -15,7 +15,6 @@ from critsys.errors import (
     CriticalityViolated,
     DimensionTooSmall,
     ExponentOutOfRange,
-    GridTooCoarse,
     InfeasibleHypothesis,
 )
 
@@ -121,12 +120,6 @@ class TestLpNormRadial:
         base = lp_norm_radial(f, g, 2.5, 3)
         assert lp_norm_radial(-3.0 * f, g, 2.5, 3) == pytest.approx(
             3.0 * base, rel=1e-13)
-
-    def test_grid_too_coarse(self):
-        g = RadialGrid(np.geomspace(1e-6, 50.0, 30))
-        f = np.exp(-g.nodes ** 2)
-        with pytest.raises(GridTooCoarse):
-            lp_norm_radial(f, g, 2.0, 3, check_tol=1e-8)
 
     def test_p_must_exceed_one(self):
         g = RadialGrid.geometric(num=100)

@@ -23,7 +23,8 @@ F = np.exp(-GRID.nodes)
     lambda: greens_reflection_identity(make_bubble(CFG, center=(1.0, 0, 0)), PlaneParam(0.0),
                                        np.array([-1.0, 0, 0]), CFG, ny=10),
     lambda: ShootInput(CFG, 1.0, 1.0, atol=1e-8),
-], ids=["stencil", "tail_power", "window", "budget", "ny", "atol"])
+    lambda: core.lp_norm_radial(F, GRID, 2.0, 3, check_tol=1e-8),
+], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol"])
 def test_removed_parameter_is_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -33,6 +34,7 @@ def test_removed_names_are_gone():
     assert not hasattr(core, "LpNorm")
     assert not hasattr(critsys, "LpNorm")
     assert not hasattr(errors, "QuadratureBudgetExceeded")
+    assert not hasattr(RadialGrid, "coarsened")
     assert isinstance(core.lp_norm_radial(F, GRID, 2.0, 3), float)
 
 

@@ -150,19 +150,18 @@ class TestBatch:
         assert len({out.diagnostics["nfev"] for out in batch}) == 1
         assert batch[1].which == "u" and batch[2].which == "v"
 
-    def test_all_failing_batch_stops_early(self, monkeypatch):
-        # every column fails, so the one terminal event stops the solve
+    def test_all_failing_batch_runs_to_r_max(self, monkeypatch):
+        # every column fails, and the solve still ends at r_max
         sols = record_solves(monkeypatch)
         inputs = [ShootInput(CFG, 1.0, v0) for v0 in (2.0, 1.5, 0.5)]
         outs = classify_batch(inputs)
         assert all(out.kind is Kind.POSITIVITY_FAILURE for out in outs)
-        assert sols[0].status == 1
-        assert sols[0].t_events[0][0] == max(out.at_r for out in outs) < 20.0
+        assert sols[0].status == 0 and sols[0].t[-1] == inputs[0].r_max
         for inp, got in zip(inputs, outs):
             ref = classify(inp)
             assert got.which == ref.which
             assert got.at_r == pytest.approx(ref.at_r, rel=1e-9, abs=0.0)
-        # mirror shots reach zero together: both stop the solve at its event
+        # mirror shots reach zero together
         u_fails, v_fails = classify_batch([ShootInput(CFG, 1.0, 2.0),
                                            ShootInput(CFG, 2.0, 1.0)])
         assert (u_fails.which, v_fails.which) == ("u", "v")
@@ -280,9 +279,11 @@ class TestIntegralIdentity:
         assert rep.max_abs_gap == pytest.approx(1.0 / 6.0, rel=1e-2)
 
     def test_zero_radius_both_sides_zero(self):
-        rep = check_integral_identity(
-            bubble_profile(1.0, RadialGrid.geometric(num=1000)), CFG, [0.0])
-        assert rep.lhs_u[0] == 0.0 and rep.rhs_u[0] == 0.0
+        grid = RadialGrid.geometric(num=1000)
+        rep = check_integral_identity(bubble_profile(1.0, grid), CFG, [0.0, 1e-7, 1.0])
+        for side in (rep.r_checked, rep.lhs_u, rep.rhs_u, rep.lhs_v, rep.rhs_v):
+            assert side[0] == side[1] == 0.0 and side[2] > 0.0
+        assert rep.r_checked[2] == grid.nodes[np.argmin(np.abs(grid.nodes - 1.0))]
 
 
 class TestOrderingTerm:
