@@ -62,10 +62,14 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
         raise ValueError(f"{path}: config must be an object with keys n, alpha and beta")
     cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
     g = raw.get("grid", {})
-    if not isinstance(g, dict) or not isinstance(g.get("nodes", DEFAULT_NODES), int):
-        raise ValueError(f"{path}: grid must be an object with an integer node count")
-    return cfg, RadialGrid.geometric(g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
-                                     g.get("nodes", DEFAULT_NODES))
+    if not isinstance(g, dict):
+        raise ValueError(f"{path}: grid must be an object")
+    r0, rmax, nodes = (g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
+                       g.get("nodes", DEFAULT_NODES))
+    # type(), not isinstance(): true is an int, but neither a radius nor a node count
+    if type(r0) not in (int, float) or type(rmax) not in (int, float) or type(nodes) is not int:
+        raise ValueError(f"{path}: grid r0 and rmax must be numbers and nodes an integer")
+    return cfg, RadialGrid.geometric(r0, rmax, nodes)
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:

@@ -188,7 +188,11 @@ def radial_derivatives(samples: np.ndarray,
     """First and second derivatives of grid samples via local FD stencils.
 
     Interior nodes get centered stencils of FD_STENCIL nodes; stencils are
-    shifted one-sidedly near the boundaries.
+    shifted one-sidedly near the boundaries.  The weights are the closed-form
+    Lagrange weights of each node's own offsets x_j = r_j - r_i (Fornberg,
+    Math. Comp. 1988), exact for local polynomials of degree < FD_STENCIL.
+    They act on the differences f_j - f_i, so the node's own weight (minus
+    the sum of the others) is never formed.
     """
     r = grid.nodes
     samples = np.asarray(samples, dtype=float)
@@ -197,19 +201,23 @@ def radial_derivatives(samples: np.ndarray,
         raise GridTooCoarse(f"grid has {k} nodes, stencil needs {FD_STENCIL}")
     half = FD_STENCIL // 2
     lo = np.clip(np.arange(k) - half, 0, k - FD_STENCIL)
-    idx = lo[:, None] + np.arange(FD_STENCIL)[None, :]
-    x = r[idx] - r[:, None]
-    scale = np.max(np.abs(x), axis=1, keepdims=True)
-    xs = x / scale
-    # batched Vandermonde solve, exact for local polynomials of degree < FD_STENCIL
-    A = np.swapaxes(xs[:, :, None] ** np.arange(FD_STENCIL)[None, None, :], 1, 2)
-    b = np.zeros((k, FD_STENCIL, 2))
-    b[:, 1, 0] = 1.0
-    b[:, 2, 1] = 2.0
-    w = np.linalg.solve(A, b)
-    vals = samples[idx]
-    d1 = np.einsum("ij,ij->i", w[:, :, 0], vals) / scale[:, 0]
-    d2 = np.einsum("ij,ij->i", w[:, :, 1], vals) / scale[:, 0] ** 2
+    # nb[j, i] is the j-th of the FD_STENCIL - 1 stencil neighbours of node i
+    slots = np.array([[m for m in range(FD_STENCIL) if m != p] for p in range(FD_STENCIL)])
+    nb = lo + slots[np.arange(k) - lo].T
+    x = r[nb] - r
+    df = samples[nb] - samples
+    d1 = np.zeros(k)
+    d2 = np.zeros(k)
+    for j in range(FD_STENCIL - 1):
+        # the other offsets of the stencil are 0 (the node itself) and a, b, c:
+        # L_j(x) = x (x-a)(x-b)(x-c) / den, L_j'(0) = -abc / den,
+        # L_j''(0) = 2 (ab + ac + bc) / den
+        a, b, c = (x[m] for m in range(FD_STENCIL - 1) if m != j)
+        xj = x[j]
+        den = xj * (xj - a) * (xj - b) * (xj - c)
+        ab = a * b
+        d1 -= ab * c / den * df[j]
+        d2 += 2.0 * (ab + (a + b) * c) / den * df[j]
     return d1, d2
 
 

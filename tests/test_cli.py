@@ -155,8 +155,15 @@ def test_bad_config_is_numerical_failure(tmp_path):
      '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"nodes": 1500.0}}'),
     (["bubble", "residual", "--config"], "cfg.json",
      '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": []}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"r0": "x"}}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"rmax": null}}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"nodes": true}}'),
     (["potential", "--input"], "f.csv", "r,value\n0.5,1.0\n"),
-], ids=["missing key", "json list", "float nodes", "grid list", "one-row csv"])
+], ids=["missing key", "json list", "float nodes", "grid list", "string r0", "null rmax",
+        "bool nodes", "one-row csv"])
 def test_malformed_input_is_usage_error(argv, name, text, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)

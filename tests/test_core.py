@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from critsys.core import (
+    FD_STENCIL,
     ExponentConfig,
     RadialGrid,
     RadialProfilePair,
@@ -15,6 +16,7 @@ from critsys.errors import (
     CriticalityViolated,
     DimensionTooSmall,
     ExponentOutOfRange,
+    GridTooCoarse,
     InfeasibleHypothesis,
 )
 
@@ -135,6 +137,47 @@ class TestRadialDerivatives:
         interior = (g.nodes > 0.01) & (g.nodes < 50.0)
         assert np.max(np.abs(d1[interior] + f[interior])) < 1e-8
         assert np.max(np.abs(d2[interior] - f[interior])) < 1e-5
+
+    @pytest.mark.parametrize("degree", range(FD_STENCIL))
+    def test_exact_on_polynomials_of_jittered_grid(self, degree):
+        # non-geometric nodes, so every stencil (centred and both one-sided
+        # ends) has its own offsets
+        rng = np.random.default_rng(11)
+        g = RadialGrid(1e-4 + np.cumsum(np.r_[0.0, rng.uniform(0.02, 0.06, 30)]))
+        coef = rng.uniform(-1.0, 1.0, degree + 1)
+        p = np.polynomial.Polynomial(coef)
+        d1, d2 = radial_derivatives(p(g.nodes), g)
+        scale = np.max(np.abs(coef))
+        assert np.max(np.abs(d1 - p.deriv(1)(g.nodes))) < 1e-12 * scale
+        assert np.max(np.abs(d2 - p.deriv(2)(g.nodes))) < 1e-10 * scale
+
+    def test_four_nodes_too_coarse(self):
+        g = RadialGrid(np.array([1e-5, 1e-4, 1e-3, 1e-2]))
+        with pytest.raises(GridTooCoarse):
+            radial_derivatives(np.ones(4), g)
+
+    def test_one_hot_gives_lagrange_weights(self):
+        import mpmath  # the test extra; not skipped when missing
+
+        g = RadialGrid.default()
+        r, k = g.nodes, len(g)
+        for i in (0, 1, 2, 1000, 2500, k - 3, k - 2, k - 1):
+            lo = min(max(i - FD_STENCIL // 2, 0), k - FD_STENCIL)
+            stencil = range(lo, lo + FD_STENCIL)
+            got = np.empty((FD_STENCIL, 2))
+            want = np.empty((FD_STENCIL, 2))
+            with mpmath.workdps(40):
+                x = [mpmath.mpf(float(r[m])) - mpmath.mpf(float(r[i])) for m in stencil]
+                for j, m in enumerate(stencil):
+                    one_hot = np.zeros(k)
+                    one_hot[m] = 1.0
+                    d1, d2 = radial_derivatives(one_hot, g)
+                    got[j] = d1[i], d2[i]
+                    # Taylor coefficients at the node of the Lagrange basis polynomial L_j
+                    _, w1, half_w2 = mpmath.taylor(lambda z: mpmath.fprod(
+                        (z - xq) / (x[j] - xq) for q, xq in enumerate(x) if q != j), 0, 2)
+                    want[j] = float(w1), float(2 * half_w2)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
 
 
 class TestRadialProfilePair:
