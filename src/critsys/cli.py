@@ -1,7 +1,9 @@
 """Command-line interface: one executable exposing every operation.
 
-Subcommands: bubble, shoot, sweep, identity, potential, picard, hls, mp,
-verify-all.  Exit codes: 0 success, 1 usage error, 2 assertion failure,
+Subcommands: bubble (eval, residual), shoot, sweep, identity, potential,
+picard, hls, mp (scan, check, identity), verify-all.  Each (sub)command and
+action is declared once, in _COMMANDS, with exactly the flags its function
+reads.  Exit codes: 0 success, 1 usage error, 2 assertion failure,
 3 numerical failure.
 
 Every run that writes an output file also writes a JSON manifest next to it;
@@ -14,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,35 +36,22 @@ EXIT_NUMERICAL = 3
 _FLOAT_FMT = "%.17g"  # lossless double round-trip
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record emitted alongside every file output."""
-
-    subcommand: str
-    parameters: dict
-    outputs: list
-    version: str
-    config_path: str | None = None
-
-    def write(self, out_path: str) -> None:
-        path = out_path + ".manifest.json"
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
-    """Config JSON: {"n", "alpha", "beta", "grid": {"r0", "rmax", "nodes"}}."""
+    """Config JSON: {"n", "alpha", "beta", "grid": {"r0", "rmax", "nodes"}}, no other keys."""
     if path is None:
         return ExponentConfig(3, 2.0, 3.0), RadialGrid.default()
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not {"n", "alpha", "beta"} <= raw.keys():
         raise ValueError(f"{path}: config must be an object with keys n, alpha and beta")
-    cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
     g = raw.get("grid", {})
     if not isinstance(g, dict):
         raise ValueError(f"{path}: grid must be an object")
+    unknown = sorted(raw.keys() - {"n", "alpha", "beta", "grid"}) + sorted(
+        "grid." + k for k in g.keys() - {"r0", "rmax", "nodes"})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
+    cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
     r0, rmax, nodes = (g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
                        g.get("nodes", DEFAULT_NODES))
     # type(), not isinstance(): true is an int, but neither a radius nor a node count
@@ -72,32 +60,27 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
     return cfg, RadialGrid.geometric(r0, rmax, nodes)
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([_FLOAT_FMT % x if isinstance(x, float) else x
-                        for x in row])
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _manifest(args) -> None:
-    params = {k: v for k, v in vars(args).items() if not callable(v)}
-    RunManifest(subcommand=args.subcommand, parameters=params,
-                outputs=[args.out], version=__version__,
-                config_path=getattr(args, "config", None)).write(args.out)
-
-
-def _saved(args, text: str) -> str:
-    """The text, after writing it to --out and its manifest when --out is given."""
+def _save(args, text: str | None = None, header=None, rows=None) -> str | None:
+    """Write --out, if given (the text, or CSV with %.17g floats), and its manifest; return text."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        _manifest(args)
+        with open(args.out, "w", newline="") as fh:
+            if text is not None:
+                fh.write(text + "\n")
+            else:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows([_FLOAT_FMT % x if isinstance(x, float) else x for x in row]
+                            for row in rows)
+        manifest = {"subcommand": args.subcommand, "outputs": [args.out],
+                    "version": __version__, "config_path": getattr(args, "config", None),
+                    "parameters": {k: v for k, v in vars(args).items() if not callable(v)}}
+        with open(args.out + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return text
 
 
@@ -105,12 +88,10 @@ def cmd_bubble(args) -> int:
     cfg, grid = load_config(args.config)
     params = bb.make_bubble(cfg, t=args.t)
     if args.action == "residual":
-        print(_saved(args, f"residual {bb.bubble_residual(params, cfg, grid):.6e}"))
-        return EXIT_OK
-    phi = bb.eval_bubble_radial(params, grid.nodes)
-    if args.out:
-        _write_csv(args.out, ["r", "phi"], [grid.nodes, phi])
-        _manifest(args)
+        print(_save(args, f"residual {bb.bubble_residual(params, cfg, grid):.6e}"))
+    elif args.out:
+        _save(args, header=["r", "phi"],
+              rows=zip(grid.nodes, bb.eval_bubble_radial(params, grid.nodes)))
         print(f"wrote {args.out}")
     else:
         for r in (0.0, 0.1, 1.0, 10.0):
@@ -132,32 +113,24 @@ def cmd_shoot(args) -> int:
     print(f"kind {out.kind.value}"
           + (f" which {out.which} at_r {out.at_r:.6g}" if out.which else "")
           + (f" crossing_r {out.crossing_r:.6g}" if out.crossing_r else ""))
-    if args.out:
-        p = out.profile
-        _write_csv(args.out, ["r", "u", "v", "du", "dv"], [p.grid.nodes, p.u, p.v, p.du, p.dv])
-        _manifest(args)
+    p = out.profile
+    _save(args, header=["r", "u", "v", "du", "dv"],
+          rows=zip(p.grid.nodes, p.u, p.v, p.du, p.dv))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg, grid = _shooting_config(args)
-    ratios = _parse_floats(args.ratios)
-    rows = sh.uniqueness_sweep(cfg, ratios, base=args.base, grid=grid, tol=args.tol)
-    records = []
+    rows = sh.uniqueness_sweep(cfg, _parse_floats(args.ratios), base=args.base, grid=grid,
+                               tol=args.tol)
     for row in rows:
-        records.append((row.ratio, row.kind.value,
-                        "" if row.crossing_r is None else _FLOAT_FMT % row.crossing_r,
-                        json.dumps(row.diagnostics, sort_keys=True, default=str)))
         print(f"ratio {row.ratio:g}: {row.kind.value}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["ratio", "kind", "R0", "diagnostics"])
-            w.writerows(records)
-        _manifest(args)
+    # the ratio as parsed (str, not %.17g); a missing R0 is an empty cell
+    _save(args, header=["ratio", "kind", "R0", "diagnostics"],
+          rows=[(str(row.ratio), row.kind.value, row.crossing_r,
+                 json.dumps(row.diagnostics, sort_keys=True, default=str)) for row in rows])
     if not sh.sweep_consistent(rows):
-        print("sweep assertion FAILED: bound state pattern inconsistent",
-              file=sys.stderr)
+        print("sweep assertion FAILED: bound state pattern inconsistent", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
 
@@ -184,8 +157,7 @@ def cmd_potential(args) -> int:
         f = (grid.nodes <= 1.0).astype(float)  # unit-ball demo source
     u = pot.newton_potential_radial(f, grid, cfg.n)
     if args.out:
-        _write_csv(args.out, ["r", "value"], [grid.nodes, u])
-        _manifest(args)
+        _save(args, header=["r", "value"], rows=zip(grid.nodes, u))
         print(f"wrote {args.out}")
     else:
         print(f"u(r0) = {u[0]:.12g}, u(rmax) = {u[-1]:.12g}")
@@ -196,12 +168,11 @@ def cmd_picard(args) -> int:
     cfg, grid = load_config(args.config)
     prof = bb.bubble_profile(bb.make_bubble(cfg, t=args.t), grid)
     scale = 1.0 + args.perturb
-    state = pot.PicardState(
-        RadialProfilePair(grid, prof.u * scale, prof.v * scale,
-                          prof.du * scale, prof.dv * scale),
-        residual=float("inf"), step=0)
+    state = pot.PicardState(RadialProfilePair(grid, prof.u * scale, prof.v * scale,
+                                              prof.du * scale, prof.dv * scale),
+                            residual=float("inf"), step=0)
     history = []
-    state = pot.picard_iterate(
+    pot.picard_iterate(
         state, cfg, residual_tol=args.tol, max_steps=args.steps,
         callback=lambda s: history.append({"step": s.step, "residual": s.residual}))
     for rec in history:
@@ -211,48 +182,57 @@ def cmd_picard(args) -> int:
 
 def cmd_hls(args) -> int:
     cfg, grid = load_config(args.config)
-    kernel = pot.KernelSpec(cfg.n, args.lam)
-    params = bb.make_bubble(cfg, t=args.t)
-    f = bb.eval_bubble_radial(params, grid.nodes) ** cfg.critical_sum
-    ratio = pot.hls_functional(f, f, grid, kernel, args.rexp, args.sexp)
-    print(f"hls ratio {ratio:.12g}")
+    n, lam = cfg.n, args.lam
+    kernel = pot.KernelSpec(n, lam)  # checks 0 < lam < n before the exponents use lam
+    r_exp = 2.0 * n / (2.0 * n - lam) if args.rexp is None else args.rexp
+    if not 1.0 < r_exp < n / (n - lam):  # so that s > 1 as well
+        raise ValueError(f"need 1 < --rexp < n/(n-lambda) = {n / (n - lam):.6g}, got {r_exp}")
+    s_exp = 1.0 / (2.0 - lam / n - 1.0 / r_exp)  # 1/r + 1/s + lam/n = 2
+    f = bb.eval_bubble_radial(bb.make_bubble(cfg, t=args.t), grid.nodes) ** cfg.critical_sum
+    print(f"hls ratio {pot.hls_functional(f, f, grid, kernel, r_exp, s_exp):.12g}")
     return EXIT_OK
 
 
-def cmd_mp(args) -> int:
-    cfg, grid = load_config(args.config)
+def _on_axis(x1: float, n: int) -> np.ndarray:
+    """The point (x1, 0, ..., 0) of R^n."""
+    return np.r_[x1, np.zeros(n - 1)]
 
-    def bubble_at(x1):
-        center = np.zeros(cfg.n)
-        center[0] = x1
-        return bb.make_bubble(cfg, center=center, t=args.t)
 
+def _mp_fields(args):
+    """The config, the u and v bubble fields at x1 = --center, --v-center, and the sampler."""
+    cfg, _ = load_config(args.config)
     if args.v_center is None:
         args.v_center = args.center  # for the manifest
-    params = bubble_at(args.center)
-    u_fld = bb.bubble_field(params)
-    v_fld = bb.bubble_field(bubble_at(args.v_center))
-    sampler = mp.CartesianSampler(L=args.L, m=args.m, n=cfg.n)
+    u_fld, v_fld = (bb.bubble_field(bb.make_bubble(cfg, center=_on_axis(x1, cfg.n), t=args.t))
+                    for x1 in (args.center, args.v_center))
+    return cfg, u_fld, v_fld, mp.CartesianSampler(L=args.L, m=args.m, n=cfg.n)
 
-    if args.action == "scan":
-        lams = np.linspace(args.lmin, args.lmax, args.lnum)
-        res = mp.critical_plane_scan(u_fld, v_fld, sampler, lams)
-        text = f"lambda0 {res.lambda0:.6g}" + (" (degenerate)" if res.degenerate else "")
-    elif args.action == "check":
-        rep = mp.reflection_inequality_check(u_fld, v_fld, mp.PlaneParam(args.lam, n=cfg.n),
-                                             cfg, sampler)
-        report = {"lambda": rep.lam, "Bu_measure": rep.Bu_measure,
-                  "Bv_measure": rep.Bv_measure, "norms": rep.norms,
-                  "inequality_margins": rep.inequality_margins}
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:  # identity
-        x = np.zeros(cfg.n)
-        x[0] = args.x
-        lhs, rhs = mp.greens_reflection_identity(params, mp.PlaneParam(args.lam, n=cfg.n),
-                                                 x, cfg)
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-        text = f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.3e}"
-    print(_saved(args, text))
+
+def cmd_mp_scan(args) -> int:
+    _, u_fld, v_fld, sampler = _mp_fields(args)
+    res = mp.critical_plane_scan(u_fld, v_fld, sampler,
+                                 np.linspace(args.lmin, args.lmax, args.lnum))
+    print(_save(args, f"lambda0 {res.lambda0:.6g}" + (" (degenerate)" if res.degenerate else "")))
+    return EXIT_OK
+
+
+def cmd_mp_check(args) -> int:
+    cfg, u_fld, v_fld, sampler = _mp_fields(args)
+    rep = mp.reflection_inequality_check(u_fld, v_fld, mp.PlaneParam(args.lam, n=cfg.n),
+                                         cfg, sampler)
+    report = {"lambda": rep.lam, "Bu_measure": rep.Bu_measure, "Bv_measure": rep.Bv_measure,
+              "norms": rep.norms, "inequality_margins": rep.inequality_margins}
+    print(_save(args, json.dumps(report, indent=2, sort_keys=True)))
+    return EXIT_OK
+
+
+def cmd_mp_identity(args) -> int:
+    cfg, _ = load_config(args.config)
+    params = bb.make_bubble(cfg, center=_on_axis(args.center, cfg.n), t=args.t)
+    lhs, rhs = mp.greens_reflection_identity(params, mp.PlaneParam(args.lam, n=cfg.n),
+                                             _on_axis(args.x, cfg.n), cfg)
+    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    print(_save(args, f"lhs {lhs:.10g} rhs {rhs:.10g} rel {rel:.3e}"))
     return EXIT_OK
 
 
@@ -264,90 +244,73 @@ def cmd_verify_all(args) -> int:
         print(msg)
 
     ok = acceptance.run_all(printer=sink, seed=args.seed)
-    _saved(args, "\n".join(lines))
+    _save(args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_ASSERTION
+
+
+# Every flag a command reads: dest -> (type, help)
+_FLAGS = {
+    "config": (str, "JSON config: n, alpha, beta and grid {r0, rmax, nodes}"),
+    "out": (str, "output file; the manifest goes to OUT.manifest.json"),
+    "tol": (float, "solver atol = rtol, gap bound or residual target"),
+    "t": (float, "bubble scale t"), "u0": (float, "u(0)"), "v0": (float, "v(0)"),
+    "rmax": (float, "outer radius (default: the grid's rmax)"),
+    "ratios": (str, "comma-separated v0/u0 ratios"), "base": (float, "u0 of every shot"),
+    "radii": (str, "comma-separated radii"),
+    "input": (str, "CSV with columns r,value (default: the unit ball)"),
+    "perturb": (float, "relative amplitude perturbation"), "steps": (int, "maximum steps"),
+    "lam": (float, "kernel exponent lambda (hls); plane x1 = lambda (mp)"),
+    "rexp": (float, "r of ||f||_r (default 2n/(2n-lambda)); 1/r + 1/s + lambda/n = 2 gives s"),
+    "center": (float, "x1 of the u bubble"),
+    "v_center": (float, "x1 of the v bubble (default: --center)"),
+    "L": (float, "sampler box [-L, L] x [0, L]"), "m": (int, "sampler nodes per axis"),
+    "lmin": (float, "first plane"), "lmax": (float, "last plane"), "lnum": (int, "planes"),
+    "x": (float, "x1 of the point x"), "seed": (int, "property-suite seed"),
+}
+_IO = dict(config=None, out=None)
+_MP = dict(center=0.0, t=1.0, **_IO)
+_SAMPLER = dict(v_center=None, L=10.0, m=64, **_MP)
+# (command, function, help, {flag: default}); a default of ... makes the flag required
+_COMMANDS = [
+    ("bubble eval", cmd_bubble, "phi on the grid (CSV) or at 4 radii", dict(t=1.0, **_IO)),
+    ("bubble residual", cmd_bubble, "max discrete PDE residual", dict(t=1.0, **_IO)),
+    ("shoot", cmd_shoot, "integrate and classify one trajectory",
+     dict(u0=..., v0=..., rmax=None, tol=1e-10, **_IO)),
+    ("sweep", cmd_sweep, "uniqueness sweep over initial ratios",
+     dict(ratios="0.5,0.8,0.9,0.95,1,1.05,1.1,1.25,2", base=1.0, rmax=None, tol=1e-10, **_IO)),
+    ("identity", cmd_identity, "nested integral identity check",
+     dict(radii="0.1,1,10", t=1.0, tol=1e-5, config=None)),
+    ("potential", cmd_potential, "apply the radial inverse Laplacian", dict(input=None, **_IO)),
+    ("picard", cmd_picard, "fixed-point iteration from a bubble",
+     dict(t=1.0, perturb=0.0, steps=200, tol=1e-8, config=None)),
+    ("hls", cmd_hls, "HLS functional ratio", dict(lam=1.0, rexp=None, t=1.0, config=None)),
+    ("mp scan", cmd_mp_scan, "critical plane position (u and v)",
+     dict(lmin=-2.0, lmax=3.0, lnum=41, **_SAMPLER)),
+    ("mp check", cmd_mp_check, "reflection report at the plane --lam", dict(lam=0.0, **_SAMPLER)),
+    ("mp identity", cmd_mp_identity, "Green's reflection identity", dict(lam=0.0, x=-1.0, **_MP)),
+    ("verify-all", cmd_verify_all, "run the full acceptance suite",
+     dict(seed=acceptance.DEFAULT_SEED, out=None)),
+]
+_GROUPS = {"bubble": "the exact solution family", "mp": "moving-plane scans and checks"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="critsys",
-        description="Solve and verify the critical-exponent elliptic system")
+        prog="critsys", description="Solve and verify the critical-exponent elliptic system")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    flags = {"config": dict(help="JSON config path"), "out": dict(help="output file path"),
-             "tol": dict(type=float, default=1e-10)}
-
-    def add_flags(p, *names):  # each subcommand takes only the flags it reads
-        for name in names:
-            p.add_argument("--" + name, **flags[name])
-
-    p = sub.add_parser("bubble", help="evaluate the exact solution family")
-    p.add_argument("action", choices=["eval", "residual"])
-    p.add_argument("--t", type=float, default=1.0)
-    add_flags(p, "config", "out")
-    p.set_defaults(func=cmd_bubble)
-
-    p = sub.add_parser("shoot", help="integrate and classify one trajectory")
-    p.add_argument("--u0", type=float, required=True)
-    p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--rmax", type=float, help="default: the grid's rmax")
-    add_flags(p, "config", "out", "tol")
-    p.set_defaults(func=cmd_shoot)
-
-    p = sub.add_parser("sweep", help="uniqueness sweep over initial ratios")
-    p.add_argument("--ratios", default="0.5,0.8,0.9,0.95,1,1.05,1.1,1.25,2")
-    p.add_argument("--base", type=float, default=1.0)
-    p.add_argument("--rmax", type=float, help="default: the grid's rmax")
-    add_flags(p, "config", "out", "tol")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("identity", help="nested integral identity check")
-    p.add_argument("--radii", default="0.1,1,10")
-    p.add_argument("--t", type=float, default=1.0)
-    add_flags(p, "config", "tol")
-    p.set_defaults(func=cmd_identity, tol=1e-5)
-
-    p = sub.add_parser("potential", help="apply the radial inverse Laplacian")
-    p.add_argument("--input", help="CSV with columns r,value")
-    add_flags(p, "config", "out")
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("picard", help="fixed-point iteration from a bubble")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--perturb", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=200)
-    add_flags(p, "config", "tol")
-    p.set_defaults(func=cmd_picard, tol=1e-8)
-
-    p = sub.add_parser("hls", help="HLS bilinear functional ratio")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--rexp", type=float, default=6.0 / 5.0)
-    p.add_argument("--sexp", type=float, default=6.0 / 5.0)
-    p.add_argument("--t", type=float, default=1.0)
-    add_flags(p, "config")
-    p.set_defaults(func=cmd_hls)
-
-    p = sub.add_parser("mp", help="moving-plane scans and checks")
-    p.add_argument("action", choices=["scan", "check", "identity"])
-    p.add_argument("--center", type=float, default=0.0, help="x1 of the u bubble")
-    p.add_argument("--v-center", type=float, help="x1 of the v bubble (default: --center)")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=10.0)
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=-1.0)
-    p.add_argument("--lmin", type=float, default=-2.0)
-    p.add_argument("--lmax", type=float, default=3.0)
-    p.add_argument("--lnum", type=int, default=41)
-    add_flags(p, "config", "out")
-    p.set_defaults(func=cmd_mp)
-
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    add_flags(p, "out")
-    p.set_defaults(func=cmd_verify_all)
-
+    actions = {}
+    for command, func, help_text, flags in _COMMANDS:
+        name, _, action = command.partition(" ")
+        if action and name not in actions:
+            actions[name] = sub.add_parser(name, help=_GROUPS[name]).add_subparsers(
+                dest="action", required=True)
+        p = (actions[name] if action else sub).add_parser(action or name, help=help_text)
+        for dest, default in flags.items():
+            kind, text = _FLAGS[dest]
+            required = dict(required=True) if default is ... else dict(default=default)
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text, **required)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -52,10 +52,6 @@ class StepSizeUnderflow(CritsysError):
     pass
 
 
-class ToleranceNotMet(CritsysError):
-    pass
-
-
 class NonpositiveInput(CritsysError):
     pass
 

@@ -1,6 +1,12 @@
 import csv
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +15,19 @@ from critsys import acceptance
 from critsys import shooting as sh
 from critsys.bubble import eval_bubble_radial, make_bubble
 from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run
-from critsys.core import ExponentConfig
+from critsys.core import ExponentConfig, RadialGrid
+from critsys.potential import KernelSpec, hls_functional
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def readme_cli_lines():
+    """The critsys invocations of the README's CLI block, comments stripped."""
+    block = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(line[0] == "critsys" for line in lines)
+    return lines
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -26,6 +44,13 @@ def test_unknown_flag_is_usage_error(capsys):
        ["verify-all"])],
     *[[*cmd, "--out", "x.txt"] for cmd in (["identity"], ["picard"], ["hls"])],
     ["verify-all", "--config", "cfg.json"],
+    ["hls", "--sexp", "1.2"],
+    # each mp action takes only the flags it reads
+    *[["mp", action, flag, "1"] for action, flags in (
+        ("scan", ("--lam", "--x")),
+        ("check", ("--x", "--lmin", "--lmax", "--lnum")),
+        ("identity", ("--v-center", "--L", "--m", "--lmin", "--lmax", "--lnum")))
+      for flag in flags],
 ], ids=" ".join)
 def test_removed_flag_is_usage_error(argv):
     assert run(argv) == EXIT_USAGE
@@ -161,9 +186,13 @@ def test_bad_config_is_numerical_failure(tmp_path):
      '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"rmax": null}}'),
     (["bubble", "residual", "--config"], "cfg.json",
      '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"nodes": true}}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "tol": 1e-3}'),
+    (["bubble", "residual", "--config"], "cfg.json",
+     '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"num": 100}}'),
     (["potential", "--input"], "f.csv", "r,value\n0.5,1.0\n"),
 ], ids=["missing key", "json list", "float nodes", "grid list", "string r0", "null rmax",
-        "bool nodes", "one-row csv"])
+        "bool nodes", "unknown key", "unknown grid key", "one-row csv"])
 def test_malformed_input_is_usage_error(argv, name, text, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)
@@ -184,6 +213,26 @@ def test_hls_subcommand(capsys):
     assert run(["hls", "--lam", "1.0"]) == EXIT_OK
     val = float(capsys.readouterr().out.split()[-1])
     assert 2.0 < val < 2.5
+
+
+@pytest.mark.parametrize("argv, lam, r_exp, s_exp", [
+    (["hls"], 1.0, 1.2, 1.2),
+    (["hls", "--lam", "1.5"], 1.5, 4 / 3, 4 / 3),
+    (["hls", "--lam", "1.5", "--rexp", "1.2"], 1.5, 1.2, 1.5),
+], ids=["default", "lam 1.5", "lam 1.5 rexp 1.2"])
+def test_hls_derives_s_from_the_exponent_relation(argv, lam, r_exp, s_exp, capsys):
+    cfg, grid = ExponentConfig(3, 2.0, 3.0), RadialGrid.default()
+    f = eval_bubble_radial(make_bubble(cfg), grid.nodes) ** cfg.critical_sum
+    expected = hls_functional(f, f, grid, KernelSpec(3, lam), r_exp, s_exp)
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == f"hls ratio {expected:.12g}\n"
+
+
+@pytest.mark.parametrize("rexp", ["0", "1", "2"])
+def test_hls_rexp_without_s_above_one_is_usage_error(rexp, capsys):
+    # at n = 3, lambda = 1.5 the relation gives s > 1 only for 1 < r < 2
+    assert run(["hls", "--lam", "1.5", "--rexp", rexp]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: need 1 < --rexp")
 
 
 def test_mp_scan(capsys):
@@ -227,6 +276,14 @@ def test_verify_all_prints_seconds(capsys):
         assert re.match(rf"\[PASS\] {re.escape(name)} \(\d+\.\d\d s\): ", line), line
 
 
+def test_mp_identity_manifest_holds_only_its_flags(tmp_path, capsys):
+    out = tmp_path / "identity.txt"
+    assert run(["mp", "identity", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "identity.txt.manifest.json").read_text())
+    assert manifest["parameters"].keys() == {"subcommand", "action", "center", "t", "lam", "x",
+                                             "config", "out"}
+
+
 def test_mp_identity(capsys):
     assert run(["mp", "identity", "--center", "1.0", "--lam", "0",
                 "--x", "-1.0"]) == EXIT_OK
@@ -252,3 +309,26 @@ def test_picard_stream(capsys):
     assert run(["picard", "--steps", "2"]) == EXIT_OK
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert lines[0]["step"] == 1 and "residual" in lines[0]
+
+
+def test_solver_failure_is_numerical_failure(monkeypatch, capsys):
+    failed = SimpleNamespace(status=-1, success=False,
+                             message="Required step size is less than spacing between numbers.")
+    monkeypatch.setattr(sh, "solve_ivp", lambda *args, **kwargs: failed)
+    assert run(["shoot", "--u0", "1", "--v0", "1"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: StepSizeUnderflow: ")
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the README writes its --out files to the working directory
+    assert run(argv[1:]) == EXIT_OK
+
+
+def test_main_passes_the_exit_code_through():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "critsys.cli", "hls", "--lam", "4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "QuadratureDivergence" in proc.stderr

@@ -34,6 +34,7 @@ def test_removed_names_are_gone():
     assert not hasattr(core, "LpNorm")
     assert not hasattr(critsys, "LpNorm")
     assert not hasattr(errors, "QuadratureBudgetExceeded")
+    assert not hasattr(errors, "ToleranceNotMet")
     assert not hasattr(RadialGrid, "coarsened")
     assert isinstance(core.lp_norm_radial(F, GRID, 2.0, 3), float)
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from critsys import shooting
 from critsys.bubble import amplitude_constant, eval_bubble_radial, make_bubble
 from critsys.core import ExponentConfig, RadialGrid, RadialProfilePair
-from critsys.errors import HypothesisNotApplicable, NonpositiveInput
+from critsys.errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
 from critsys.shooting import (
     Kind,
     ShootInput,
@@ -94,6 +96,14 @@ class TestIntegrateRadial:
         monkeypatch.setattr(shooting, "solve_ivp", recording)
         integrate_radial(ShootInput(CFG, 1.0, 1.0, r_max=10.0, tol=1e-8))
         assert seen == [(1e-8, 1e-8)]
+
+    def test_solver_failure_is_step_size_underflow(self, monkeypatch):
+        # RK45 fails only when its step falls below the spacing of floats
+        message = "Required step size is less than spacing between numbers."
+        failed = SimpleNamespace(status=-1, success=False, message=message)
+        monkeypatch.setattr(shooting, "solve_ivp", lambda *args, **kwargs: failed)
+        with pytest.raises(StepSizeUnderflow, match=message):
+            integrate_radial(ShootInput(CFG, 1.0, 1.0, r_max=10.0))
 
 
 class TestClassify:
