@@ -16,6 +16,7 @@ from . import shooting as sh
 from .core import ExponentConfig, RadialGrid, validate_config
 
 DEFAULT_SEED = 1234
+_CFG = ExponentConfig(3, 2.0, 3.0)  # the (n, alpha, beta) of every single-config criterion
 
 
 def check_bubble_residual() -> tuple[bool, str]:
@@ -44,14 +45,13 @@ def check_system_closure() -> tuple[bool, str]:
 
 def check_shooting_oracle() -> tuple[bool, str]:
     """Diagonal shots reproduce phi_{0,t} to relative 1e-6 on [0, 50]."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
     c = bb.amplitude_constant(3)
     ts = (0.5, 1.0, 2.0)
     profiles = sh.integrate_radial_batch(
-        [sh.ShootInput(cfg, c * t ** -0.5, c * t ** -0.5, r_max=50.0) for t in ts])
+        [sh.ShootInput(_CFG, c * t ** -0.5, c * t ** -0.5, r_max=50.0) for t in ts])
     worst = 0.0
     for t, prof in zip(ts, profiles):
-        phi = bb.eval_bubble_radial(bb.make_bubble(cfg, t=t), prof.grid.nodes)
+        phi = bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), prof.grid.nodes)
         worst = max(worst, float(np.max(np.abs(prof.u - phi) / phi)))
     return worst <= 1e-6, f"max relative error {worst:.3e} (tol 1e-6)"
 
@@ -63,8 +63,7 @@ _sweep_cache: list | None = None
 def _sweep_rows() -> list:
     global _sweep_cache
     if _sweep_cache is None:
-        cfg = ExponentConfig(3, 2.0, 3.0)
-        _sweep_cache = sh.uniqueness_sweep(cfg, _SWEEP_RATIOS, base=1.0)
+        _sweep_cache = sh.uniqueness_sweep(_CFG, _SWEEP_RATIOS, base=1.0)
     return _sweep_cache
 
 
@@ -78,26 +77,24 @@ def check_uniqueness_witness() -> tuple[bool, str]:
 
 def check_sign_lemma() -> tuple[bool, str]:
     """u^a v^b > u^b v^a at every swept node with 0 < u < v."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
     violations = 0
     checked = 0
     for row in _sweep_rows():
         u, v = row.profile.u, row.profile.v
         mask = (u > 0.0) & (v > 0.0) & (u < v)
         checked += int(np.sum(mask))
-        violations += int(np.sum(sh.ordering_term(u[mask], v[mask], cfg) <= 0.0))
+        violations += int(np.sum(sh.ordering_term(u[mask], v[mask], _CFG) <= 0.0))
     return violations == 0, f"{checked} ordered nodes, {violations} violations"
 
 
 def check_integral_identity() -> tuple[bool, str]:
     """Nested-integral identity gap and its second-order convergence."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
-    params = bb.make_bubble(cfg, t=1.0)
+    params = bb.make_bubble(_CFG, t=1.0)
     radii = (0.1, 1.0, 10.0)
     gaps = []
     for num in (4000, 8000):
         grid = RadialGrid.geometric(num=num)
-        rep = sh.check_integral_identity(bb.bubble_profile(params, grid), cfg, radii)
+        rep = sh.check_integral_identity(bb.bubble_profile(params, grid), _CFG, radii)
         gaps.append(rep.max_abs_gap)
     factor = gaps[0] / gaps[1]
     ok = gaps[0] <= 1e-5 and factor >= 3.5
@@ -109,7 +106,7 @@ def check_newton_potential() -> tuple[bool, str]:
     base = np.geomspace(1e-6, 1e4, 9000)
     grid = RadialGrid(np.unique(np.concatenate([base, [1.0, 1.0 + 1e-9]])))
     f = (grid.nodes <= 1.0).astype(float)
-    u = pot.newton_potential_radial(f, grid, 3)
+    u, _ = pot.newton_potential_radial(f, grid, 3)
     err0 = abs(u[0] - 0.5)
     mass = 1.0 / 3.0
     ext = grid.nodes > 1.0
@@ -120,22 +117,20 @@ def check_newton_potential() -> tuple[bool, str]:
 
 def check_picard_fixed_point() -> tuple[bool, str]:
     """The bubble pair is a fixed point of the integral map."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
     grid = RadialGrid.default()
-    prof = bb.bubble_profile(bb.make_bubble(cfg, t=1.0), grid)
-    state = pot.picard_step(pot.PicardState(prof, residual=np.inf, step=0), cfg)
+    prof = bb.bubble_profile(bb.make_bubble(_CFG, t=1.0), grid)
+    state = pot.picard_step(pot.PicardState(prof, residual=np.inf, step=0), _CFG)
     return state.residual <= 1e-4, f"residual {state.residual:.3e} (tol 1e-4)"
 
 
 def check_moving_plane_symmetry() -> tuple[bool, str]:
     """Critical plane position recovers the bubble center within one cell."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
     sampler = mp.CartesianSampler(L=10.0, m=64)
     lambdas = np.linspace(-2.0, 3.0, 41)
     details = []
     ok = True
     for center_x1 in (0.0, 1.0):
-        params = bb.make_bubble(cfg, center=(center_x1, 0.0, 0.0), t=1.0)
+        params = bb.make_bubble(_CFG, center=(center_x1, 0.0, 0.0), t=1.0)
         field = bb.bubble_field(params)
         res = mp.critical_plane_scan(field, field, sampler, lambdas)
         # the scan itself raises ScanInconclusive unless every plane >= lambda0
@@ -147,22 +142,20 @@ def check_moving_plane_symmetry() -> tuple[bool, str]:
 
 def check_greens_identity() -> tuple[bool, str]:
     """Reflection identity: closed form vs half-space quadrature within 1e-10."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
-    params = bb.make_bubble(cfg, center=(1.0, 0.0, 0.0), t=1.0)
+    params = bb.make_bubble(_CFG, center=(1.0, 0.0, 0.0), t=1.0)
     worst = 0.0
     for lam, x1 in [(0.0, -1.0), (0.5, -0.5), (1.5, 0.0)]:
         lhs, rhs = mp.greens_reflection_identity(
-            params, mp.PlaneParam(lam), np.array([x1, 0.0, 0.0]), cfg)
+            params, mp.PlaneParam(lam), np.array([x1, 0.0, 0.0]), _CFG)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst <= 1e-10, f"max relative disagreement {worst:.3e} (tol 1e-10)"
 
 
 def check_hls_invariance() -> tuple[bool, str]:
     """Conformal invariance in t and exact homogeneity of the HLS ratio."""
-    cfg = ExponentConfig(3, 2.0, 3.0)
     grid = RadialGrid.default()
     kernel = pot.KernelSpec(3, 1.0)
-    fs = [bb.eval_bubble_radial(bb.make_bubble(cfg, t=t), grid.nodes) ** 5
+    fs = [bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), grid.nodes) ** 5
           for t in (0.5, 1.0, 2.0)]
     vals = [pot.hls_functional(f, f, grid, kernel, 6.0 / 5.0, 6.0 / 5.0) for f in fs]
     spread = (max(vals) - min(vals)) / np.mean(vals)
@@ -177,7 +170,6 @@ def check_hls_invariance() -> tuple[bool, str]:
 def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Randomized involution, swap, equal-start, and kernel positivity runs."""
     rng = np.random.default_rng(seed)
-    cfg = ExponentConfig(3, 2.0, 3.0)
     cases = 100
     fails = []
 
@@ -212,7 +204,7 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
     def shots(pairs):
         return sh.integrate_radial_batch(
-            [sh.ShootInput(cfg, float(u0), float(v0), r_max=50.0) for u0, v0 in pairs])
+            [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in pairs])
 
     a, b = shots(draws), shots(draws[:, ::-1])
     if any(np.max(np.abs(p.u - q.v)) > 1e-7 or np.max(np.abs(p.v - q.u)) > 1e-7

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -25,7 +26,7 @@ from . import moving_plane as mp
 from . import potential as pot
 from . import shooting as sh
 from .core import (DEFAULT_NODES, DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid,
-                   RadialProfilePair, validate_config)
+                   validate_config)
 from .errors import CritsysError
 
 EXIT_OK = 0
@@ -155,7 +156,7 @@ def cmd_potential(args) -> int:
         f = data[:, 1]
     else:
         f = (grid.nodes <= 1.0).astype(float)  # unit-ball demo source
-    u = pot.newton_potential_radial(f, grid, cfg.n)
+    u, _ = pot.newton_potential_radial(f, grid, cfg.n)
     if args.out:
         _save(args, header=["r", "value"], rows=zip(grid.nodes, u))
         print(f"wrote {args.out}")
@@ -166,17 +167,14 @@ def cmd_potential(args) -> int:
 
 def cmd_picard(args) -> int:
     cfg, grid = load_config(args.config)
-    prof = bb.bubble_profile(bb.make_bubble(cfg, t=args.t), grid)
-    scale = 1.0 + args.perturb
-    state = pot.PicardState(RadialProfilePair(grid, prof.u * scale, prof.v * scale,
-                                              prof.du * scale, prof.dv * scale),
-                            residual=float("inf"), step=0)
-    history = []
+    params = bb.make_bubble(cfg, t=args.t)
+    amplitude = params.c * (1.0 + args.perturb)  # NonpositiveScale unless positive
+    prof = bb.bubble_profile(dataclasses.replace(params, c=amplitude), grid)
     pot.picard_iterate(
-        state, cfg, residual_tol=args.tol, max_steps=args.steps,
-        callback=lambda s: history.append({"step": s.step, "residual": s.residual}))
-    for rec in history:
-        print(json.dumps(rec))
+        pot.PicardState(prof, residual=float("inf"), step=0), cfg,
+        residual_tol=args.tol, max_steps=args.steps,
+        callback=lambda s: print(json.dumps({"step": s.step, "residual": s.residual}),
+                                 flush=True))
     return EXIT_OK
 
 

@@ -2,7 +2,9 @@
 
 The normalized inverse Laplacian on radial functions reduces exactly to the
 one-dimensional kernel max(r,s)^(2-n)/(n-2): the average of |x-y|^(2-n) over
-the sphere |y| = s equals max(r,s)^(2-n) by harmonicity.
+the sphere |y| = s equals max(r,s)^(2-n) by harmonicity.  Its one
+implementation, newton_potential_radial, returns (u, u') in one pass; the
+Picard map and the HLS functional at lambda = n-2 both go through it.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ class PicardState:
     iterate: RadialProfilePair
     residual: float
     step: int
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.residual < 0.0 or self.step < 0:
@@ -63,25 +64,26 @@ def _check_integrable_tail(f: np.ndarray, grid: RadialGrid) -> None:
             "s^(n-1) f(s) s^(2-n) shows no decay over the last decade")
 
 
-def newton_potential_radial(f: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """u with -Laplace(u) = f for radial data f >= 0.
+def newton_potential_radial(f: np.ndarray, grid: RadialGrid,
+                            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u') with -Laplace(u) = f for radial data f >= 0.
 
-    u(r) = (1/(n-2)) [ r^(2-n) * int_0^r s^(n-1) f ds + int_r^inf s f ds ].
-    Beyond the grid, f is extrapolated as C * s^-(n+2), the decay of the
-    critical nonlinearity, and the tail added analytically.
+    u(r) = (1/(n-2)) [ r^(2-n) * int_0^r s^(n-1) f ds + int_r^inf s f ds ],
+    where the first term is -r u'(r).  Beyond the grid, f is extrapolated as
+    C * s^-(n+2), the decay of the critical nonlinearity, and the tail added
+    analytically.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0.0):
         raise NonintegrableInput("f must be nonnegative")
     _check_integrable_tail(f, grid)
     r = grid.nodes
-
-    inner = cumulative_trapezoid(r ** (n - 1) * f, r, initial=0.0)
+    du = newton_potential_derivative(f, grid, n)
     outer_rev = -cumulative_trapezoid((r * f)[::-1], r[::-1], initial=0.0)[::-1]
     # analytic tail: int_rmax^inf s * C s^-(n+2) ds = C rmax^-n / n
     c_tail = f[-1] * grid.rmax ** (n + 2.0)
     outer_rev = outer_rev + c_tail * grid.rmax ** -float(n) / n
-    return (r ** (2.0 - n) * inner + outer_rev) / (n - 2.0)
+    return (outer_rev - r * du) / (n - 2.0), du
 
 
 def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
@@ -96,25 +98,17 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
 def picard_step(state: PicardState, config: ExponentConfig) -> PicardState:
     """One application of u <- (-Lap)^-1(u^a v^b), v <- (-Lap)^-1(u^b v^a)."""
     prof = state.iterate
-    grid = prof.grid
-    n = config.n
-    if np.max(prof.u) == 0.0 and np.max(prof.v) == 0.0:
-        return PicardState(prof, residual=0.0, step=state.step + 1,
-                           degenerate=True)
-    fu = prof.u ** config.alpha * prof.v ** config.beta
-    fv = prof.u ** config.beta * prof.v ** config.alpha
-    new_u = newton_potential_radial(fu, grid, n)
-    new_v = newton_potential_radial(fv, grid, n)
+    new_u, du = newton_potential_radial(prof.u ** config.alpha * prof.v ** config.beta,
+                                        prof.grid, config.n)
+    new_v, dv = newton_potential_radial(prof.u ** config.beta * prof.v ** config.alpha,
+                                        prof.grid, config.n)
     sup = max(np.max(new_u), np.max(new_v))
     if sup > BLOWUP_SUP:
         raise IterateBlowup(f"iterate sup-norm {sup:.3e} exceeds {BLOWUP_SUP:.0e}")
     residual = max(float(np.max(np.abs(new_u - prof.u))),
                    float(np.max(np.abs(new_v - prof.v))))
-    new_prof = RadialProfilePair(
-        grid, new_u, new_v,
-        newton_potential_derivative(fu, grid, n),
-        newton_potential_derivative(fv, grid, n))
-    return PicardState(new_prof, residual=residual, step=state.step + 1)
+    return PicardState(RadialProfilePair(prof.grid, new_u, new_v, du, dv),
+                       residual=residual, step=state.step + 1)
 
 
 def picard_iterate(state: PicardState, config: ExponentConfig,
@@ -150,8 +144,10 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
                    kernel: KernelSpec, r_exp: float, s_exp: float) -> float:
     """J(f, g) / (||f||_r ||g||_s) for nonnegative radial f, g.
 
-    J is the bilinear Riesz functional, with 1/r + 1/s + lambda/n = 2; off
-    lambda = n-2 the grid must be geometric (NonGeometricGrid otherwise).
+    J is the bilinear Riesz functional, with 1/r + 1/s + lambda/n = 2.  At
+    lambda = n-2 it is (n-2) <f, N g> with N the Newton potential (which
+    raises NonintegrableInput for non-decaying g); off it the grid must be
+    geometric (NonGeometricGrid otherwise).
     """
     n, lam = kernel.n, kernel.lam
     if abs(1.0 / r_exp + 1.0 / s_exp + lam / n - 2.0) > EXPONENT_RELATION_TOL:
@@ -172,20 +168,17 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
     wf = w * r ** (n - 1) * f
-    wg = w * r ** (n - 1) * g
 
     if abs(lam - (n - 2.0)) < 1e-14:
-        # max(r,s)^(2-n) splits into the columns s <= r and the columns s > r
-        below = r ** (2.0 - n) * np.cumsum(wg)
-        above = np.cumsum((wg * r ** (2.0 - n))[::-1])[::-1]
-        total = wf @ (below + np.append(above[1:], 0.0))
+        # the average max(r,s)^(2-n) is (n-2) times the Newton kernel
+        total = (n - 2.0) * (wf @ newton_potential_radial(g, grid, n)[0])
     else:
         if (q := grid.log_step) is None:
             raise NonGeometricGrid("HLS off lambda = n-2 needs a geometric grid")
         # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix
         t = q ** np.arange(len(r))
         toeplitz = (_angular_factor(1.0, 1.0 / t, kernel), _angular_factor(1.0, t, kernel))
-        total = (wf * r ** -lam) @ matmul_toeplitz(toeplitz, wg)
+        total = (wf * r ** -lam) @ matmul_toeplitz(toeplitz, w * r ** (n - 1) * g)
         gam = n - 1.0 - lam
         if gam < 1.0:
             # near s = r the average carries a cusp r^-lam K (2|r-s|/r)^gam,

@@ -308,14 +308,13 @@ def ordering_term(u, v, config: ExponentConfig):
     return u ** config.alpha * v ** config.beta - u ** config.beta * v ** config.alpha
 
 
-def _cumulative_nested(profile: RadialProfilePair, forcing: np.ndarray,
-                       n: int) -> np.ndarray:
+def _cumulative_nested(forcing: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Cumulative value of int_0^r tau^(1-n) int_0^tau s^(n-1) f ds dtau.
 
     Trapezoid both levels (the inner one is the potential's derivative,
-    -u'); the [0, r0] head contributes O(r0^2) and is dropped.
+    -u', which unlike the potential accepts a signed forcing); the [0, r0]
+    head contributes O(r0^2) and is dropped.
     """
-    grid = profile.grid
     return cumulative_trapezoid(-newton_potential_derivative(forcing, grid, n), grid.nodes,
                                 initial=0.0)
 
@@ -333,8 +332,8 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
     u0, v0 = float(u[0]), float(v[0])
     fu = u ** config.alpha * v ** config.beta
     fv = u ** config.beta * v ** config.alpha
-    nested_u = _cumulative_nested(profile, fu, config.n)
-    nested_v = _cumulative_nested(profile, fv, config.n)
+    nested_u = _cumulative_nested(fu, profile.grid, config.n)
+    nested_v = _cumulative_nested(fv, profile.grid, config.n)
 
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     i = np.argmin(np.abs(r[:, None] - radii), axis=0)
@@ -355,4 +354,4 @@ def contradiction_witness(profile: RadialProfilePair,
     """
     f = (profile.u ** config.alpha * profile.v ** config.beta
          - profile.u ** config.beta * profile.v ** config.alpha)
-    return _cumulative_nested(profile, f, config.n)
+    return _cumulative_nested(f, profile.grid, config.n)

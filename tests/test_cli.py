@@ -309,6 +309,19 @@ def test_picard_stream(capsys):
     assert run(["picard", "--steps", "2"]) == EXIT_OK
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert lines[0]["step"] == 1 and "residual" in lines[0]
+    # a run that ends in IterateBlowup has already printed every step before it
+    assert run(["picard", "--steps", "12"]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["step"] for l in out.splitlines()] == list(range(1, 10))
+    assert err.startswith("numerical failure: IterateBlowup: ")
+
+
+@pytest.mark.parametrize("perturb", ["-1", "-1.5"])
+def test_picard_nonpositive_amplitude_is_numerical_failure(perturb, capsys):
+    # the zero pair (or a negative one) is not a positive bound state
+    assert run(["picard", f"--perturb={perturb}", "--steps", "2"]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: NonpositiveScale: ")
 
 
 def test_solver_failure_is_numerical_failure(monkeypatch, capsys):

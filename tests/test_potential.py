@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import gamma, zeta
 
+from critsys import potential
 from critsys.bubble import bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import (
     ExponentConfig,
@@ -56,7 +58,7 @@ def lieb_rel_error(n, lam, num):
 
 
 def dense_hls(f, grid, kernel, p):
-    """hls_functional(f, f, ...) off lam = n-2 with the N x N sphere-average matrix."""
+    """hls_functional(f, f, ...) with the N x N sphere-average matrix."""
     n, lam = kernel.n, kernel.lam
     r = grid.nodes
     w = np.zeros_like(r)
@@ -77,25 +79,26 @@ class TestNewtonPotential:
         # -Lap u = 1 in the unit ball with harmonic matching: u(0) = 1/2
         grid = indicator_grid()
         f = (grid.nodes <= 1.0).astype(float)
-        u = newton_potential_radial(f, grid, 3)
+        u, _ = newton_potential_radial(f, grid, 3)
         assert u[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_exterior_newtons_theorem(self):
         grid = indicator_grid()
         f = (grid.nodes <= 1.0).astype(float)
-        u = newton_potential_radial(f, grid, 3)
+        u, _ = newton_potential_radial(f, grid, 3)
         ext = grid.nodes > 1.0
         assert np.max(np.abs(u[ext] - (1.0 / 3.0) / grid.nodes[ext])) < 1e-6
 
     def test_zero_maps_to_zero(self):
         grid = RadialGrid.geometric(num=500)
-        assert np.all(newton_potential_radial(np.zeros(len(grid)), grid, 3) == 0.0)
+        u, du = newton_potential_radial(np.zeros(len(grid)), grid, 3)
+        assert np.all(u == 0.0) and np.all(du == 0.0)
 
     def test_bubble_nonlinearity_recovers_bubble(self):
         grid = RadialGrid.default()
         b = make_bubble(CFG, t=1.0)
         phi = eval_bubble_radial(b, grid.nodes)
-        u = newton_potential_radial(phi ** 5, grid, 3)
+        u, _ = newton_potential_radial(phi ** 5, grid, 3)
         assert np.max(np.abs(u - phi)) < 1e-4
 
     def test_inverse_property_second_order(self):
@@ -104,7 +107,7 @@ class TestNewtonPotential:
         for num in (2000, 4000):
             grid = RadialGrid.geometric(1e-6, 1e3, num)
             f = np.exp(-grid.nodes ** 2)
-            u = newton_potential_radial(f, grid, 3)
+            u, _ = newton_potential_radial(f, grid, 3)
             lap = radial_laplacian(u, grid, 3)
             window = (grid.nodes > 0.05) & (grid.nodes < 5.0)
             errs.append(np.max(np.abs(-lap[window] - f[window])))
@@ -114,7 +117,8 @@ class TestNewtonPotential:
         grid = RadialGrid.geometric(num=2000)
         f = np.exp(-grid.nodes ** 2)
         du = newton_potential_derivative(f, grid, 3)
-        u = newton_potential_radial(f, grid, 3)
+        u, du_pot = newton_potential_radial(f, grid, 3)
+        assert np.array_equal(du_pot, du)  # the potential's u' is this one integral
         window = (grid.nodes > 0.1) & (grid.nodes < 5.0)
         fd = np.gradient(u, grid.nodes)
         assert np.max(np.abs(du[window] - fd[window])) < 1e-3
@@ -154,14 +158,26 @@ class TestPicard:
         s2 = picard_step(s1, CFG)
         assert np.isfinite(s2.residual)
 
-    def test_zero_iterate_degenerate(self):
+    def test_zero_iterate_maps_to_zero(self):
         grid = RadialGrid.geometric(num=500)
         zeros = np.zeros(len(grid))
         state = PicardState(RadialProfilePair(grid, zeros, zeros, zeros, zeros),
                             residual=np.inf, step=0)
         out = picard_step(state, CFG)
         assert out.residual == 0.0
-        assert out.degenerate
+
+    def test_step_integrates_each_component_once(self, monkeypatch):
+        # one inner and one outer cumulative integral per component
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cumulative_trapezoid(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "cumulative_trapezoid", counting)
+        prof = bubble_profile(make_bubble(CFG, t=1.0), RadialGrid.default())
+        picard_step(PicardState(prof, residual=np.inf, step=0), CFG)
+        assert len(calls) == 4
 
     def test_blowup_detected(self):
         grid = RadialGrid.geometric(1e-6, 1e4, 500)
@@ -245,12 +261,30 @@ class TestHlsFunctional:
         assert hls_functional(f, f, grid, kernel, p, p) == pytest.approx(
             dense_hls(f, grid, kernel, p), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("n,lam", [(3, 1.0), (4, 2.0), (5, 3.0)])
+    def test_newton_path_matches_dense_kernel(self, n, lam):
+        # at lam = n-2 the functional goes through the Newton potential, whose
+        # analytic tail beyond rmax is the only difference from the double sum
+        grid = RadialGrid.geometric(num=500)
+        f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
+        p = 2.0 * n / (2.0 * n - lam)
+        kernel = KernelSpec(n, lam)
+        assert hls_functional(f, f, grid, kernel, p, p) == pytest.approx(
+            dense_hls(f, grid, kernel, p), rel=1e-11, abs=0.0)
+
+    def test_nondecaying_input_refused_at_harmonic(self):
+        # 1/(1+r) is not in L^(6/5)(R^3); the truncated grid would hide that
+        grid = RadialGrid.default()
+        f = 1.0 / (1.0 + grid.nodes)
+        with pytest.raises(NonintegrableInput):
+            hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5)
+
     def test_non_geometric_grid_refused_off_harmonic(self):
         grid = indicator_grid(num=500)
         f = np.exp(-grid.nodes)
         with pytest.raises(NonGeometricGrid):
             hls_functional(f, f, grid, KernelSpec(3, 1.5), 12 / 9, 12 / 9)
-        # the harmonic exponent lam = n-2 sums two cumsums on any grid
+        # the harmonic exponent lam = n-2 goes through the Newton potential on any grid
         assert hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5) > 0.0
 
     def test_lieb_error_second_order(self):

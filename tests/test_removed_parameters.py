@@ -7,7 +7,7 @@ from critsys import core, errors, moving_plane, potential
 from critsys.bubble import make_bubble
 from critsys.core import ExponentConfig, RadialGrid, radial_laplacian
 from critsys.moving_plane import CartesianSampler, PlaneParam, greens_reflection_identity
-from critsys.potential import newton_potential_radial
+from critsys.potential import PicardState, newton_potential_radial
 from critsys.shooting import ShootInput, sweep_consistent
 
 CFG = ExponentConfig(3, 2.0, 3.0)
@@ -24,7 +24,8 @@ F = np.exp(-GRID.nodes)
                                        np.array([-1.0, 0, 0]), CFG, ny=10),
     lambda: ShootInput(CFG, 1.0, 1.0, atol=1e-8),
     lambda: core.lp_norm_radial(F, GRID, 2.0, 3, check_tol=1e-8),
-], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol"])
+    lambda: PicardState(None, residual=0.0, step=0, degenerate=True),
+], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "degenerate"])
 def test_removed_parameter_is_rejected(call):
     with pytest.raises(TypeError):
         call()

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critsys import shooting
-from critsys.bubble import amplitude_constant, eval_bubble_radial, make_bubble
+from critsys.bubble import amplitude_constant, bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import ExponentConfig, RadialGrid, RadialProfilePair
 from critsys.errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
 from critsys.shooting import (
@@ -25,6 +25,7 @@ from critsys.shooting import (
 
 CFG = ExponentConfig(3, 2.0, 3.0)
 C3 = amplitude_constant(3)
+UNIT = make_bubble(CFG, t=1.0)
 
 
 def first_crossing_loop(nodes, u, v):
@@ -49,13 +50,6 @@ def record_solves(monkeypatch):
 
     monkeypatch.setattr(shooting, "solve_ivp", recording)
     return sols
-
-
-def bubble_profile(t, grid):
-    b = make_bubble(CFG, t=t)
-    phi = eval_bubble_radial(b, grid.nodes)
-    dphi = -phi * grid.nodes / (t ** 2 + grid.nodes ** 2)
-    return RadialProfilePair(grid, phi, phi, dphi, dphi)
 
 
 class TestIntegrateRadial:
@@ -267,14 +261,14 @@ class TestUniquenessSweep:
 class TestIntegralIdentity:
     def test_bubble_gap_small(self):
         rep = check_integral_identity(
-            bubble_profile(1.0, RadialGrid.default()), CFG, [0.1, 1.0, 10.0])
+            bubble_profile(UNIT, RadialGrid.default()), CFG, [0.1, 1.0, 10.0])
         assert rep.max_abs_gap <= 1e-5
 
     def test_second_order_convergence(self):
         gaps = []
         for num in (4000, 8000):
             rep = check_integral_identity(
-                bubble_profile(1.0, RadialGrid.geometric(num=num)),
+                bubble_profile(UNIT, RadialGrid.geometric(num=num)),
                 CFG, [0.1, 1.0, 10.0])
             gaps.append(rep.max_abs_gap)
         assert gaps[0] / gaps[1] >= 3.5
@@ -290,7 +284,7 @@ class TestIntegralIdentity:
 
     def test_zero_radius_both_sides_zero(self):
         grid = RadialGrid.geometric(num=1000)
-        rep = check_integral_identity(bubble_profile(1.0, grid), CFG, [0.0, 1e-7, 1.0])
+        rep = check_integral_identity(bubble_profile(UNIT, grid), CFG, [0.0, 1e-7, 1.0])
         for side in (rep.r_checked, rep.lhs_u, rep.rhs_u, rep.lhs_v, rep.rhs_v):
             assert side[0] == side[1] == 0.0 and side[2] > 0.0
         assert rep.r_checked[2] == grid.nodes[np.argmin(np.abs(grid.nodes - 1.0))]
