@@ -13,7 +13,6 @@ from .core import (
     RadialGrid,
     RadialProfilePair,
     lp_norm_radial,
-    validate_config,
 )
 from .bubble import (
     BubbleParams,
@@ -39,7 +38,6 @@ from .shooting import (
 )
 from .potential import (
     KernelSpec,
-    PicardState,
     hls_functional,
     newton_potential_radial,
     picard_step,

@@ -33,9 +33,9 @@ class BubbleParams:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if self.t <= 0.0:
+        if not self.t > 0.0:
             raise NonpositiveScale(f"need t > 0, got {self.t}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise NonpositiveScale(f"need c > 0, got {self.c}")
 
     @property
@@ -45,8 +45,6 @@ class BubbleParams:
 
 def make_bubble(config: ExponentConfig, center=None, t: float = 1.0) -> BubbleParams:
     """Bubble parameters at the given center and scale."""
-    if t <= 0.0:
-        raise NonpositiveScale(f"need t > 0, got {t}")
     if center is None:
         center = np.zeros(config.n)
     center = np.atleast_1d(np.asarray(center, dtype=float))

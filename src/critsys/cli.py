@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,8 +26,7 @@ from . import bubble as bb
 from . import moving_plane as mp
 from . import potential as pot
 from . import shooting as sh
-from .core import (DEFAULT_NODES, DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid,
-                   validate_config)
+from .core import DEFAULT_NODES, DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid
 from .errors import CritsysError
 
 EXIT_OK = 0
@@ -42,7 +42,8 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
     if path is None:
         return ExponentConfig(3, 2.0, 3.0), RadialGrid.default()
     with open(path) as fh:
-        raw = json.load(fh)
+        # json reads NaN and Infinity as constants, and 1e400 as inf
+        raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
     if not isinstance(raw, dict) or not {"n", "alpha", "beta"} <= raw.keys():
         raise ValueError(f"{path}: config must be an object with keys n, alpha and beta")
     g = raw.get("grid", {})
@@ -52,7 +53,7 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
         "grid." + k for k in g.keys() - {"r0", "rmax", "nodes"})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
-    cfg = validate_config(raw["n"], raw["alpha"], raw["beta"])
+    cfg = ExponentConfig(raw["n"], raw["alpha"], raw["beta"])
     r0, rmax, nodes = (g.get("r0", DEFAULT_R0), g.get("rmax", DEFAULT_RMAX),
                        g.get("nodes", DEFAULT_NODES))
     # type(), not isinstance(): true is an int, but neither a radius nor a node count
@@ -61,8 +62,16 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
     return cfg, RadialGrid.geometric(r0, rmax, nodes)
 
 
+def _finite(text: str) -> float:
+    """float(text), raising ValueError (a usage error to argparse) unless finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text}")
+    return x
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _save(args, text: str | None = None, header=None, rows=None) -> str | None:
@@ -150,8 +159,8 @@ def cmd_potential(args) -> int:
     cfg, grid = load_config(args.config)
     if args.input:
         data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[0] < 3 or data.shape[1] < 2:
-            raise ValueError(f"{args.input}: need columns r,value and at least 3 rows")
+        if data.shape[0] < 3 or data.shape[1] < 2 or not np.isfinite(data).all():
+            raise ValueError(f"{args.input}: need finite columns r,value and at least 3 rows")
         grid = RadialGrid(data[:, 0])
         f = data[:, 1]
     else:
@@ -170,11 +179,9 @@ def cmd_picard(args) -> int:
     params = bb.make_bubble(cfg, t=args.t)
     amplitude = params.c * (1.0 + args.perturb)  # NonpositiveScale unless positive
     prof = bb.bubble_profile(dataclasses.replace(params, c=amplitude), grid)
-    pot.picard_iterate(
-        pot.PicardState(prof, residual=float("inf"), step=0), cfg,
-        residual_tol=args.tol, max_steps=args.steps,
-        callback=lambda s: print(json.dumps({"step": s.step, "residual": s.residual}),
-                                 flush=True))
+    steps = pot.picard_iterate(prof, cfg, residual_tol=args.tol, max_steps=args.steps)
+    for step, (_, residual) in enumerate(steps, 1):
+        print(json.dumps({"step": step, "residual": residual}), flush=True)
     return EXIT_OK
 
 
@@ -250,20 +257,20 @@ def cmd_verify_all(args) -> int:
 _FLAGS = {
     "config": (str, "JSON config: n, alpha, beta and grid {r0, rmax, nodes}"),
     "out": (str, "output file; the manifest goes to OUT.manifest.json"),
-    "tol": (float, "solver atol = rtol, gap bound or residual target"),
-    "t": (float, "bubble scale t"), "u0": (float, "u(0)"), "v0": (float, "v(0)"),
-    "rmax": (float, "outer radius (default: the grid's rmax)"),
-    "ratios": (str, "comma-separated v0/u0 ratios"), "base": (float, "u0 of every shot"),
+    "tol": (_finite, "solver atol = rtol, gap bound or residual target"),
+    "t": (_finite, "bubble scale t"), "u0": (_finite, "u(0)"), "v0": (_finite, "v(0)"),
+    "rmax": (_finite, "outer radius (default: the grid's rmax)"),
+    "ratios": (str, "comma-separated v0/u0 ratios"), "base": (_finite, "u0 of every shot"),
     "radii": (str, "comma-separated radii"),
     "input": (str, "CSV with columns r,value (default: the unit ball)"),
-    "perturb": (float, "relative amplitude perturbation"), "steps": (int, "maximum steps"),
-    "lam": (float, "kernel exponent lambda (hls); plane x1 = lambda (mp)"),
-    "rexp": (float, "r of ||f||_r (default 2n/(2n-lambda)); 1/r + 1/s + lambda/n = 2 gives s"),
-    "center": (float, "x1 of the u bubble"),
-    "v_center": (float, "x1 of the v bubble (default: --center)"),
-    "L": (float, "sampler box [-L, L] x [0, L]"), "m": (int, "sampler nodes per axis"),
-    "lmin": (float, "first plane"), "lmax": (float, "last plane"), "lnum": (int, "planes"),
-    "x": (float, "x1 of the point x"), "seed": (int, "property-suite seed"),
+    "perturb": (_finite, "relative amplitude perturbation"), "steps": (int, "maximum steps"),
+    "lam": (_finite, "kernel exponent lambda (hls); plane x1 = lambda (mp)"),
+    "rexp": (_finite, "r of ||f||_r (default 2n/(2n-lambda)); 1/r + 1/s + lambda/n = 2 gives s"),
+    "center": (_finite, "x1 of the u bubble"),
+    "v_center": (_finite, "x1 of the v bubble (default: --center)"),
+    "L": (_finite, "sampler box [-L, L] x [0, L]"), "m": (int, "sampler nodes per axis"),
+    "lmin": (_finite, "first plane"), "lmax": (_finite, "last plane"), "lnum": (int, "planes"),
+    "x": (_finite, "x1 of the point x"), "seed": (int, "property-suite seed"),
 }
 _IO = dict(config=None, out=None)
 _MP = dict(center=0.0, t=1.0, **_IO)

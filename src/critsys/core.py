@@ -1,4 +1,4 @@
-"""Domain types, configuration validation, radial grids, and norm utilities.
+"""Domain types checked on construction, radial grids, and norm utilities.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across workers.
@@ -47,6 +47,31 @@ class ExponentConfig:
     alpha: float
     beta: float
 
+    def __post_init__(self):
+        """Raise DimensionTooSmall, ExponentOutOfRange, InfeasibleHypothesis or
+        CriticalityViolated (each check fails on NaN); warn for n >= 6, where
+        criticality leaves only alpha = beta.
+        """
+        n, alpha, beta = int(self.n), float(self.alpha), float(self.beta)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if n < 3:
+            raise DimensionTooSmall(f"need n >= 3, got n = {n}")
+        if not (alpha >= 1.0 and beta >= 1.0):
+            raise ExponentOutOfRange(f"need alpha, beta >= 1, got ({alpha}, {beta})")
+        crit = self.critical_sum
+        if alpha < beta and 2.0 * alpha >= crit - CRITICALITY_TOL:
+            # alpha < beta forces alpha + beta > 2*alpha >= critical sum
+            raise InfeasibleHypothesis(f"alpha < beta is impossible at n = {n}: 2*alpha = "
+                                       f"{2 * alpha} >= (n+2)/(n-2) = {crit}")
+        if not abs(alpha + beta - crit) <= CRITICALITY_TOL:
+            raise CriticalityViolated(
+                f"alpha + beta = {alpha + beta} must equal (n+2)/(n-2) = {crit}")
+        if n >= 6:  # stacklevel 3: past __post_init__ and __init__, at the caller
+            warnings.warn(f"n = {n} admits only alpha = beta = {crit / 2}; the ordered "
+                          "uniqueness experiments do not apply", stacklevel=3)
+
     @property
     def critical_sum(self) -> float:
         return (self.n + 2.0) / (self.n - 2.0)
@@ -56,44 +81,9 @@ class ExponentConfig:
         return self.alpha < self.beta
 
 
-def validate_config(n: int, alpha: float, beta: float) -> ExponentConfig:
-    """Validate (n, alpha, beta) and return an ExponentConfig.
-
-    Raises DimensionTooSmall, ExponentOutOfRange, InfeasibleHypothesis or
-    CriticalityViolated.  For n >= 6 the ordered case alpha < beta is
-    impossible under the critical constraint, so an equal-exponent config is
-    accepted with a warning.
-    """
-    n = int(n)
-    if n < 3:
-        raise DimensionTooSmall(f"need n >= 3, got n = {n}")
-    alpha = float(alpha)
-    beta = float(beta)
-    if alpha < 1.0 or beta < 1.0:
-        raise ExponentOutOfRange(f"need alpha, beta >= 1, got ({alpha}, {beta})")
-    crit = (n + 2.0) / (n - 2.0)
-    if alpha < beta and 2.0 * alpha >= crit - CRITICALITY_TOL:
-        # alpha < beta forces alpha + beta > 2*alpha >= critical sum
-        raise InfeasibleHypothesis(
-            f"alpha < beta is impossible at n = {n}: 2*alpha = {2 * alpha} "
-            f">= (n+2)/(n-2) = {crit}"
-        )
-    if abs(alpha + beta - crit) > CRITICALITY_TOL:
-        raise CriticalityViolated(
-            f"alpha + beta = {alpha + beta} must equal (n+2)/(n-2) = {crit}"
-        )
-    if n >= 6:
-        warnings.warn(
-            f"n = {n} admits only alpha = beta = {crit / 2}; the ordered "
-            "uniqueness experiments do not apply",
-            stacklevel=2,
-        )
-    return ExponentConfig(n=n, alpha=alpha, beta=beta)
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii."""
+    """Strictly increasing positive finite radii."""
 
     nodes: np.ndarray
 
@@ -102,8 +92,8 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 3:
             raise GridTooCoarse("grid needs at least 3 nodes")
-        if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be positive and strictly increasing")
+        if not np.all(np.isfinite(nodes)) or nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
+            raise ValueError("grid nodes must be finite, positive and strictly increasing")
         if nodes[0] > 1e-4:
             raise ValueError(f"first node must be <= 1e-4, got {nodes[0]}")
 

@@ -71,6 +71,8 @@ class CartesianSampler:
     n: int = 3
 
     def __post_init__(self):
+        if not self.L > 0.0:
+            raise ValueError(f"need L > 0, got {self.L}")
         if self.m < 8:
             raise ValueError("need m >= 8 nodes per axis")
         if self.m * self.m > SAMPLER_BUDGET:

@@ -5,10 +5,13 @@ one-dimensional kernel max(r,s)^(2-n)/(n-2): the average of |x-y|^(2-n) over
 the sphere |y| = s equals max(r,s)^(2-n) by harmonicity.  Its one
 implementation, newton_potential_radial, returns (u, u') in one pass; the
 Picard map and the HLS functional at lambda = n-2 both go through it.
+
+picard_step maps a profile pair to (pair, residual); picard_iterate yields
+each (pair, residual) as it is computed and does no work until consumed.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +42,6 @@ class KernelSpec:
     def __post_init__(self):
         if not 0.0 < self.lam < self.n:
             raise QuadratureDivergence(f"need 0 < lambda < n, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class PicardState:
-    """One iterate of the integral-form fixed point map."""
-
-    iterate: RadialProfilePair
-    residual: float
-    step: int
-
-    def __post_init__(self):
-        if self.residual < 0.0 or self.step < 0:
-            raise ValueError("residual and step must be nonnegative")
 
 
 def _check_integrable_tail(f: np.ndarray, grid: RadialGrid) -> None:
@@ -95,33 +85,34 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
     return -inner / r ** (n - 1)
 
 
-def picard_step(state: PicardState, config: ExponentConfig) -> PicardState:
-    """One application of u <- (-Lap)^-1(u^a v^b), v <- (-Lap)^-1(u^b v^a)."""
-    prof = state.iterate
-    new_u, du = newton_potential_radial(prof.u ** config.alpha * prof.v ** config.beta,
-                                        prof.grid, config.n)
-    new_v, dv = newton_potential_radial(prof.u ** config.beta * prof.v ** config.alpha,
-                                        prof.grid, config.n)
+def picard_step(profile: RadialProfilePair,
+                config: ExponentConfig) -> tuple[RadialProfilePair, float]:
+    """u <- (-Lap)^-1(u^a v^b), v <- (-Lap)^-1(u^b v^a), and the sup-norm change."""
+    new_u, du = newton_potential_radial(profile.u ** config.alpha * profile.v ** config.beta,
+                                        profile.grid, config.n)
+    new_v, dv = newton_potential_radial(profile.u ** config.beta * profile.v ** config.alpha,
+                                        profile.grid, config.n)
     sup = max(np.max(new_u), np.max(new_v))
     if sup > BLOWUP_SUP:
         raise IterateBlowup(f"iterate sup-norm {sup:.3e} exceeds {BLOWUP_SUP:.0e}")
-    residual = max(float(np.max(np.abs(new_u - prof.u))),
-                   float(np.max(np.abs(new_v - prof.v))))
-    return PicardState(RadialProfilePair(prof.grid, new_u, new_v, du, dv),
-                       residual=residual, step=state.step + 1)
+    residual = max(float(np.max(np.abs(new_u - profile.u))),
+                   float(np.max(np.abs(new_v - profile.v))))
+    return RadialProfilePair(profile.grid, new_u, new_v, du, dv), residual
 
 
-def picard_iterate(state: PicardState, config: ExponentConfig,
-                   residual_tol: float = 1e-8, max_steps: int = 200,
-                   callback=None) -> PicardState:
-    """Iterate picard_step until the residual tolerance or the step cap."""
+def picard_iterate(profile: RadialProfilePair, config: ExponentConfig,
+                   residual_tol: float = 1e-8,
+                   max_steps: int = 200) -> Iterator[tuple[RadialProfilePair, float]]:
+    """Yield (iterate, residual) after each picard_step, at most max_steps times.
+
+    Stops after the first step whose residual is below residual_tol.  Steps
+    run only as the generator is consumed.
+    """
     for _ in range(max_steps):
-        state = picard_step(state, config)
-        if callback is not None:
-            callback(state)
-        if state.residual < residual_tol:
-            break
-    return state
+        profile, residual = picard_step(profile, config)
+        yield profile, residual
+        if residual < residual_tol:
+            return
 
 
 def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndarray:

@@ -10,7 +10,7 @@ from critsys.bubble import (
     make_bubble,
     pair_residual,
 )
-from critsys.core import ExponentConfig, RadialGrid, validate_config
+from critsys.core import ExponentConfig, RadialGrid
 from critsys.errors import NonpositiveScale
 
 
@@ -106,6 +106,6 @@ class TestBubbleResidual:
 class TestPairProperty:
     @pytest.mark.parametrize("n,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 1, 4 / 3)])
     def test_pair_solves_both_equations(self, n, alpha, beta, grid):
-        cfg = validate_config(n, alpha, beta)
+        cfg = ExponentConfig(n, alpha, beta)
         ru, rv = pair_residual(make_bubble(cfg, t=1.0), cfg, grid)
         assert ru <= 1e-6 and rv <= 1e-6

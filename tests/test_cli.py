@@ -14,7 +14,7 @@ import pytest
 from critsys import acceptance
 from critsys import shooting as sh
 from critsys.bubble import eval_bubble_radial, make_bubble
-from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run
+from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, run
 from critsys.core import ExponentConfig, RadialGrid
 from critsys.potential import KernelSpec, hls_functional
 
@@ -200,6 +200,44 @@ def test_malformed_input_is_usage_error(argv, name, text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_NONFINITE_FILES = {
+    "nan.json": '{"n": 3, "alpha": NaN, "beta": NaN}',
+    "r0.json": '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"r0": NaN}}',
+    "rmax.json": '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"rmax": Infinity}}',
+    "huge.json": '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"rmax": 1e400}}',
+    "nan.csv": "r,value\n1e-6,1.0\n1e-3,nan\n1.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--u0", "1", "--v0", "1", "--rmax", "nan"],
+    ["identity", "--radii", "nan"],
+    ["potential", "--input", "nan.csv"],
+    ["picard", "--t", "nan"],
+    ["mp", "identity", "--x", "nan"],
+    ["bubble", "eval", "--t", "inf"],
+    ["hls", "--config", "nan.json"],
+    ["bubble", "residual", "--config", "r0.json"],
+    ["bubble", "residual", "--config", "rmax.json"],
+    ["bubble", "residual", "--config", "huge.json"],
+    ["mp", "scan", "--L", "0"],
+    ["mp", "check", "--L", "-1"],
+], ids=" ".join)
+def test_nonfinite_number_or_empty_box_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _NONFINITE_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(("usage: ", "error: "))
+
+
+def test_infinite_rmax_is_rejected_by_the_parser():
+    # checked at the parser: a shot to r = inf would never return
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["shoot", "--u0", "1", "--v0", "1", "--rmax", "inf"])
+
+
 def test_identity_subcommand(capsys):
     assert run(["identity", "--radii", "0.1,1,10"]) == EXIT_OK
     assert "max_abs_gap" in capsys.readouterr().out
@@ -314,6 +352,12 @@ def test_picard_stream(capsys):
     out, err = capsys.readouterr()
     assert [json.loads(l)["step"] for l in out.splitlines()] == list(range(1, 10))
     assert err.startswith("numerical failure: IterateBlowup: ")
+
+
+def test_picard_stops_after_the_first_step_below_tol(capsys):
+    # the bubble's first residual is about 8e-6
+    assert run(["picard", "--tol", "1e-5"]) == EXIT_OK
+    assert [json.loads(l)["step"] for l in capsys.readouterr().out.splitlines()] == [1]
 
 
 @pytest.mark.parametrize("perturb", ["-1", "-1.5"])

@@ -10,7 +10,6 @@ from critsys.core import (
     RadialProfilePair,
     lp_norm_radial,
     radial_derivatives,
-    validate_config,
 )
 from critsys.errors import (
     CriticalityViolated,
@@ -23,40 +22,53 @@ from critsys.errors import (
 
 class TestValidateConfig:
     def test_paper_case(self):
-        cfg = validate_config(3, 2, 3)
+        cfg = ExponentConfig(3, 2, 3)
         assert cfg.uniqueness_applicable
 
     def test_equal_exponents_boundary(self):
-        cfg = validate_config(3, 2.5, 2.5)
+        cfg = ExponentConfig(3, 2.5, 2.5)
         assert not cfg.uniqueness_applicable
 
     def test_n6_equal_exponents_warns(self):
         # at n = 6 criticality forces alpha = beta = 1
         with pytest.warns(UserWarning):
-            cfg = validate_config(6, 1, 1)
+            cfg = ExponentConfig(6, 1, 1)
         assert not cfg.uniqueness_applicable
+
+    def test_n6_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ExponentConfig(6, 1, 1)
+        assert record[0].filename == __file__
 
     def test_n6_ordered_infeasible(self):
         with pytest.raises(InfeasibleHypothesis):
-            validate_config(6, 1.0, 1.2)
+            ExponentConfig(6, 1.0, 1.2)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
-            validate_config(2, 2, 3)
+            ExponentConfig(2, 2, 3)
 
     def test_criticality_violated(self):
         with pytest.raises(CriticalityViolated):
-            validate_config(3, 2, 2)
+            ExponentConfig(3, 2, 2)
 
     def test_exponent_out_of_range(self):
         with pytest.raises(ExponentOutOfRange):
-            validate_config(3, 0.5, 4.5)
+            ExponentConfig(3, 0.5, 4.5)
+
+    def test_nan_exponents_rejected(self):
+        with pytest.raises(ExponentOutOfRange):
+            ExponentConfig(3, math.nan, math.nan)
+
+    def test_coerces_types(self):
+        cfg = ExponentConfig(3.0, 2, 3)
+        assert (type(cfg.n), type(cfg.alpha), type(cfg.beta)) == (int, float, float)
 
     @pytest.mark.parametrize("n,alpha,beta", [
         (3, 1, 4), (3, 2, 3), (4, 1, 2), (5, 1, 4 / 3), (4, 1.5, 1.5),
     ])
     def test_totality_valid(self, n, alpha, beta):
-        cfg = validate_config(n, alpha, beta)
+        cfg = ExponentConfig(n, alpha, beta)
         assert math.isclose(cfg.alpha + cfg.beta, cfg.critical_sum)
 
 
@@ -70,6 +82,11 @@ class TestRadialGrid:
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
             RadialGrid(np.array([1e-6, 1e-5, 1e-5]))
+
+    @pytest.mark.parametrize("nodes", [[math.nan, 1.0, 2.0], [1e-6, 1.0, math.inf]])
+    def test_rejects_nonfinite_nodes(self, nodes):
+        with pytest.raises(ValueError):
+            RadialGrid(np.array(nodes))
 
     def test_rejects_large_first_node(self):
         with pytest.raises(ValueError):

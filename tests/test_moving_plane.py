@@ -86,6 +86,11 @@ class TestExceedanceSets:
         with pytest.raises(BudgetExceeded):
             CartesianSampler(L=10.0, m=4000)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.nan])
+    def test_box_must_be_nonempty(self, L):
+        with pytest.raises(ValueError):
+            CartesianSampler(L=L, m=64)
+
 
 class TestCriticalPlaneScan:
     def test_centered_bubble(self, sampler):

@@ -7,7 +7,7 @@ from critsys import core, errors, moving_plane, potential
 from critsys.bubble import make_bubble
 from critsys.core import ExponentConfig, RadialGrid, radial_laplacian
 from critsys.moving_plane import CartesianSampler, PlaneParam, greens_reflection_identity
-from critsys.potential import PicardState, newton_potential_radial
+from critsys.potential import newton_potential_radial, picard_iterate
 from critsys.shooting import ShootInput, sweep_consistent
 
 CFG = ExponentConfig(3, 2.0, 3.0)
@@ -24,8 +24,8 @@ F = np.exp(-GRID.nodes)
                                        np.array([-1.0, 0, 0]), CFG, ny=10),
     lambda: ShootInput(CFG, 1.0, 1.0, atol=1e-8),
     lambda: core.lp_norm_radial(F, GRID, 2.0, 3, check_tol=1e-8),
-    lambda: PicardState(None, residual=0.0, step=0, degenerate=True),
-], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "degenerate"])
+    lambda: picard_iterate(None, CFG, callback=print),
+], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "callback"])
 def test_removed_parameter_is_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -44,6 +44,8 @@ def test_removed_names_are_gone():
     (moving_plane, "exceedance_sets"),
     (potential, "apply_hls_operator"),
     (potential, "verify_hls_operator_bound"),
+    (potential, "PicardState"),
+    (core, "validate_config"),
 ])
 def test_deleted_function_is_gone(module, name):
     assert not hasattr(module, name)
