@@ -204,13 +204,17 @@ def _on_axis(x1: float, n: int) -> np.ndarray:
 
 
 def _mp_fields(args):
-    """The config, the u and v bubble fields at x1 = --center, --v-center, and the sampler."""
+    """The config, the u and v bubble fields at x1 = --center, --v-center, and the sampler.
+
+    One field per distinct centre, so equal centres give the scans one callable.
+    """
     cfg, _ = load_config(args.config)
     if args.v_center is None:
         args.v_center = args.center  # for the manifest
-    u_fld, v_fld = (bb.bubble_field(bb.make_bubble(cfg, center=_on_axis(x1, cfg.n), t=args.t))
-                    for x1 in (args.center, args.v_center))
-    return cfg, u_fld, v_fld, mp.CartesianSampler(L=args.L, m=args.m, n=cfg.n)
+    fields = {x1: bb.bubble_field(bb.make_bubble(cfg, center=_on_axis(x1, cfg.n), t=args.t))
+              for x1 in {args.center, args.v_center}}
+    return (cfg, fields[args.center], fields[args.v_center],
+            mp.CartesianSampler(L=args.L, m=args.m, n=cfg.n))
 
 
 def cmd_mp_scan(args) -> int:

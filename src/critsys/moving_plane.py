@@ -7,9 +7,15 @@ plane position recovered by a scan sits at the center coordinate.
 All test fields are radial about a point on the x1 axis, so scans and
 reflection reports run on an exact axisymmetric 2D reduction in coordinates
 (x1, rho), and the Green's identity on a Gauss rule in polar coordinates.
+The sampler's points and their mirror images are column-contiguous (an
+(n, N) buffer viewed as (N, n)), so a field reads each coordinate as one
+contiguous column.  Fields must be pure functions of the points: when one
+callable is passed as both u and v, it is evaluated once per point set (the
+sampler, each probe, each half-space) and its values serve for v too.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +28,7 @@ from .errors import BudgetExceeded, ScanInconclusive
 SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
 GREENS_NODES = 64  # Gauss-Legendre nodes per variable on each panel of the Green's rule
 _GREENS_RULE = np.polynomial.legendre.leggauss(GREENS_NODES)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _e1(n: int) -> np.ndarray:
@@ -78,24 +85,33 @@ class CartesianSampler:
         if self.m * self.m > SAMPLER_BUDGET:
             raise BudgetExceeded(
                 f"m^2 = {self.m * self.m} exceeds node budget {SAMPLER_BUDGET}")
+        # largest ring volume omega_{n-2} L^{n-2} (2L/m) (L/m), in log space
+        log_ring = (math.log(unit_sphere_area(self.n - 1) * 2.0)
+                    + self.n * math.log(self.L) - 2.0 * math.log(self.m))
+        if not log_ring < _LOG_MAX:
+            raise ValueError(f"L = {self.L} overflows the sampler's cell volumes")
 
     @property
     def cell(self) -> float:
         return 2.0 * self.L / self.m
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points (N, n), weights (N,)) for the axisymmetric slice."""
+        """(points (N, n), weights (N,)) for the axisymmetric slice.
+
+        The nodes are x1-major, and the points are an (n, N) buffer viewed
+        as (N, n), so each coordinate is a contiguous column.  The scans
+        evaluate a callable passed as both u and v once per point set.
+        """
         dx = 2.0 * self.L / self.m
         drho = self.L / self.m
         x1 = -self.L + (np.arange(self.m) + 0.5) * dx
         rho = (np.arange(self.m) + 0.5) * drho
-        X1, RHO = np.meshgrid(x1, rho, indexing="ij")
-        pts = np.zeros((self.m * self.m, self.n))
-        pts[:, 0] = X1.ravel()
-        pts[:, 1] = RHO.ravel()
+        cols = np.zeros((self.n, self.m * self.m))
+        cols[0] = np.repeat(x1, self.m)
+        cols[1] = np.tile(rho, self.m)
         # ring volume: omega_{n-2} rho^{n-2} drho dx1
-        ring = unit_sphere_area(self.n - 1) * RHO.ravel() ** (self.n - 2)
-        return pts, ring * dx * drho
+        ring = unit_sphere_area(self.n - 1) * rho ** (self.n - 2)
+        return cols.T, np.tile(ring * dx * drho, self.m)
 
 
 def _half_space(pts: np.ndarray, plane: PlaneParam,
@@ -110,9 +126,16 @@ def _half_space(pts: np.ndarray, plane: PlaneParam,
     end = int(np.searchsorted(pts[:, 0], plane.lam))
     half = slice(0 if last is None else max(end - last, 0), end)
     x1 = pts[half, 0]
-    refl = pts[half].copy()
+    refl = np.empty((pts.shape[1], len(x1))).T  # column-contiguous, like the nodes
     refl[:, 0] = x1 + 2.0 * (plane.lam - x1)
+    refl[:, 1:] = pts[half, 1:]
     return half, refl
+
+
+def _pair(u_field, v_field, pts) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) at pts; one evaluation when u and v are one callable."""
+    u = u_field(pts)
+    return u, (u if v_field is u_field else v_field(pts))
 
 
 @dataclass(frozen=True)
@@ -145,9 +168,9 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     half, refl = _half_space(pts, plane)
     w_h = w[half]
 
-    u_all, v_all = u_field(pts), v_field(pts)
+    u_all, v_all = _pair(u_field, v_field, pts)
     u, v = u_all[half], v_all[half]
-    ul, vl = u_field(refl), v_field(refl)
+    ul, vl = _pair(u_field, v_field, refl)
     bu = ul > u
     bv = vl > v
 
@@ -192,7 +215,7 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
     pts, _ = sampler.nodes()
-    u_all, v_all = u_field(pts), v_field(pts)
+    u_all, v_all = _pair(u_field, v_field, pts)
     if np.max(np.abs(u_all)) == 0.0 and np.max(np.abs(v_all)) == 0.0:
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
@@ -202,7 +225,8 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
         plane = PlaneParam(lam, n=sampler.n)
         for last in (sampler.m, None):  # the node column next to the plane first
             half, refl = _half_space(pts, plane, last)
-            if np.any(u_field(refl) > u_all[half]) or np.any(v_field(refl) > v_all[half]):
+            if np.any(u_field(refl) > u_all[half]) or (
+                    v_field is not u_field and np.any(v_field(refl) > v_all[half])):
                 break
         else:
             empty[i] = True

@@ -40,6 +40,8 @@ class ShootInput:
             raise NonpositiveInput("need u0 > 0 and v0 > 0")
         if self.r_max <= DEFAULT_R0:
             raise ValueError(f"need r_max > {DEFAULT_R0}")
+        if not self.tol > 0.0:
+            raise ValueError(f"need tol > 0, got {self.tol}")
 
 
 class Kind(enum.Enum):

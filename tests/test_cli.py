@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from critsys import acceptance
+from critsys import moving_plane as mp
 from critsys import shooting as sh
 from critsys.bubble import eval_bubble_radial, make_bubble
 from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, run
@@ -222,6 +224,8 @@ _NONFINITE_FILES = {
     ["bubble", "residual", "--config", "huge.json"],
     ["mp", "scan", "--L", "0"],
     ["mp", "check", "--L", "-1"],
+    ["mp", "scan", "--L", "1e300"],  # finite, but the cell volumes overflow
+    ["mp", "check", "--L", "1e300"],
 ], ids=" ".join)
 def test_nonfinite_number_or_empty_box_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -230,6 +234,21 @@ def test_nonfinite_number_or_empty_box_is_usage_error(argv, tmp_path, monkeypatc
     assert run(argv) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(("usage: ", "error: "))
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--u0", "1", "--v0", "1", "--tol", "0"],
+    ["shoot", "--u0", "1", "--v0", "1", "--tol", "-1"],
+    ["sweep", "--tol", "0"],
+], ids=" ".join)
+def test_nonpositive_tol_is_usage_error(argv, capsys):
+    # rejected before the solver, which would warn about rtol or name its atol
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == EXIT_USAGE
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: need tol > 0")
 
 
 def test_infinite_rmax_is_rejected_by_the_parser():
@@ -304,6 +323,28 @@ def test_mp_v_center_defaults_to_center(tmp_path, capsys):
         assert manifest["parameters"]["v_center"] == 1.0
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["Bu_measure"] == json.loads(outs[0])["Bv_measure"]
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["mp", "scan", "--center", "1", "--m", "32"], True),
+    (["mp", "check", "--center", "1", "--m", "32"], True),
+    (["mp", "scan", "--center", "1", "--v-center", "1", "--m", "32"], True),
+    (["mp", "scan", "--center", "1", "--v-center", "0", "--m", "32"], False),
+    (["mp", "check", "--center", "1", "--v-center", "0", "--m", "32"], False),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+def test_mp_fields_are_one_callable_per_centre(argv, same, monkeypatch):
+    seen = []
+
+    def recording(func):
+        def f(u_field, v_field, *args):
+            seen.append(u_field is v_field)
+            return func(u_field, v_field, *args)
+        return f
+
+    for name in ("critical_plane_scan", "reflection_inequality_check"):
+        monkeypatch.setattr(mp, name, recording(getattr(mp, name)))
+    assert run(argv) == EXIT_OK
+    assert seen == [same]
 
 
 def test_verify_all_prints_seconds(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critsys.bubble import bubble_field, make_bubble
-from critsys.core import ExponentConfig
+from critsys.core import ExponentConfig, unit_sphere_area
 from critsys.errors import BudgetExceeded, ScanInconclusive
 from critsys.moving_plane import (
     CartesianSampler,
@@ -91,6 +91,38 @@ class TestExceedanceSets:
         with pytest.raises(ValueError):
             CartesianSampler(L=L, m=64)
 
+    @pytest.mark.parametrize("L, n", [(1e300, 3), (1e70, 5), (np.inf, 3)])
+    def test_cell_volumes_must_be_finite(self, L, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check itself neither warns nor overflows
+            with pytest.raises(ValueError, match="overflows"):
+                CartesianSampler(L=L, m=64, n=n)
+
+    @pytest.mark.parametrize("L, n", [(1e100, 3), (1e60, 5)])
+    def test_large_box_has_finite_weights(self, L, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, w = CartesianSampler(L=L, m=64, n=n).nodes()
+        assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("m", [8, 64])
+def test_nodes_match_meshgrid_reference(n, m):
+    sampler = CartesianSampler(L=10.0, m=m, n=n)
+    dx, drho = 20.0 / m, 10.0 / m
+    X1, RHO = np.meshgrid(-10.0 + (np.arange(m) + 0.5) * dx, (np.arange(m) + 0.5) * drho,
+                          indexing="ij")
+    ref = np.zeros((m * m, n))
+    ref[:, 0] = X1.ravel()
+    ref[:, 1] = RHO.ravel()
+    ref_w = unit_sphere_area(n - 1) * RHO.ravel() ** (n - 2) * dx * drho
+    pts, w = sampler.nodes()
+    assert pts.shape == ref.shape and w.shape == ref_w.shape
+    assert pts.tobytes(order="C") == ref.tobytes() and w.tobytes() == ref_w.tobytes()
+    # column-contiguous: each coordinate is one contiguous run
+    assert pts.T.flags.c_contiguous
+
 
 class TestCriticalPlaneScan:
     def test_centered_bubble(self, sampler):
@@ -162,10 +194,18 @@ class TestCriticalPlaneScan:
             # without the probe every plane evaluated its whole half-space
             assert sum(sizes[key]) < len(x1) + sum(half_spaces)
 
+        # one callable as both u and v makes exactly the u side's calls
+        u_side, sizes["u"], one = sizes["u"], [], counted("u", field)
+        assert critical_plane_scan(one, one, sampler, lams) == res
+        assert sizes["u"] == u_side
+
         calls.update(nodes=0, u=0, v=0)
         reflection_inequality_check(counted("u", field), counted("v", field),
                                     PlaneParam(0.0), CFG, sampler)
         assert calls == {"nodes": 1, "u": 2, "v": 2}
+        calls.update(nodes=0, u=0, v=0)
+        reflection_inequality_check(one, one, PlaneParam(0.0), CFG, sampler)
+        assert calls == {"nodes": 1, "u": 2, "v": 0}
 
     def test_no_empty_plane_inconclusive(self, sampler):
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
@@ -239,6 +279,7 @@ def _zero(pts):
 
 
 SWEEP = np.linspace(-2, 3, 41)
+_SAME = {c: _bubble_at(c) for c in (0.0, 1.0, 2.0)}  # one callable passed as u and v
 
 
 @pytest.mark.parametrize("u, v, lams", [
@@ -252,8 +293,12 @@ SWEEP = np.linspace(-2, 3, 41)
     (_two_bubbles, _two_bubbles, [0.0, 1.0, 5.0]),  # non-monotone
     (_bubble_at(1.0), _bubble_at(1.0), np.linspace(-10, 3, 41)),  # prefixes below m rows
     (_bubble_and_far_bump, _bubble_and_far_bump, [-2.0, 0.0, 2.5, 4.0, 6.0]),  # clean probes
+    *[(f, f, SWEEP) for f in _SAME.values()],
+    (_SAME[1.0], _SAME[1.0], [-2.0, -1.0]),
+    (_SAME[1.0], _SAME[1.0], np.linspace(-10, 3, 41)),
 ], ids=["c0", "c0.5", "c1", "c1.375", "c2", "u0-v1", "u1-v0", "u2-v-0.5", "zero-u",
-        "zero", "no-empty", "non-monotone", "short-prefix", "far-exceedance"])
+        "zero", "no-empty", "non-monotone", "short-prefix", "far-exceedance",
+        "same-c0", "same-c1", "same-c2", "same-no-empty", "same-short-prefix"])
 @pytest.mark.parametrize("m", [32, 64])
 def test_probe_scan_matches_full_evaluation(u, v, lams, m):
     sampler = CartesianSampler(L=10.0, m=m)
@@ -279,6 +324,13 @@ class TestReflectionInequalityCheck:
         zero = lambda pts: np.zeros(len(np.atleast_2d(pts)))
         rep = reflection_inequality_check(zero, zero, PlaneParam(0.0), CFG, sampler)
         assert all(v == 0.0 for v in rep.norms.values())
+
+    @pytest.mark.parametrize("c1, lam", [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5), (0.0, 3.0)])
+    def test_one_callable_matches_two(self, c1, lam, sampler):
+        f = _bubble_at(c1)
+        one = reflection_inequality_check(f, f, PlaneParam(lam), CFG, sampler)
+        two = reflection_inequality_check(f, _bubble_at(c1), PlaneParam(lam), CFG, sampler)
+        assert one == two
 
     def test_nonempty_set_has_positive_norms(self, sampler):
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))

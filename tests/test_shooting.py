@@ -74,6 +74,11 @@ class TestIntegrateRadial:
         with pytest.raises(NonpositiveInput):
             ShootInput(CFG, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ShootInput(CFG, 1.0, 1.0, tol=tol)
+
     def test_short_r_max_keeps_default_node_count(self):
         # the default shooting grid runs from DEFAULT_R0 to r_max even below 1
         prof = integrate_radial(ShootInput(CFG, 1.0, 1.0, r_max=0.5))
