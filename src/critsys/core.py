@@ -1,4 +1,7 @@
-"""Domain types checked on construction, radial grids, and norm utilities.
+"""Domain types checked on construction, radial grids, and quadrature utilities.
+
+``cumulative_trapezoid`` is the one cumulative trapezoid of the package
+(scipy's formula, in numpy), shared by the potential and the shooting checks.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across workers.
@@ -158,6 +161,16 @@ class RadialProfilePair:
             raise ValueError(
                 "derivative at first node inconsistent with a regular origin"
             )
+
+
+def cumulative_trapezoid(y, x, initial: float = 0.0) -> np.ndarray:
+    """Running trapezoid integral of y over the nodes x, starting from ``initial``.
+
+    The same expression as scipy.integrate.cumulative_trapezoid, so the
+    values are bitwise equal to it.
+    """
+    y = np.asarray(y, dtype=float)
+    return np.concatenate(([initial], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int) -> float:

@@ -160,9 +160,13 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
 
     Reports |u_lam - u|_{p,Bu}, |v_lam - v|_{p,Bv} and the smallness factors
     |u_lam|, |v_lam| restricted to both sets, with p = 2n/(n-2).  Empty sets
-    give exactly zero norms (the estimates hold vacuously).
+    give exactly zero norms (the estimates hold vacuously).  Raises
+    ValueError unless config, plane and sampler share one dimension n.
     """
     n = config.n
+    if not n == plane.n == sampler.n:
+        raise ValueError(f"dimensions disagree: config.n = {n}, plane.n = {plane.n}, "
+                         f"sampler.n = {sampler.n}")
     p = 2.0 * n / (n - 2.0)
     pts, w = sampler.nodes()
     half, refl = _half_space(pts, plane)

@@ -8,6 +8,10 @@ Picard map and the HLS functional at lambda = n-2 both go through it.
 
 picard_step maps a profile pair to (pair, residual); picard_iterate yields
 each (pair, residual) as it is computed and does no work until consumed.
+
+The radial integrals use core.cumulative_trapezoid, and the HLS Toeplitz
+product off lambda = n-2 is a circulant embedding under numpy.fft; scipy
+supplies only the special functions hyp2f1, gamma and zeta.
 """
 from __future__ import annotations
 
@@ -15,11 +19,16 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import matmul_toeplitz
 from scipy.special import gamma, hyp2f1, zeta
 
-from .core import ExponentConfig, RadialGrid, RadialProfilePair, lp_norm_radial, unit_sphere_area
+from .core import (
+    ExponentConfig,
+    RadialGrid,
+    RadialProfilePair,
+    cumulative_trapezoid,
+    lp_norm_radial,
+    unit_sphere_area,
+)
 from .errors import (
     ExponentRelationViolated,
     IterateBlowup,
@@ -131,6 +140,17 @@ def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndar
     return hi ** -lam * hyp2f1(lam / 2.0, (lam - n + 2.0) / 2.0, n / 2.0, rho ** 2)
 
 
+def _toeplitz_product(col: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the Toeplitz T with first column col and first row row.
+
+    T embeds in a circulant of size 2N-1, which the real FFT diagonalises;
+    the same steps as scipy.linalg.matmul_toeplitz, so bitwise equal to it.
+    """
+    m = 2 * len(x) - 1
+    circulant = np.fft.rfft(np.concatenate((col, row[:0:-1])))
+    return np.fft.irfft(circulant * np.fft.rfft(x, n=m), n=m)[:len(x)]
+
+
 def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
                    kernel: KernelSpec, r_exp: float, s_exp: float) -> float:
     """J(f, g) / (||f||_r ||g||_s) for nonnegative radial f, g.
@@ -168,8 +188,9 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
             raise NonGeometricGrid("HLS off lambda = n-2 needs a geometric grid")
         # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix
         t = q ** np.arange(len(r))
-        toeplitz = (_angular_factor(1.0, 1.0 / t, kernel), _angular_factor(1.0, t, kernel))
-        total = (wf * r ** -lam) @ matmul_toeplitz(toeplitz, w * r ** (n - 1) * g)
+        total = (wf * r ** -lam) @ _toeplitz_product(_angular_factor(1.0, 1.0 / t, kernel),
+                                                     _angular_factor(1.0, t, kernel),
+                                                     w * r ** (n - 1) * g)
         gam = n - 1.0 - lam
         if gam < 1.0:
             # near s = r the average carries a cusp r^-lam K (2|r-s|/r)^gam,

@@ -4,17 +4,27 @@ Integrates u'' + (n-1)u'/r = -u^alpha v^beta, v'' + (n-1)v'/r = -u^beta v^alpha
 from near the origin, classifies trajectories (bound state / positivity
 failure / no decay), and checks the nested integral identity that drives the
 crossing argument.
+
+The integrator is the package's own solve_ivp: Dormand-Prince 5(4)
+(J. Comput. Appl. Math. 6, 1980) with the step control and dense output of
+scipy's RK45, whose samples and RHS counts it reproduces bitwise.
 """
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.optimize import brentq
 
-from .core import DEFAULT_R0, DEFAULT_RMAX, ExponentConfig, RadialGrid, RadialProfilePair
+from .core import (
+    DEFAULT_R0,
+    DEFAULT_RMAX,
+    ExponentConfig,
+    RadialGrid,
+    RadialProfilePair,
+    cumulative_trapezoid,
+)
 from .errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
 from .potential import newton_potential_derivative
 
@@ -36,10 +46,11 @@ class ShootInput:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.u0 <= 0.0 or self.v0 <= 0.0:
-            raise NonpositiveInput("need u0 > 0 and v0 > 0")
-        if self.r_max <= DEFAULT_R0:
-            raise ValueError(f"need r_max > {DEFAULT_R0}")
+        # written as "not x > bound" so that NaN fails too
+        if not (self.u0 > 0.0 and self.v0 > 0.0):
+            raise NonpositiveInput(f"need u0 > 0 and v0 > 0, got ({self.u0}, {self.v0})")
+        if not self.r_max > DEFAULT_R0:
+            raise ValueError(f"need r_max > {DEFAULT_R0}, got {self.r_max}")
         if not self.tol > 0.0:
             raise ValueError(f"need tol > 0, got {self.tol}")
 
@@ -80,6 +91,125 @@ class IntegralIdentityReport:
     def max_abs_gap(self) -> float:
         return float(max(np.max(np.abs(self.lhs_u - self.rhs_u)),
                          np.max(np.abs(self.lhs_v - self.rhs_v))))
+
+
+# Dormand-Prince 5(4) tableau, error weights and dense-output matrix as scipy's RK45 has them
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """t_eval samples (t, y of shape (len(y0), len(t))) and solver counters."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    status: int  # 0: reached t_span[1]; -1: step size underflow
+    message: str
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float = 1e-3, atol: float = 1e-6) -> _Solution:
+    """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
+
+    A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
+    t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
+    (I, Sec. II.4), the RMS error norm, step factors 0.9 err^(-1/5) within
+    [0.2, 10] (at most 1 right after a rejection), a floor of ten float
+    spacings at t, and the quartic dense output at the t_eval nodes of each
+    step.  Samples and nfev are bitwise equal to scipy's.  On status -1 the
+    result holds the samples reached and scipy's message.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    t_eval = np.asarray(t_eval)
+    if rtol < (floor := 100 * np.finfo(float).eps):  # scipy's floor on rtol, and its warning
+        warnings.warn(f"rtol = {rtol} is below 100 machine epsilons; using rtol = {floor}",
+                      stacklevel=2)
+        rtol = floor
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    ts, ys, done = [], [], 0
+
+    def result(status: int, message: str) -> _Solution:
+        if not ts:
+            return _Solution(t_eval[:0], np.empty((y.size, 0)), nfev, status, message)
+        return _Solution(np.hstack(ts), np.hstack(ys), nfev, status, message)
+
+    f = rhs(t, y)
+    # initial step from the size of y, y' and a finite-difference y''
+    interval = abs(t_bound - t)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval)
+
+    K = np.empty((len(_C) + 1, y.size))
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(-1, TOO_SMALL_STEP)
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = K[-1] = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        end = np.searchsorted(t_eval, t_new, side="right")
+        if end > done:
+            x = (t_eval[done:end] - t) / h
+            y_eval = h * np.dot(K.T.dot(_P), np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0))
+            y_eval += y[:, None]
+            ts.append(t_eval[done:end])
+            ys.append(y_eval)
+            done = end
+        t, y, f = t_new, y_new, f_new
+    return result(0, "The solver successfully reached the end of the integration interval.")
 
 
 def _rhs(n: int, alpha: float, beta: float):
@@ -130,7 +260,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     nodes = grid.nodes[grid.nodes <= first.r_max]
     sol = solve_ivp(
         _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max),
-        _taylor_start(inputs, nodes[0]).ravel(), method="RK45",
+        _taylor_start(inputs, nodes[0]).ravel(),
         t_eval=nodes, rtol=first.tol, atol=first.tol,
     )
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
@@ -190,10 +320,10 @@ def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
     ``ya``, ``yb`` are the states (u, u', v, v') at the ends; u and v are
     positive at ra and at least one of them is nonpositive at rb.
     """
-    h = rb - ra
+    h = float(rb - ra)
     roots = {}
     for which, i in (("u", 0), ("v", 2)):
-        f0, d0, f1, d1 = ya[i], ya[i + 1], yb[i], yb[i + 1]
+        f0, d0, f1, d1 = map(float, (ya[i], ya[i + 1], yb[i], yb[i + 1]))
         if f1 > 0.0:
             continue
 
@@ -201,7 +331,12 @@ def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
             return ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * h * d0 \
                 + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * h * d1
 
-        roots[which] = ra + h * brentq(cubic, 0.0, 1.0, xtol=1e-15)
+        # bisection keeps cubic(lo) > 0 >= cubic(hi) until the bracket is 1e-15 wide
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if cubic(mid) > 0.0 else (lo, mid)
+        roots[which] = ra + h * (0.5 * (lo + hi))
     which = min(roots, key=roots.get)
     return which, float(roots[which])
 
@@ -276,8 +411,10 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
             f"need alpha < beta, got ({config.alpha}, {config.beta})")
     grid = RadialGrid.default() if grid is None else grid
     ratios = list(ratios)
+    if not base > 0.0:
+        raise NonpositiveInput(f"base must be positive, got {base}")
     for rho in ratios:
-        if rho <= 0.0:
+        if not rho > 0.0:
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
     if not ratios:
         return []

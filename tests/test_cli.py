@@ -423,6 +423,31 @@ def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
     assert run(argv[1:]) == EXIT_OK
 
 
+def test_scipy_beyond_special_is_never_imported():
+    # run in a fresh interpreter: a shot, a sweep, HLS off lambda = n-2 and the hls command
+    code = """if True:
+        import sys
+        import numpy as np
+        from critsys import cli, potential as pot, shooting as sh
+        from critsys.core import ExponentConfig, RadialGrid
+        cfg = ExponentConfig(3, 2.0, 3.0)
+        sh.classify(sh.ShootInput(cfg, 1.0, 2.0))
+        sh.uniqueness_sweep(cfg, (0.5, 1.0, 2.0))
+        grid = RadialGrid.geometric(num=1000)
+        f = (1.0 + grid.nodes ** 2) ** -2.25
+        pot.hls_functional(f, f, grid, pot.KernelSpec(3, 1.5), 4 / 3, 4 / 3)
+        assert cli.run(["hls"]) == 0
+        loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.fft",
+                              "scipy.sparse") if m in sys.modules]
+        sys.exit(f"loaded {loaded}" if loaded else 0)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_passes_the_exit_code_through():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from critsys.core import (
     FD_STENCIL,
     ExponentConfig,
     RadialGrid,
     RadialProfilePair,
+    cumulative_trapezoid,
     lp_norm_radial,
     radial_derivatives,
 )
@@ -217,3 +219,13 @@ class TestRadialProfilePair:
         bad[0] = 1.0  # u'(0) = 0 demands O(r0) slope at the first node
         with pytest.raises(ValueError):
             RadialProfilePair(g, z, z, bad, np.zeros(len(g)))
+
+
+@pytest.mark.parametrize("num", [3, 500, 32000])
+def test_cumulative_trapezoid_matches_scipy(num):
+    # forward as in the inner integrals, reversed as in the potential's outer one
+    r = RadialGrid.geometric(num=num).nodes
+    y = np.random.default_rng(num).random(num) * r ** 2
+    for x, f in ((r, y), (r[::-1], (r * y)[::-1])):
+        assert np.array_equal(cumulative_trapezoid(f, x, initial=0.0),
+                              integrate.cumulative_trapezoid(f, x, initial=0.0))

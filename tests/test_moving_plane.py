@@ -332,6 +332,21 @@ class TestReflectionInequalityCheck:
         two = reflection_inequality_check(f, _bubble_at(c1), PlaneParam(lam), CFG, sampler)
         assert one == two
 
+    @pytest.mark.parametrize("cfg_n, plane_n, sampler_n", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
+    def test_dimensions_must_agree(self, cfg_n, plane_n, sampler_n):
+        configs = {3: CFG, 4: ExponentConfig(4, 1.0, 2.0)}
+        calls = []
+
+        def field(pts):
+            calls.append(len(pts))
+            return np.ones(len(pts))
+
+        with pytest.raises(ValueError, match=f"config.n = {cfg_n}, plane.n = {plane_n}, "
+                                             f"sampler.n = {sampler_n}"):
+            reflection_inequality_check(field, field, PlaneParam(0.0, n=plane_n),
+                                        configs[cfg_n], CartesianSampler(L=5.0, m=16, n=sampler_n))
+        assert calls == []  # raised before any field evaluation
+
     def test_nonempty_set_has_positive_norms(self, sampler):
         field = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
         rep = reflection_inequality_check(field, field, PlaneParam(0.0), CFG, sampler)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import matmul_toeplitz
 from scipy.special import gamma, zeta
 
 from critsys import potential
@@ -25,6 +26,7 @@ from critsys.errors import (
 from critsys.potential import (
     KernelSpec,
     _angular_factor,
+    _toeplitz_product,
     hls_functional,
     newton_potential_derivative,
     newton_potential_radial,
@@ -193,6 +195,18 @@ class TestLogStep:
 
     def test_indicator_grid_is_not_geometric(self):
         assert indicator_grid().log_step is None
+
+
+@pytest.mark.parametrize("num", [1000, 4000])
+@pytest.mark.parametrize("n, lam", [(3, 1.5), (5, 2.2)])
+def test_toeplitz_product_matches_scipy(num, n, lam):
+    # hls_functional's product on Lieb's extremal, bitwise against matmul_toeplitz
+    grid = RadialGrid.geometric(num=num)
+    r, kernel = grid.nodes, KernelSpec(n, lam)
+    t = grid.log_step ** np.arange(num)
+    col, row = _angular_factor(1.0, 1.0 / t, kernel), _angular_factor(1.0, t, kernel)
+    x = np.gradient(r) * r ** (n - 1) * (1.0 + r ** 2) ** (-(2 * n - lam) / 2.0)
+    assert np.array_equal(_toeplitz_product(col, row, x), matmul_toeplitz((col, row), x))
 
 
 class TestHlsFunctional:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq
 
-from critsys import shooting
+from critsys import acceptance, shooting
 from critsys.bubble import amplitude_constant, bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import ExponentConfig, RadialGrid, RadialProfilePair
 from critsys.errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
@@ -73,6 +75,15 @@ class TestIntegrateRadial:
     def test_rejects_nonpositive_start(self):
         with pytest.raises(NonpositiveInput):
             ShootInput(CFG, 0.0, 1.0)
+
+    @pytest.mark.parametrize("u0, v0", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_rejects_nan_start(self, u0, v0):
+        with pytest.raises(NonpositiveInput, match="u0 > 0 and v0 > 0"):
+            ShootInput(CFG, u0, v0)
+
+    def test_rejects_nan_r_max(self):
+        with pytest.raises(ValueError, match="r_max"):
+            ShootInput(CFG, 1.0, 1.0, r_max=np.nan)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_rejects_nonpositive_tol(self, tol):
@@ -243,6 +254,16 @@ class TestUniquenessSweep:
         with pytest.raises(HypothesisNotApplicable):
             uniqueness_sweep(cfg, [1.0])
 
+    @pytest.mark.parametrize("ratios", [[np.nan], [1.0, np.nan]])
+    def test_rejects_nan_ratio(self, ratios):
+        with pytest.raises(NonpositiveInput, match="ratios must be positive"):
+            uniqueness_sweep(CFG, ratios)
+
+    @pytest.mark.parametrize("base", [np.nan, 0.0])
+    def test_rejects_nonpositive_base(self, base):
+        with pytest.raises(NonpositiveInput, match="base must be positive"):
+            uniqueness_sweep(CFG, [1.0], base=base)
+
     def test_sign_lemma_on_swept_trajectories(self):
         rows = uniqueness_sweep(CFG, [0.8, 1.25], base=1.0)
         for row in rows:
@@ -327,3 +348,92 @@ class TestOrderingTerm:
             assert term < 0.0
         else:
             assert term == 0.0
+
+
+def compare_with_scipy(monkeypatch):
+    """Route shooting's solve_ivp through a bitwise comparison with scipy's RK45.
+
+    Returns one (status, scipy status, same message, same t, same y, nfev,
+    scipy nfev) record per solve.
+    """
+    records, solve = [], shooting.solve_ivp
+
+    def compared(fun, t_span, y0, **kwargs):
+        got = solve(fun, t_span, y0, **kwargs)
+        ref = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+        records.append((got.status, ref.status, got.message == ref.message,
+                        np.array_equal(got.t, ref.t), np.array_equal(got.y, ref.y),
+                        got.nfev, ref.nfev))
+        return got
+
+    monkeypatch.setattr(shooting, "solve_ivp", compared)
+    return records
+
+
+class TestSolverMatchesScipy:
+    """shooting.solve_ivp is bitwise scipy.integrate.solve_ivp(method="RK45")."""
+
+    @pytest.mark.parametrize("run, solves", [
+        # the property suite's three 100-column batches at r_max 50
+        (lambda: acceptance.check_property_suites(), 3),
+        # the gate's 7-ratio sweep out to 1e4
+        (lambda: uniqueness_sweep(CFG, (0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 2.0)), 1),
+        (lambda: classify_batch([ShootInput(CFG, a, a) for a in (0.01, 1.0, 100.0)]), 1),
+        (lambda: classify_batch([ShootInput(ExponentConfig(5, 1.0, 4.0 / 3.0), a, a)
+                                 for a in (0.01, 1.0, 100.0)]), 1),
+        (lambda: classify_batch([ShootInput(ExponentConfig(4, 1.0, 2.0), u0, v0, tol=1e-8)
+                                 for u0, v0 in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))]), 1),
+    ], ids=["property-suites", "sweep", "diagonal-n3", "diagonal-n5", "n4-tol-1e-8"])
+    def test_batches(self, run, solves, monkeypatch):
+        records = compare_with_scipy(monkeypatch)
+        run()
+        assert len(records) == solves
+        for status, ref_status, message, t, y, nfev, ref_nfev in records:
+            assert status == ref_status == 0 and message and t and y
+            assert nfev == ref_nfev
+
+    def test_step_size_underflow(self):
+        # y = 1/(1-t) blows up at t = 1: the step falls below ten float spacings
+        t_eval = np.linspace(0.0, 2.0, 41)
+        for tol in (1e-6, 1e-10):
+            got = shooting.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.array([1.0]),
+                                     t_eval=t_eval, rtol=tol, atol=tol)
+            ref = scipy_solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.array([1.0]),
+                                  method="RK45", t_eval=t_eval, rtol=tol, atol=tol)
+            assert got.status == ref.status == -1
+            assert got.message == ref.message == shooting.TOO_SMALL_STEP
+            assert np.array_equal(got.t, ref.t) and np.array_equal(got.y, ref.y)
+            assert got.nfev == ref.nfev
+
+    def test_rtol_floor(self):
+        # scipy raises rtol to 100 machine epsilons, with a warning
+        args = (lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]))
+        kwargs = dict(t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-20, atol=1e-12)
+        with pytest.warns(UserWarning, match="rtol"):
+            got = shooting.solve_ivp(*args, **kwargs)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = scipy_solve_ivp(*args, method="RK45", **kwargs)
+        assert np.array_equal(got.y, ref.y) and got.nfev == ref.nfev
+
+
+def test_hermite_zero_matches_brentq():
+    # slopes inside the Fritsch-Carlson box keep the cubic monotone, so the
+    # root on [0, 1] is unique; h = 1 makes at_r the root s itself
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        f0 = rng.uniform(1e-3, 1.0)
+        f1 = -rng.uniform(0.0, 1.0) if i % 10 else 0.0  # a zero exactly at s = 1 too
+        d0, d1 = -(f0 - f1) * rng.uniform(0.0, 3.0, size=2)
+        fail, hold = np.array([f0, d0]), np.array([1.0, 0.0])
+        i_fail = 2 * (i % 2)  # alternate the failing component between u and v
+        ya, yb = np.empty(4), np.empty(4)
+        ya[i_fail:i_fail + 2], yb[i_fail:i_fail + 2] = fail, (f1, d1)
+        ya[2 - i_fail:4 - i_fail] = yb[2 - i_fail:4 - i_fail] = hold
+        which, s = shooting._hermite_zero(0.0, 1.0, ya, yb)
+
+        def cubic(s):
+            return ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * d0 \
+                + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * d1
+
+        assert which == ("u", "v")[i % 2]
+        assert abs(s - brentq(cubic, 0.0, 1.0, xtol=1e-15)) <= 1e-15
