@@ -163,14 +163,14 @@ class RadialProfilePair:
             )
 
 
-def cumulative_trapezoid(y, x, initial: float = 0.0) -> np.ndarray:
-    """Running trapezoid integral of y over the nodes x, starting from ``initial``.
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoid integral of y over the nodes x, 0 at x[0].
 
-    The same expression as scipy.integrate.cumulative_trapezoid, so the
-    values are bitwise equal to it.
+    The same expression as scipy.integrate.cumulative_trapezoid with
+    initial=0, so the values are bitwise equal to it.
     """
     y = np.asarray(y, dtype=float)
-    return np.concatenate(([initial], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int) -> float:

@@ -78,7 +78,7 @@ def newton_potential_radial(f: np.ndarray, grid: RadialGrid,
     _check_integrable_tail(f, grid)
     r = grid.nodes
     du = newton_potential_derivative(f, grid, n)
-    outer_rev = -cumulative_trapezoid((r * f)[::-1], r[::-1], initial=0.0)[::-1]
+    outer_rev = -cumulative_trapezoid((r * f)[::-1], r[::-1])[::-1]
     # analytic tail: int_rmax^inf s * C s^-(n+2) ds = C rmax^-n / n
     c_tail = f[-1] * grid.rmax ** (n + 2.0)
     outer_rev = outer_rev + c_tail * grid.rmax ** -float(n) / n
@@ -89,8 +89,7 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
                                 n: int) -> np.ndarray:
     """Exact radial derivative of the potential: u'(r) = -r^(1-n) int_0^r s^(n-1) f."""
     r = grid.nodes
-    inner = cumulative_trapezoid(r ** (n - 1) * np.asarray(f, dtype=float), r,
-                                 initial=0.0)
+    inner = cumulative_trapezoid(r ** (n - 1) * np.asarray(f, dtype=float), r)
     return -inner / r ** (n - 1)
 
 

@@ -131,7 +131,7 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float = 1e-3, atol: float = 1e-6) -> _Solution:
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
     """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
@@ -140,10 +140,13 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float = 1e-3, atol: float = 1e-6
     [0.2, 10] (at most 1 right after a rejection), a floor of ten float
     spacings at t, and the quartic dense output at the t_eval nodes of each
     step.  Samples and nfev are bitwise equal to scipy's.  On status -1 the
-    result holds the samples reached and scipy's message.
+    result holds the samples reached and scipy's message.  Like scipy, it
+    rejects a y0 that is not finite.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
     t_eval = np.asarray(t_eval)
     if rtol < (floor := 100 * np.finfo(float).eps):  # scipy's floor on rtol, and its warning
         warnings.warn(f"rtol = {rtol} is below 100 machine epsilons; using rtol = {floor}",
@@ -314,6 +317,52 @@ def _first_crossing(nodes, u, v):
     return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Zero of f on [xa, xb], where f changes sign, by Brent's method.
+
+    A port of scipy 1.17's C brentq with its defaults (rtol of four float
+    epsilons, 100 iterations), so its roots are bitwise scipy's.
+    """
+    rtol = 4 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq failed to converge after 100 iterations")
+
+
 def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
     """First zero of u or v on [ra, rb] from the cubic Hermite interpolant.
 
@@ -331,12 +380,7 @@ def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
             return ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * h * d0 \
                 + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * h * d1
 
-        # bisection keeps cubic(lo) > 0 >= cubic(hi) until the bracket is 1e-15 wide
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if cubic(mid) > 0.0 else (lo, mid)
-        roots[which] = ra + h * (0.5 * (lo + hi))
+        roots[which] = ra + h * _brentq(cubic, 0.0, 1.0, xtol=1e-15)
     which = min(roots, key=roots.get)
     return which, float(roots[which])
 
@@ -454,8 +498,7 @@ def _cumulative_nested(forcing: np.ndarray, grid: RadialGrid, n: int) -> np.ndar
     -u', which unlike the potential accepts a signed forcing); the [0, r0]
     head contributes O(r0^2) and is dropped.
     """
-    return cumulative_trapezoid(-newton_potential_derivative(forcing, grid, n), grid.nodes,
-                                initial=0.0)
+    return cumulative_trapezoid(-newton_potential_derivative(forcing, grid, n), grid.nodes)
 
 
 def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,

@@ -448,6 +448,18 @@ def test_scipy_beyond_special_is_never_imported():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["shoot", "--u0", "1e200", "--v0", "1"],
+                                  ["sweep", "--base", "1e200"]], ids=" ".join)
+def test_overflowing_start_is_usage_error(argv):
+    # u0^alpha overflows the Taylor start to inf; the solver must refuse it, not loop
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "critsys.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "must be finite" in proc.stderr
+
+
 def test_main_passes_the_exit_code_through():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))

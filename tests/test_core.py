@@ -227,5 +227,5 @@ def test_cumulative_trapezoid_matches_scipy(num):
     r = RadialGrid.geometric(num=num).nodes
     y = np.random.default_rng(num).random(num) * r ** 2
     for x, f in ((r, y), (r[::-1], (r * y)[::-1])):
-        assert np.array_equal(cumulative_trapezoid(f, x, initial=0.0),
+        assert np.array_equal(cumulative_trapezoid(f, x),
                               integrate.cumulative_trapezoid(f, x, initial=0.0))

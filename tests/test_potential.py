@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import matmul_toeplitz
 from scipy.special import gamma, zeta
 
@@ -12,6 +11,7 @@ from critsys.core import (
     ExponentConfig,
     RadialGrid,
     RadialProfilePair,
+    cumulative_trapezoid,
     lp_norm_radial,
     radial_laplacian,
     unit_sphere_area,

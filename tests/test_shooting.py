@@ -405,6 +405,25 @@ class TestSolverMatchesScipy:
             assert np.array_equal(got.t, ref.t) and np.array_equal(got.y, ref.y)
             assert got.nfev == ref.nfev
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_y0_is_rejected(self, bad):
+        # a non-finite start makes every step size NaN; the RHS cap stops a solver that loops on
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            if len(calls) > 1000:
+                raise RuntimeError("the solver kept stepping from a non-finite y0")
+            return -y
+
+        args = (fun, (0.0, 1.0), np.array([1.0, bad]))
+        kwargs = dict(t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-6, atol=1e-6)
+        with pytest.raises(ValueError) as ref:
+            scipy_solve_ivp(*args, method="RK45", **kwargs)
+        with pytest.raises(ValueError) as got:
+            shooting.solve_ivp(*args, **kwargs)
+        assert str(got.value) == str(ref.value)
+
     def test_rtol_floor(self):
         # scipy raises rtol to 100 machine epsilons, with a warning
         args = (lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]))
@@ -436,4 +455,4 @@ def test_hermite_zero_matches_brentq():
                 + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * d1
 
         assert which == ("u", "v")[i % 2]
-        assert abs(s - brentq(cubic, 0.0, 1.0, xtol=1e-15)) <= 1e-15
+        assert s == brentq(cubic, 0.0, 1.0, xtol=1e-15)
