@@ -16,6 +16,9 @@ import argparse
 import csv
 import dataclasses
 import json
+# argparse's gettext imports locale for its first message; importing it with
+# the package keeps that import out of the first command run
+import locale  # noqa: F401
 import math
 import sys
 
@@ -70,8 +73,12 @@ def _finite(text: str) -> float:
     return x
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The finite numbers of a comma-separated list; ValueError naming flag if there are none."""
+    values = [_finite(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one number, got {text!r}")
+    return values
 
 
 def _save(args, text: str | None = None, header=None, rows=None) -> str | None:
@@ -131,8 +138,8 @@ def cmd_shoot(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, grid = _shooting_config(args)
-    rows = sh.uniqueness_sweep(cfg, _parse_floats(args.ratios), base=args.base, grid=grid,
-                               tol=args.tol)
+    rows = sh.uniqueness_sweep(cfg, _parse_floats(args.ratios, "--ratios"), base=args.base,
+                               grid=grid, tol=args.tol)
     for row in rows:
         print(f"ratio {row.ratio:g}: {row.kind.value}")
     # the ratio as parsed (str, not %.17g); a missing R0 is an empty cell
@@ -148,7 +155,7 @@ def cmd_sweep(args) -> int:
 def cmd_identity(args) -> int:
     cfg, grid = load_config(args.config)
     prof = bb.bubble_profile(bb.make_bubble(cfg, t=args.t), grid)
-    rep = sh.check_integral_identity(prof, cfg, _parse_floats(args.radii))
+    rep = sh.check_integral_identity(prof, cfg, _parse_floats(args.radii, "--radii"))
     for i, rr in enumerate(rep.r_checked):
         print(f"r {rr:.6g}: lhs {rep.lhs_u[i]:.10g} rhs {rep.rhs_u[i]:.10g}")
     print(f"max_abs_gap {rep.max_abs_gap:.6e}")
@@ -175,6 +182,8 @@ def cmd_potential(args) -> int:
 
 
 def cmd_picard(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     cfg, grid = load_config(args.config)
     params = bb.make_bubble(cfg, t=args.t)
     amplitude = params.c * (1.0 + args.perturb)  # NonpositiveScale unless positive

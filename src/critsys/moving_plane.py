@@ -282,7 +282,7 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     D = lam - x1
     mirror_c1 = 2.0 * lam - c1
     centers = [d for d in (abs(c1 - x1), abs(mirror_c1 - x1)) if d > 0.0]
-    knots = np.unique([0.0, D, *centers])
+    knots = sorted({0.0, D, *centers})
     radii, weights = [], []
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= D:

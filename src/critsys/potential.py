@@ -10,16 +10,21 @@ picard_step maps a profile pair to (pair, residual); picard_iterate yields
 each (pair, residual) as it is computed and does no work until consumed.
 
 The radial integrals use core.cumulative_trapezoid, and the HLS Toeplitz
-product off lambda = n-2 is a circulant embedding under numpy.fft; scipy
-supplies only the special functions hyp2f1, gamma and zeta.
+product off lambda = n-2 is a circulant embedding under numpy.fft.  The HLS
+kernel's special functions are numpy/math code here: _hyp2f1 sums the Gauss
+series for z <= 1/2 and the 1-z connection formulas (A&S 15.3.6, and 15.3.11
+at integer c-a-b) above it, _zeta continues Euler-Maclaurin zeta(1+g) to
+zeta(-g) by the functional equation, and gamma is math.gamma.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma, hyp2f1, zeta
+from numpy.fft import irfft, rfft
 
 from .core import (
     ExponentConfig,
@@ -39,6 +44,9 @@ from .errors import (
 
 BLOWUP_SUP = 1e6
 EXPONENT_RELATION_TOL = 1e-12
+EULER_GAMMA = 0.57721566490153286
+SERIES_TERMS = 60  # 2^-60 < eps/100: each power series is summed at |x| <= 1/2
+BERNOULLI_2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,88 @@ def picard_iterate(profile: RadialProfilePair, config: ExponentConfig,
             return
 
 
+def _gauss_coefficients(a: float, b: float, c: float, terms: int) -> np.ndarray:
+    """(a)_k (b)_k / ((c)_k k!) for k < terms."""
+    coef = [1.0]
+    for k in range(1, terms):
+        coef.append(coef[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k))
+    return np.array(coef)
+
+
+def _gauss_series(a: float, b: float, c: float, x: np.ndarray,
+                  terms: int = SERIES_TERMS) -> np.ndarray:
+    """The Gauss series of 2F1(a, b; c; x) to x^(terms-1), by Horner's rule."""
+    return np.polyval(_gauss_coefficients(a, b, c, terms)[::-1], x)
+
+
+def _psi_run(x: float, count: int) -> np.ndarray:
+    """psi(x + k) for k < count, x a positive integer or half-integer.
+
+    From psi(1) = -EULER_GAMMA, psi(1/2) = psi(1) - 2 ln 2 and
+    psi(y + 1) = psi(y) + 1/y.
+    """
+    base = 1.0 if x == round(x) else 0.5
+    skip = round(x - base)
+    psi0 = -EULER_GAMMA - (0.0 if base == 1.0 else 2.0 * math.log(2.0))
+    steps = np.cumsum(1.0 / (base + np.arange(skip + count - 1)))
+    return psi0 + np.concatenate(([0.0], steps))[skip:]
+
+
+def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Gauss's 2F1(a, b; c; z) for z in [0, 1], a > 0 and c - a - b > 0.
+
+    A nonpositive integer b ends the series; otherwise the Gauss series
+    serves z <= 1/2 and a connection formula in w = 1 - z the rest: A&S
+    15.3.6, or its limit 15.3.11 when c - a - b is an integer m, where the
+    kernel's a and b + m are integers or half-integers, so psi is closed
+    form.  Both give Gauss's value Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    at z = 1.  The error grows like eps / |c-a-b - m| as c-a-b nears m.
+    """
+    z = np.asarray(z, dtype=float)
+    if b <= 0.0 and b == round(b):
+        return _gauss_series(a, b, c, z, round(-b) + 1)
+    out = np.empty_like(z)
+    low = z <= 0.5
+    out[low] = _gauss_series(a, b, c, z[low])
+    w = 1.0 - z[~low]
+    gam = c - a - b
+    if gam != (m := round(gam)):
+        out[~low] = (gamma(c) * gamma(gam) / (gamma(c - a) * gamma(c - b))
+                     * _gauss_series(a, b, 1.0 - gam, w)
+                     + gamma(c) * gamma(-gam) / (gamma(a) * gamma(b)) * w ** gam
+                     * _gauss_series(c - a, c - b, 1.0 + gam, w))
+        return out
+    # 15.3.11: a head of m terms, minus (-w)^m Gamma(c) / (Gamma(a) Gamma(b)) times
+    # sum_k d_k w^k (log w + e_k), with e_k = psi(a+m+k) + psi(b+m+k) - psi(1+k) - psi(m+1+k)
+    d = _gauss_coefficients(a + m, b + m, m + 1.0, SERIES_TERMS) / math.factorial(m)
+    e = (_psi_run(a + m, SERIES_TERMS) + _psi_run(b + m, SERIES_TERMS)
+         - _psi_run(1.0, SERIES_TERMS) - _psi_run(m + 1.0, SERIES_TERMS))
+    log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)  # w^m log w -> 0 at w = 0
+    out[~low] = (gamma(m) * gamma(c) / (gamma(a + m) * gamma(b + m))
+                 * _gauss_series(a, b, 1.0 - m, w, m)
+                 - (-w) ** m * gamma(c) / (gamma(a) * gamma(b))
+                 * (log_w * np.polyval(d[::-1], w) + np.polyval((d * e)[::-1], w)))
+    return out
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta(s) for -1 < s < 0.
+
+    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), with zeta(1-s)
+    summed by Euler-Maclaurin from the tenth term on; the seven Bernoulli
+    corrections leave a remainder below 1e-17.
+    """
+    sigma, tail = 1.0 - s, 10
+    total = (sum(k ** -sigma for k in range(1, tail)) + tail ** (1.0 - sigma) / (sigma - 1.0)
+             + 0.5 * tail ** -sigma)
+    rising, factorial = sigma, 2.0  # sigma (sigma+1) ... (sigma+2j-2) and (2j)!
+    for j, b2j in enumerate(BERNOULLI_2J, 1):
+        total += b2j / factorial * rising * tail ** (1.0 - sigma - 2 * j)
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return 2.0 ** s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0) * gamma(sigma) * total
+
+
 def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Sphere average of |r e1 - s omega|^(-lam) over unit directions omega.
 
@@ -136,7 +226,7 @@ def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndar
             f"lambda = {lam} >= n-1 = {n - 1}: the sphere average diverges at r = s")
     hi = np.maximum(r, s)
     rho = np.minimum(r, s) / hi
-    return hi ** -lam * hyp2f1(lam / 2.0, (lam - n + 2.0) / 2.0, n / 2.0, rho ** 2)
+    return hi ** -lam * _hyp2f1(lam / 2.0, (lam - n + 2.0) / 2.0, n / 2.0, rho ** 2)
 
 
 def _toeplitz_product(col: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -146,8 +236,8 @@ def _toeplitz_product(col: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.nda
     the same steps as scipy.linalg.matmul_toeplitz, so bitwise equal to it.
     """
     m = 2 * len(x) - 1
-    circulant = np.fft.rfft(np.concatenate((col, row[:0:-1])))
-    return np.fft.irfft(circulant * np.fft.rfft(x, n=m), n=m)[:len(x)]
+    circulant = rfft(np.concatenate((col, row[:0:-1])))
+    return irfft(circulant * rfft(x, n=m), n=m)[:len(x)]
 
 
 def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
@@ -185,10 +275,11 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     else:
         if (q := grid.log_step) is None:
             raise NonGeometricGrid("HLS off lambda = n-2 needs a geometric grid")
-        # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix
+        # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix;
+        # k(1/t) = 2F1(t^-2) and k(t) = t^-lam 2F1(t^-2) share one 2F1
         t = q ** np.arange(len(r))
-        total = (wf * r ** -lam) @ _toeplitz_product(_angular_factor(1.0, 1.0 / t, kernel),
-                                                     _angular_factor(1.0, t, kernel),
+        col = _angular_factor(1.0, 1.0 / t, kernel)
+        total = (wf * r ** -lam) @ _toeplitz_product(col, t ** -lam * col,
                                                      w * r ** (n - 1) * g)
         gam = n - 1.0 - lam
         if gam < 1.0:
@@ -199,6 +290,6 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
             K = (gamma(n / 2.0) * gamma(-gam)
                  / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
             hr = np.gradient(r)
-            total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ (hr ** (1.0 + gam) * g))
+            total -= 2.0 * _zeta(-gam) * K * 2.0 ** gam * (wf @ (hr ** (1.0 + gam) * g))
     return float(unit_sphere_area(n) ** 2 * total / (nf * ng))
 

@@ -395,6 +395,22 @@ def test_picard_stream(capsys):
     assert err.startswith("numerical failure: IterateBlowup: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["picard", "--steps", "0"],
+    ["picard", "--steps", "-3"],
+    ["sweep", "--ratios", ","],
+    ["identity", "--radii", ","],
+    ["identity", "--radii", " , "],
+], ids=" ".join)
+def test_empty_run_is_usage_error(argv, tmp_path, capsys):
+    # no step, ratio or radius to compute: an error naming the flag, and no output file
+    out = tmp_path / "out.csv"
+    assert run(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == EXIT_USAGE
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: {argv[1]} ")
+    assert not out.exists()
+
+
 def test_picard_stops_after_the_first_step_below_tol(capsys):
     # the bubble's first residual is about 8e-6
     assert run(["picard", "--tol", "1e-5"]) == EXIT_OK
@@ -423,8 +439,16 @@ def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
     assert run(argv[1:]) == EXIT_OK
 
 
-def test_scipy_beyond_special_is_never_imported():
-    # run in a fresh interpreter: a shot, a sweep, HLS off lambda = n-2 and the hls command
+def fresh_python(*argv, timeout=120):
+    """python3 argv in a new interpreter that imports critsys from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_scipy_is_never_imported():
+    # a shot, a sweep, HLS off lambda = n-2 (the log form of 2F1 at n = 4) and the hls command
     code = """if True:
         import sys
         import numpy as np
@@ -436,15 +460,31 @@ def test_scipy_beyond_special_is_never_imported():
         grid = RadialGrid.geometric(num=1000)
         f = (1.0 + grid.nodes ** 2) ** -2.25
         pot.hls_functional(f, f, grid, pot.KernelSpec(3, 1.5), 4 / 3, 4 / 3)
+        f = (1.0 + grid.nodes ** 2) ** -3.5
+        pot.hls_functional(f, f, grid, pot.KernelSpec(4, 1.0), 8 / 7, 8 / 7)
         assert cli.run(["hls"]) == 0
-        loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.fft",
-                              "scipy.sparse") if m in sys.modules]
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         sys.exit(f"loaded {loaded}" if loaded else 0)
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_import_nothing_after_the_package():
+    # every module a command needs is loaded by import critsys.cli, none by its first run
+    code = """if True:
+        import contextlib, io, sys
+        import critsys.cli
+        from critsys import acceptance, cli
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["mp", "identity"]) == 0
+            assert cli.run(["hls", "--lam", "1.5"]) == 0
+        assert acceptance.check_property_suites()[0]
+        new = sorted(set(sys.modules) - before)
+        sys.exit(f"imported {new}" if new else 0)
+    """
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -452,18 +492,12 @@ def test_scipy_beyond_special_is_never_imported():
                                   ["sweep", "--base", "1e200"]], ids=" ".join)
 def test_overflowing_start_is_usage_error(argv):
     # u0^alpha overflows the Taylor start to inf; the solver must refuse it, not loop
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "critsys.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python("-m", "critsys.cli", *argv, timeout=60)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "must be finite" in proc.stderr
 
 
 def test_main_passes_the_exit_code_through():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "critsys.cli", "hls", "--lam", "4"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = fresh_python("-m", "critsys.cli", "hls", "--lam", "4")
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr
     assert "QuadratureDivergence" in proc.stderr

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import matmul_toeplitz
@@ -26,7 +27,9 @@ from critsys.errors import (
 from critsys.potential import (
     KernelSpec,
     _angular_factor,
+    _hyp2f1,
     _toeplitz_product,
+    _zeta,
     hls_functional,
     newton_potential_derivative,
     newton_potential_radial,
@@ -209,6 +212,29 @@ def test_toeplitz_product_matches_scipy(num, n, lam):
     assert np.array_equal(_toeplitz_product(col, row, x), matmul_toeplitz((col, row), x))
 
 
+class TestSpecialFunctions:
+    """The kernel's 2F1 and zeta against mpmath at 30 digits."""
+
+    # (4, 1.0), (5, 2.0) and (6, 1.0) have integer c-a-b (the log form);
+    # (5, 1.0) has b = -1 (a polynomial); (3, 1.95) has c-a-b = 0.05
+    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.95), (4, 1.0), (4, 2.5),
+                                       (5, 1.0), (5, 2.0), (5, 3.5), (6, 1.0)])
+    def test_hyp2f1_against_mpmath(self, n, lam):
+        grid = RadialGrid.default()
+        z = np.concatenate([(1.0 / grid.log_step ** np.arange(len(grid))) ** 2,
+                            [0.5 - 1e-7, 0.5 + 1e-7, 0.9, 0.99, 1.0]])
+        a, b, c = lam / 2.0, (lam - n + 2.0) / 2.0, n / 2.0
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyp2f1(a, b, c, x)) for x in z])
+        assert np.max(np.abs(_hyp2f1(a, b, c, z) / want - 1.0)) <= 5e-14
+
+    def test_zeta_against_mpmath(self):
+        for gam in np.linspace(0.01, 0.99, 99):
+            with mpmath.workdps(30):
+                want = float(mpmath.zeta(-gam))
+            assert _zeta(-gam) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestHlsFunctional:
     def test_indicator_against_analytic_oracle(self):
         # n=3, lambda=1: kernel average is exactly 1/max(r,s), so
@@ -252,13 +278,15 @@ class TestHlsFunctional:
         got = _angular_factor(r, s, KernelSpec(3, lam))
         want = (((r + s) ** (2 - lam) - np.abs(r - s) ** (2 - lam))
                 / ((2 - lam) * 2 * r * s))
-        assert np.allclose(got, want, rtol=1e-6)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 2.5), (5, 3.5)])
+    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 1.0), (4, 2.5),
+                                       (5, 2.0), (5, 3.5)])
     def test_lieb_sharp_constant(self, n, lam):
         assert lieb_rel_error(n, lam, 1000) <= 1e-4
 
-    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 2.5), (5, 3.5)])
+    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 1.0), (4, 2.5),
+                                       (5, 2.0), (5, 3.5)])
     def test_toeplitz_matches_dense_kernel(self, n, lam):
         grid = RadialGrid.geometric(num=500)
         f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
