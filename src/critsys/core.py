@@ -176,14 +176,13 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
 def lp_norm_radial(profile: np.ndarray, grid: RadialGrid, p: float, n: int) -> float:
     """L^p norm of a radial function sampled on the grid.
 
-    Composite trapezoid of |f|^p * omega_{n-1} * r^{n-1}.
+    Composite trapezoid in ln r of |f|^p * omega_{n-1} * r^n, on any grid.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    f = np.abs(np.asarray(profile, dtype=float))
-    integrand = f ** p * grid.nodes ** (n - 1)
-    integral = unit_sphere_area(n) * float(np.trapezoid(integrand, grid.nodes))
-    return integral ** (1.0 / p)
+    r = grid.nodes
+    integrand = np.abs(np.asarray(profile, dtype=float)) ** p * r ** n
+    return (unit_sphere_area(n) * float(np.trapezoid(integrand, np.log(r)))) ** (1.0 / p)
 
 
 def radial_derivatives(samples: np.ndarray,

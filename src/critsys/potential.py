@@ -3,15 +3,17 @@
 The normalized inverse Laplacian on radial functions reduces exactly to the
 one-dimensional kernel max(r,s)^(2-n)/(n-2): the average of |x-y|^(2-n) over
 the sphere |y| = s equals max(r,s)^(2-n) by harmonicity.  Its one
-implementation, newton_potential_radial, returns (u, u') in one pass; the
-Picard map and the HLS functional at lambda = n-2 both go through it.
+implementation, newton_potential_radial, returns (u, u') in one pass, and
+the Picard map goes through it.
 
 picard_step maps a profile pair to (pair, residual); picard_iterate yields
 each (pair, residual) as it is computed and does no work until consumed.
 
-The radial integrals use core.cumulative_trapezoid, and the HLS Toeplitz
-product off lambda = n-2 is a circulant embedding under numpy.fft.  The HLS
-kernel's special functions are numpy/math code here: _hyp2f1 sums the Gauss
+The radial integrals use core.cumulative_trapezoid.  The HLS functional is
+independent of the potential: a trapezoid in ln r at every lambda, whose
+double sum is one Toeplitz product, a circulant embedding under numpy.fft,
+with Navot's correction for the kernel's cusp.  The HLS kernel's special
+functions are numpy/math code here: _hyp2f1 sums the Gauss
 series for z <= 1/2 and the 1-z connection formulas (A&S 15.3.6, and 15.3.11
 at integer c-a-b) above it, _zeta continues Euler-Maclaurin zeta(1+g) to
 zeta(-g) by the functional equation, and gamma is math.gamma.
@@ -62,13 +64,13 @@ class KernelSpec:
 
 
 def _check_integrable_tail(f: np.ndarray, grid: RadialGrid) -> None:
-    """The radial potential needs s*f(s) decaying at the outer boundary."""
+    """int f ds to infinity needs s*f(s) decaying at the outer boundary."""
     r = grid.nodes
     tail = r * f
     i = np.searchsorted(r, grid.rmax / 10.0)
     if tail[-1] > 0.0 and tail[-1] >= tail[i] > 0.0 and tail[-1] > 1e-300:
         raise NonintegrableInput(
-            "s^(n-1) f(s) s^(2-n) shows no decay over the last decade")
+            "s*f(s) shows no decay over the last decade: int f ds diverges")
 
 
 def newton_potential_radial(f: np.ndarray, grid: RadialGrid,
@@ -196,11 +198,11 @@ def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
 
 
 def _zeta(s: float) -> float:
-    """Riemann zeta(s) for -1 < s < 0.
+    """Riemann zeta(s) for s < 0 not an even integer (those are its zeros).
 
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), with zeta(1-s)
     summed by Euler-Maclaurin from the tenth term on; the seven Bernoulli
-    corrections leave a remainder below 1e-17.
+    corrections leave a remainder below 1e-16 for 1-s <= 6.
     """
     sigma, tail = 1.0 - s, 10
     total = (sum(k ** -sigma for k in range(1, tail)) + tail ** (1.0 - sigma) / (sigma - 1.0)
@@ -232,22 +234,25 @@ def _angular_factor(r: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndar
 def _toeplitz_product(col: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
     """T x for the Toeplitz T with first column col and first row row.
 
-    T embeds in a circulant of size 2N-1, which the real FFT diagonalises;
-    the same steps as scipy.linalg.matmul_toeplitz, so bitwise equal to it.
+    T embeds in a circulant whose size is the next power of two >= 2N-1
+    (column, zeros, reversed row), which the real FFT diagonalises; at
+    N = 1000 and 4000 the sizes 1999 and 7999 would leave numpy's FFT on
+    slow prime-factor paths.
     """
-    m = 2 * len(x) - 1
-    circulant = rfft(np.concatenate((col, row[:0:-1])))
-    return irfft(circulant * rfft(x, n=m), n=m)[:len(x)]
+    num = len(x)
+    m = 1 << (2 * num - 2).bit_length()
+    circulant = rfft(np.concatenate((col, np.zeros(m - 2 * num + 1), row[:0:-1])))
+    return irfft(circulant * rfft(x, n=m), n=m)[:num]
 
 
 def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
                    kernel: KernelSpec, r_exp: float, s_exp: float) -> float:
     """J(f, g) / (||f||_r ||g||_s) for nonnegative radial f, g.
 
-    J is the bilinear Riesz functional, with 1/r + 1/s + lambda/n = 2.  At
-    lambda = n-2 it is (n-2) <f, N g> with N the Newton potential (which
-    raises NonintegrableInput for non-decaying g); off it the grid must be
-    geometric (NonGeometricGrid otherwise).
+    J is the bilinear Riesz functional, with 1/r + 1/s + lambda/n = 2.  The
+    grid must be geometric (NonGeometricGrid otherwise): both integrals are
+    trapezoids in ln r, and the double sum is one Toeplitz product at every
+    lambda.  f^r and g^s must decay in r^(n-1) dr (NonintegrableInput).
     """
     n, lam = kernel.n, kernel.lam
     if abs(1.0 / r_exp + 1.0 / s_exp + lam / n - 2.0) > EXPONENT_RELATION_TOL:
@@ -257,39 +262,35 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     g = np.asarray(g, dtype=float)
     if np.any(f < 0.0) or np.any(g < 0.0):
         raise NonintegrableInput("f and g must be nonnegative")
+    r = grid.nodes
+    _check_integrable_tail(r ** (n - 1) * f ** r_exp, grid)
+    _check_integrable_tail(r ** (n - 1) * g ** s_exp, grid)
     nf = lp_norm_radial(f, grid, r_exp, n)
     ng = lp_norm_radial(g, grid, s_exp, n)
     if nf == 0.0 or ng == 0.0:
         return 0.0
+    if (q := grid.log_step) is None:
+        raise NonGeometricGrid("HLS needs a geometric grid")
 
-    r = grid.nodes
-    h = np.diff(r)
-    w = np.zeros_like(r)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
+    # trapezoid in ln r: dr = r d(ln r), weights h r_i with halved ends
+    h = math.log(q)
+    w = h * r
+    w[[0, -1]] *= 0.5
     wf = w * r ** (n - 1) * f
-
-    if abs(lam - (n - 2.0)) < 1e-14:
-        # the average max(r,s)^(2-n) is (n-2) times the Newton kernel
-        total = (n - 2.0) * (wf @ newton_potential_radial(g, grid, n)[0])
-    else:
-        if (q := grid.log_step) is None:
-            raise NonGeometricGrid("HLS off lambda = n-2 needs a geometric grid")
-        # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix;
-        # k(1/t) = 2F1(t^-2) and k(t) = t^-lam 2F1(t^-2) share one 2F1
-        t = q ** np.arange(len(r))
-        col = _angular_factor(1.0, 1.0 / t, kernel)
-        total = (wf * r ** -lam) @ _toeplitz_product(col, t ** -lam * col,
-                                                     w * r ** (n - 1) * g)
-        gam = n - 1.0 - lam
-        if gam < 1.0:
-            # near s = r the average carries a cusp r^-lam K (2|r-s|/r)^gam,
-            # for which the trapezoid over s pays 2 zeta(-gam) h^(1+gam) times
-            # the cusp's coefficient (generalized Euler-Maclaurin, Navot 1961);
-            # with the weight s^(n-1) g(s) the powers of r cancel
-            K = (gamma(n / 2.0) * gamma(-gam)
-                 / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
-            hr = np.gradient(r)
-            total -= 2.0 * _zeta(-gam) * K * 2.0 ** gam * (wf @ (hr ** (1.0 + gam) * g))
+    # on r_i = r0 q^i the average is r_i^-lam k(q^(j-i)), a Toeplitz matrix;
+    # k(1/t) = 2F1(t^-2) and k(t) = t^-lam 2F1(t^-2) share one 2F1
+    t = q ** np.arange(len(r))
+    col = _angular_factor(1.0, 1.0 / t, kernel)
+    total = (wf * r ** -lam) @ _toeplitz_product(col, t ** -lam * col,
+                                                 w * r ** (n - 1) * g)
+    gam = n - 1.0 - lam
+    if gam % 2.0 != 0.0:
+        # near s = r the average carries a cusp r^-lam K (2|ln s - ln r|)^gam,
+        # for which the trapezoid in ln s pays 2 zeta(-gam) h^(1+gam) times
+        # the cusp's coefficient (generalized Euler-Maclaurin, Navot 1961);
+        # K is Gamma(n/2) Gamma(-gam) / (Gamma(lam/2) Gamma((1-gam)/2)) with
+        # its poles at odd gam cancelled.  At even gam the cusp is smooth.
+        K = -(gamma(n / 2.0) * gamma((1.0 + gam) / 2.0)
+              / (2.0 * math.sin(math.pi * gam / 2.0) * gamma(1.0 + gam) * gamma(lam / 2.0)))
+        total -= 2.0 * _zeta(-gam) * K * 2.0 ** gam * (wf @ ((h * r) ** (1.0 + gam) * g))
     return float(unit_sphere_area(n) ** 2 * total / (nf * ng))
-

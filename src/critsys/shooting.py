@@ -460,8 +460,6 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
     for rho in ratios:
         if not rho > 0.0:
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
-    if not ratios:
-        return []
     outcomes = classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax, tol=tol)
                                for rho in ratios], grid)
     return [SweepRow(float(rho), out.kind, out.crossing_r, out.diagnostics, out.profile)
@@ -469,18 +467,13 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
 
 
 def sweep_consistent(rows: list[SweepRow]) -> bool:
-    """True iff BoundState occurs exactly at ratio 1 within the sweep.
+    """True iff the sweep has rows and BoundState occurs exactly at ratio 1.
 
-    Ratios within DIAGONAL_WINDOW of 1 are exempt from the no-bound-state
-    check: shooting cannot resolve the diagonal that finely.
+    Ratios within DIAGONAL_WINDOW of 1 count as the diagonal: shooting
+    cannot resolve it more finely.
     """
-    for row in rows:
-        on_diagonal = abs(row.ratio - 1.0) <= DIAGONAL_WINDOW
-        if on_diagonal and row.kind is not Kind.BOUND_STATE:
-            return False
-        if not on_diagonal and row.kind is Kind.BOUND_STATE:
-            return False
-    return True
+    return bool(rows) and all((abs(row.ratio - 1.0) <= DIAGONAL_WINDOW)
+                              == (row.kind is Kind.BOUND_STATE) for row in rows)
 
 
 def ordering_term(u, v, config: ExponentConfig):
@@ -507,7 +500,11 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
 
     Radii are snapped to the nearest grid node so the comparison isolates the
     quadrature error; r = 0 is allowed and both sides vanish there exactly.
+    An empty radii raises ValueError.
     """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise ValueError("radii is empty: need at least one radius to check")
     r = profile.grid.nodes
     u, v = profile.u, profile.v
     # u(0), v(0) from the first sample: the offset is O(r0^2)
@@ -517,7 +514,6 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
     nested_u = _cumulative_nested(fu, profile.grid, config.n)
     nested_v = _cumulative_nested(fv, profile.grid, config.n)
 
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     i = np.argmin(np.abs(r[:, None] - radii), axis=0)
     inside = radii > r[0]
 

@@ -73,10 +73,11 @@ def test_verify_all_seed_reaches_property_suite(monkeypatch):
 
 def test_sweep_tol_reaches_the_solver(monkeypatch):
     seen = []
+    sweep = sh.uniqueness_sweep
 
     def recorder(cfg, ratios, base, grid, tol):
         seen.append(tol)
-        return []
+        return sweep(cfg, ratios, base=base, grid=grid, tol=tol)
 
     monkeypatch.setattr(sh, "uniqueness_sweep", recorder)
     assert run(["sweep", "--ratios", "1", "--tol", "1e-8"]) == EXIT_OK

@@ -64,17 +64,16 @@ def lieb_rel_error(n, lam, num):
 def dense_hls(f, grid, kernel, p):
     """hls_functional(f, f, ...) with the N x N sphere-average matrix."""
     n, lam = kernel.n, kernel.lam
-    r = grid.nodes
-    w = np.zeros_like(r)
-    w[:-1] += 0.5 * np.diff(r)
-    w[1:] += 0.5 * np.diff(r)
+    r, h = grid.nodes, math.log(grid.log_step)
+    w = h * r
+    w[[0, -1]] /= 2.0
     wf = w * r ** (n - 1) * f
     total = wf @ _angular_factor(r[:, None], r[None, :], kernel) @ wf
     gam = n - 1.0 - lam
-    if gam < 1.0:  # the Navot cusp correction, as in hls_functional
-        K = (gamma(n / 2.0) * gamma(-gam)
-             / (gamma(lam / 2.0) * gamma((lam - n + 2.0) / 2.0)))
-        total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ (np.gradient(r) ** (1.0 + gam) * f))
+    if gam % 2.0 != 0.0:  # the Navot cusp correction, as in hls_functional
+        K = -(gamma(n / 2.0) * gamma((1.0 + gam) / 2.0)
+              / (2.0 * np.sin(np.pi * gam / 2.0) * gamma(1.0 + gam) * gamma(lam / 2.0)))
+        total -= 2.0 * zeta(-gam) * K * 2.0 ** gam * (wf @ ((h * r) ** (1.0 + gam) * f))
     return float(unit_sphere_area(n) ** 2 * total / lp_norm_radial(f, grid, p, n) ** 2)
 
 
@@ -200,16 +199,33 @@ class TestLogStep:
         assert indicator_grid().log_step is None
 
 
+def dense_toeplitz_product(col, row, x, rows=500):
+    """T x in long double, summed row block by row block."""
+    col, row, x = (np.asarray(a, dtype=np.longdouble) for a in (col, row, x))
+    j = np.arange(len(x))
+    out = np.empty(len(x), dtype=np.longdouble)
+    for start in range(0, len(x), rows):
+        d = np.arange(start, min(start + rows, len(x)))[:, None] - j  # T[i, j] is col[d] or row[-d]
+        out[start:start + rows] = np.where(d >= 0, col[d.clip(0)], row[(-d).clip(0)]) @ x
+    return out
+
+
 @pytest.mark.parametrize("num", [1000, 4000])
 @pytest.mark.parametrize("n, lam", [(3, 1.5), (5, 2.2)])
 def test_toeplitz_product_matches_scipy(num, n, lam):
-    # hls_functional's product on Lieb's extremal, bitwise against matmul_toeplitz
+    # hls_functional's product on Lieb's extremal, against the long-double
+    # dense product and scipy's matmul_toeplitz (whose FFT size is 2N-1, so
+    # its rounding differs from the power-of-two embedding)
     grid = RadialGrid.geometric(num=num)
     r, kernel = grid.nodes, KernelSpec(n, lam)
     t = grid.log_step ** np.arange(num)
     col, row = _angular_factor(1.0, 1.0 / t, kernel), _angular_factor(1.0, t, kernel)
-    x = np.gradient(r) * r ** (n - 1) * (1.0 + r ** 2) ** (-(2 * n - lam) / 2.0)
-    assert np.array_equal(_toeplitz_product(col, row, x), matmul_toeplitz((col, row), x))
+    x = r ** n * (1.0 + r ** 2) ** (-(2 * n - lam) / 2.0)
+    exact = dense_toeplitz_product(col, row, x)
+    bound = 2e-15 * float(np.max(np.abs(exact)))
+    got = _toeplitz_product(col, row, x)
+    assert float(np.max(np.abs(got - exact))) <= bound
+    assert np.max(np.abs(got - matmul_toeplitz((col, row), x))) <= bound
 
 
 class TestSpecialFunctions:
@@ -229,10 +245,15 @@ class TestSpecialFunctions:
         assert np.max(np.abs(_hyp2f1(a, b, c, z) / want - 1.0)) <= 5e-14
 
     def test_zeta_against_mpmath(self):
-        for gam in np.linspace(0.01, 0.99, 99):
+        # every gam = n-1-lambda of the Navot term: (0, 5) without the even
+        # integers, where zeta(-gam) = 0; tighter on (0, 1)
+        unit = np.linspace(0.01, 0.99, 99)
+        beyond = np.linspace(1.0, 4.99, 400)
+        for gam, rel in [(g, 1e-14) for g in unit] + [(g, 1e-13) for g in beyond
+                                                        if g not in (2.0, 4.0)]:
             with mpmath.workdps(30):
                 want = float(mpmath.zeta(-gam))
-            assert _zeta(-gam) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert _zeta(-gam) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 class TestHlsFunctional:
@@ -280,13 +301,16 @@ class TestHlsFunctional:
                 / ((2 - lam) * 2 * r * s))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 1.0), (4, 2.5),
-                                       (5, 2.0), (5, 3.5)])
-    def test_lieb_sharp_constant(self, n, lam):
-        assert lieb_rel_error(n, lam, 1000) <= 1e-4
+    # (3, 1.0), (4, 2.0) and (5, 3.0) are harmonic, lam = n-2 (gam = 1);
+    # (5, 1.0) has gam = 3, (4, 1.0) and (5, 2.0) even gam = 2 (no Navot term)
+    HLS_CASES = [(3, 0.5), (3, 1.0), (3, 1.5), (3, 1.8), (4, 1.0), (4, 2.0), (4, 2.5),
+                 (5, 1.0), (5, 2.0), (5, 3.0), (5, 3.5)]
 
-    @pytest.mark.parametrize("n,lam", [(3, 0.5), (3, 1.5), (3, 1.8), (4, 1.0), (4, 2.5),
-                                       (5, 2.0), (5, 3.5)])
+    @pytest.mark.parametrize("n,lam", HLS_CASES)
+    def test_lieb_sharp_constant(self, n, lam):
+        assert lieb_rel_error(n, lam, 1000) <= 1e-6
+
+    @pytest.mark.parametrize("n,lam", HLS_CASES)
     def test_toeplitz_matches_dense_kernel(self, n, lam):
         grid = RadialGrid.geometric(num=500)
         f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
@@ -295,35 +319,29 @@ class TestHlsFunctional:
         assert hls_functional(f, f, grid, kernel, p, p) == pytest.approx(
             dense_hls(f, grid, kernel, p), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("n,lam", [(3, 1.0), (4, 2.0), (5, 3.0)])
-    def test_newton_path_matches_dense_kernel(self, n, lam):
-        # at lam = n-2 the functional goes through the Newton potential, whose
-        # analytic tail beyond rmax is the only difference from the double sum
-        grid = RadialGrid.geometric(num=500)
-        f = (1.0 + grid.nodes ** 2) ** (-(2 * n - lam) / 2.0)
-        p = 2.0 * n / (2.0 * n - lam)
-        kernel = KernelSpec(n, lam)
-        assert hls_functional(f, f, grid, kernel, p, p) == pytest.approx(
-            dense_hls(f, grid, kernel, p), rel=1e-11, abs=0.0)
-
-    def test_nondecaying_input_refused_at_harmonic(self):
-        # 1/(1+r) is not in L^(6/5)(R^3); the truncated grid would hide that
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+    def test_nondecaying_input_refused(self, lam):
+        # 1/(1+r) is in no L^p(R^3) with p <= 3, and p = 6/(6-lam) < 2 is;
+        # the truncated grid would hide that
         grid = RadialGrid.default()
         f = 1.0 / (1.0 + grid.nodes)
+        p = 6.0 / (6.0 - lam)
         with pytest.raises(NonintegrableInput):
-            hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5)
+            hls_functional(f, f, grid, KernelSpec(3, lam), p, p)
 
     def test_non_geometric_grid_refused_off_harmonic(self):
+        # and at the harmonic exponent lam = n-2 as well: one path at every lam
         grid = indicator_grid(num=500)
         f = np.exp(-grid.nodes)
         with pytest.raises(NonGeometricGrid):
             hls_functional(f, f, grid, KernelSpec(3, 1.5), 12 / 9, 12 / 9)
-        # the harmonic exponent lam = n-2 goes through the Newton potential on any grid
-        assert hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5) > 0.0
+        with pytest.raises(NonGeometricGrid):
+            hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5)
 
-    def test_lieb_error_second_order(self):
-        # the diagonal cusp correction restores O(h^2) near lam = n-1
-        assert lieb_rel_error(3, 1.8, 1000) / lieb_rel_error(3, 1.8, 2000) >= 3.5
+    def test_lieb_error_third_order(self):
+        # the trapezoid in ln r with the diagonal cusp correction is
+        # O(h^(3+gam)) near lam = n-1, i.e. more than O(h^3)
+        assert lieb_rel_error(3, 1.8, 1000) / lieb_rel_error(3, 1.8, 2000) >= 7.0
 
     def test_diagonal_divergence_refused(self):
         grid = RadialGrid.geometric(num=500)

@@ -245,6 +245,13 @@ class TestUniquenessSweep:
                    for rho, k in kinds.items() if rho != 1.0)
         assert sweep_consistent(rows)
 
+    def test_empty_sweep_refused(self):
+        with pytest.raises(ValueError, match="at least one shot"):
+            uniqueness_sweep(CFG, [])
+
+    def test_empty_sweep_is_not_consistent(self):
+        assert sweep_consistent([]) is False
+
     def test_single_ratio_one(self):
         rows = uniqueness_sweep(CFG, [1.0], base=0.7)
         assert rows[0].kind is Kind.BOUND_STATE
@@ -307,6 +314,11 @@ class TestIntegralIdentity:
         rep = check_integral_identity(prof, CFG, [1.0])
         # lhs = 0 but the nested integral of 1 is r^2/(2n) > 0
         assert rep.max_abs_gap == pytest.approx(1.0 / 6.0, rel=1e-2)
+
+    def test_empty_radii_refused(self):
+        prof = bubble_profile(UNIT, RadialGrid.geometric(num=1000))
+        with pytest.raises(ValueError, match="radii"):
+            check_integral_identity(prof, CFG, [])
 
     def test_zero_radius_both_sides_zero(self):
         grid = RadialGrid.geometric(num=1000)
