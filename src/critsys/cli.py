@@ -81,8 +81,14 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _save(args, text: str | None = None, header=None, rows=None) -> str | None:
-    """Write --out, if given (the text, or CSV with %.17g floats), and its manifest; return text."""
+def _save(args, text: str | None = None, header=None, rows=None, columns=None) -> str | None:
+    """Write --out, if given, and its manifest; return text.
+
+    The file holds the text, or a CSV of the header and then either the
+    equal-length float ``columns``, formatted %.17g in one string operation,
+    or csv.writer's ``rows``, whose floats are formatted %.17g.  A %.17g
+    field never needs quoting, so both give csv.writer's bytes.
+    """
     if args.out:
         with open(args.out, "w", newline="") as fh:
             if text is not None:
@@ -90,8 +96,13 @@ def _save(args, text: str | None = None, header=None, rows=None) -> str | None:
             else:
                 w = csv.writer(fh)
                 w.writerow(header)
-                w.writerows([_FLOAT_FMT % x if isinstance(x, float) else x for x in row]
-                            for row in rows)
+                if columns is not None:
+                    row = ",".join([_FLOAT_FMT] * len(columns)) + w.dialect.lineterminator
+                    fh.write(row * len(columns[0])
+                             % tuple(np.column_stack(columns).ravel().tolist()))
+                else:
+                    w.writerows([_FLOAT_FMT % x if isinstance(x, float) else x for x in row]
+                                for row in rows)
         manifest = {"subcommand": args.subcommand, "outputs": [args.out],
                     "version": __version__, "config_path": getattr(args, "config", None),
                     "parameters": {k: v for k, v in vars(args).items() if not callable(v)}}
@@ -108,7 +119,7 @@ def cmd_bubble(args) -> int:
         print(_save(args, f"residual {bb.bubble_residual(params, cfg, grid):.6e}"))
     elif args.out:
         _save(args, header=["r", "phi"],
-              rows=zip(grid.nodes, bb.eval_bubble_radial(params, grid.nodes)))
+              columns=(grid.nodes, bb.eval_bubble_radial(params, grid.nodes)))
         print(f"wrote {args.out}")
     else:
         for r in (0.0, 0.1, 1.0, 10.0):
@@ -132,7 +143,7 @@ def cmd_shoot(args) -> int:
           + (f" crossing_r {out.crossing_r:.6g}" if out.crossing_r else ""))
     p = out.profile
     _save(args, header=["r", "u", "v", "du", "dv"],
-          rows=zip(p.grid.nodes, p.u, p.v, p.du, p.dv))
+          columns=(p.grid.nodes, p.u, p.v, p.du, p.dv))
     return EXIT_OK
 
 
@@ -174,7 +185,7 @@ def cmd_potential(args) -> int:
         f = (grid.nodes <= 1.0).astype(float)  # unit-ball demo source
     u, _ = pot.newton_potential_radial(f, grid, cfg.n)
     if args.out:
-        _save(args, header=["r", "value"], rows=zip(grid.nodes, u))
+        _save(args, header=["r", "value"], columns=(grid.nodes, u))
         print(f"wrote {args.out}")
     else:
         print(f"u(r0) = {u[0]:.12g}, u(rmax) = {u[-1]:.12g}")

@@ -12,6 +12,7 @@ scipy's RK45, whose samples and RHS counts it reproduces bitwise.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -128,7 +129,11 @@ class _Solution:
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's expression for a real vector
+
+
+# stage s: (s, its row of _A, its node)
+_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
@@ -136,12 +141,13 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
     t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
-    (I, Sec. II.4), the RMS error norm, step factors 0.9 err^(-1/5) within
-    [0.2, 10] (at most 1 right after a rejection), a floor of ten float
-    spacings at t, and the quartic dense output at the t_eval nodes of each
-    step.  Samples and nfev are bitwise equal to scipy's.  On status -1 the
-    result holds the samples reached and scipy's message.  Like scipy, it
-    rejects a y0 that is not finite.
+    (I, Sec. II.4), the RMS error norm (sqrt(x.x), as np.linalg.norm has it),
+    step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
+    rejection), a floor of ten float spacings at t, and the quartic dense
+    output at the t_eval nodes of each step, written into one preallocated
+    (len(y0), len(t_eval)) array.  Samples and nfev are bitwise equal to
+    scipy's.  On status -1 the result holds the samples reached and scipy's
+    message.  Like scipy, it rejects a y0 that is not finite.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -159,12 +165,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
         nfev += 1
         return np.asarray(fun(t, y), dtype=float)
 
-    ts, ys, done = [], [], 0
+    out, done = np.empty((y.size, len(t_eval))), 0
 
     def result(status: int, message: str) -> _Solution:
-        if not ts:
-            return _Solution(t_eval[:0], np.empty((y.size, 0)), nfev, status, message)
-        return _Solution(np.hstack(ts), np.hstack(ys), nfev, status, message)
+        return _Solution(t_eval[:done], out[:, :done], nfev, status, message)
 
     f = rhs(t, y)
     # initial step from the size of y, y' and a finite-difference y''
@@ -181,7 +185,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
 
     K = np.empty((len(_C) + 1, y.size))
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -189,10 +193,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
                 return result(-1, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            for s, a, c in _STAGES:
+                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _B)
             f_new = K[-1] = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -203,27 +207,33 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        end = np.searchsorted(t_eval, t_new, side="right")
+        end = t_eval.searchsorted(t_new, side="right")
         if end > done:
             x = (t_eval[done:end] - t) / h
-            y_eval = h * np.dot(K.T.dot(_P), np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0))
-            y_eval += y[:, None]
-            ts.append(t_eval[done:end])
-            ys.append(y_eval)
+            p = np.empty((_P.shape[1], x.size))  # x, x^2, x^3, x^4 as np.cumprod multiplies
+            p[0] = x
+            for i in range(1, len(p)):
+                np.multiply(p[i - 1], x, out=p[i])
+            out[:, done:end] = h * np.dot(K.T.dot(_P), p) + y[:, None]
             done = end
         t, y, f = t_new, y_new, f_new
     return result(0, "The solver successfully reached the end of the integration interval.")
 
 
 def _rhs(n: int, alpha: float, beta: float):
-    """Right-hand side on the flattened (4, k) state of k stacked shots."""
+    """Right-hand side on the flattened (4, k) state of k stacked shots.
+
+    Each call returns a fresh array: the solver keeps the last one between steps.
+    """
     def rhs(r, y):
-        u, du, v, dv = y.reshape(4, -1)
-        uu = np.maximum(u, 0.0)
-        vv = np.maximum(v, 0.0)
-        c = (n - 1) / r
-        return np.concatenate((du, -c * du - uu ** alpha * vv ** beta,
-                               dv, -c * dv - uu ** beta * vv ** alpha))
+        y = y.reshape(4, -1)
+        w = np.maximum(y[::2], 0.0)  # u and v, clamped at zero
+        dy = np.empty_like(y)
+        dy[::2] = y[1::2]
+        np.multiply(y[1::2], -(n - 1) / r, out=dy[1::2])
+        # minus u^alpha v^beta and v^alpha u^beta (IEEE products commute)
+        dy[1::2] -= w ** alpha * (w ** beta)[::-1]
+        return dy.ravel()
     return rhs
 
 

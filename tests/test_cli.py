@@ -16,7 +16,16 @@ from critsys import acceptance
 from critsys import moving_plane as mp
 from critsys import shooting as sh
 from critsys.bubble import eval_bubble_radial, make_bubble
-from critsys.cli import EXIT_ASSERTION, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, run
+from critsys.cli import (
+    EXIT_ASSERTION,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _save,
+    build_parser,
+    load_config,
+    run,
+)
 from critsys.core import ExponentConfig, RadialGrid
 from critsys.potential import KernelSpec, hls_functional
 
@@ -114,6 +123,44 @@ def test_shoot_csv_matches_bubble(tmp_path, capsys):
     # manifest emitted alongside the CSV
     manifest = json.loads((tmp_path / "profile.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "shoot"
+
+
+def saved_both_ways(tmp_path, header, columns):
+    """The CSV bytes _save writes from columns and from the per-row csv.writer path."""
+    written = []
+    for name, data in (("columns.csv", dict(columns=columns)),
+                       ("rows.csv", dict(rows=zip(*columns)))):
+        path = tmp_path / name
+        _save(SimpleNamespace(out=str(path), subcommand="test"), header=header, **data)
+        written.append(path.read_bytes())
+    return written
+
+
+def test_csv_columns_are_csv_writer_bytes(tmp_path):
+    special = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1.0, np.nan, np.inf,
+                        -np.inf, 0.1, -2.5e-300])
+    columns = (special, special[::-1], np.arange(len(special), dtype=float))
+    from_columns, from_rows = saved_both_ways(tmp_path, ["a", "b", "c"], columns)
+    assert from_columns == from_rows
+    assert from_columns.startswith(
+        b"a,b,c\r\n0,-2.5e-300,0\r\n-0,0.10000000000000001,1\r\n4.9406564584124654e-324,-inf,2\r\n")
+    assert b"\r\n1,nan,4\r\nnan,1,5\r\n" in from_columns
+
+
+def test_shoot_csv_is_the_profile_bitwise(tmp_path):
+    # a positivity failure, so the profile's tail is zero-filled
+    out = tmp_path / "shoot.csv"
+    assert run(["shoot", "--u0", "1", "--v0", "2", "--rmax", "10", "--out", str(out)]) == EXIT_OK
+    cfg, grid = load_config(None)
+    grid = RadialGrid.geometric(grid.r0, 10.0, len(grid))
+    prof = sh.classify(sh.ShootInput(cfg, 1.0, 2.0, r_max=10.0), grid).profile
+    assert prof.u[-1] == prof.du[-1] == 0.0
+    columns = (grid.nodes, prof.u, prof.v, prof.du, prof.dv)
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    for got, want in zip(data.T, columns):
+        assert got.tobytes() == want.tobytes()
+    from_columns, from_rows = saved_both_ways(tmp_path, ["r", "u", "v", "du", "dv"], columns)
+    assert from_columns == from_rows == out.read_bytes()
 
 
 def test_shoot_reproducible(tmp_path):

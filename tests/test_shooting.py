@@ -198,6 +198,17 @@ class TestBatch:
         with pytest.raises(ValueError):
             integrate_radial_batch([])
 
+    def test_profiles_are_views_of_the_solver_samples(self, monkeypatch):
+        # _profiles zero-fills the solver's samples in place: no second copy of the batch
+        sols = record_solves(monkeypatch)
+        profiles = integrate_radial_batch([ShootInput(CFG, 1.0, v0, r_max=10.0)
+                                           for v0 in (1.0, 2.0)])
+        samples = sols[0].y.reshape(4, 2, -1)
+        assert samples[0, 1, -1] == 0.0  # the u-failing column, zero-filled in place
+        for prof in profiles:
+            for arr in (prof.u, prof.v, prof.du, prof.dv):
+                assert np.shares_memory(arr, sols[0].y)
+
     def test_sweep_is_one_solve(self, monkeypatch):
         sols = record_solves(monkeypatch)
         rows = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0])
@@ -360,6 +371,30 @@ class TestOrderingTerm:
             assert term < 0.0
         else:
             assert term == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 7, 100])
+@pytest.mark.parametrize("n, alpha, beta", [(3, 2.0, 3.0), (4, 1.0, 2.0), (5, 1.0, 4.0 / 3.0)])
+def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
+    # both solvers of TestSolverMatchesScipy call the same RHS, so only a
+    # direct comparison catches a change in its arithmetic
+    rng = np.random.default_rng(k)
+    rhs = shooting._rhs(n, alpha, beta)
+    for i, r in enumerate((1e-6, 0.37, 1e4)):
+        # signed states of mixed magnitude: negative u and v exercise the clamp
+        y = rng.normal(size=(4, k)) * 10.0 ** rng.integers(-3, 4, size=(4, k))
+        if i < 2:
+            y[2 * i, 0] = -abs(y[2 * i, 0])  # u, then v, below zero in the first column
+        u, du, v, dv = y
+        uu, vv = np.maximum(u, 0.0), np.maximum(v, 0.0)
+        c = (n - 1) / r
+        ref = np.concatenate((du, -c * du - uu ** alpha * vv ** beta,
+                              dv, -c * dv - uu ** beta * vv ** alpha))
+        first, second = rhs(r, y.ravel()), rhs(r, y.ravel())
+        assert first.tobytes() == second.tobytes() == ref.tobytes()
+        # the solver keeps one RHS value while it computes the next
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, y)
 
 
 def compare_with_scipy(monkeypatch):
