@@ -207,11 +207,15 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         return sh.integrate_radial_batch(
             [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in pairs])
 
-    a, b = shots(draws), shots(draws[:, ::-1])
-    if any(np.max(np.abs(p.u - q.v)) > 1e-7 or np.max(np.abs(p.v - q.u)) > 1e-7
-           for p, q in zip(a, b)):
+    # only copies of a's u and v outlive it, so one full sample block is alive at a time
+    a = shots(draws)
+    au, av = np.array([p.u for p in a]), np.array([p.v for p in a])
+    del a
+    b = shots(draws[:, ::-1])
+    if any(np.max(np.abs(u - q.v)) > 1e-7 or np.max(np.abs(v - q.u)) > 1e-7
+           for u, v, q in zip(au, av, b)):
         fails.append("swap-antisymmetry")
-    del a, b  # at most two batches alive at once
+    del au, av, b
     # equal-start from the same draws
     if any(np.max(np.abs(c.u - c.v)) > 1e-10 for c in shots(draws[:, [0, 0]])):
         fails.append("equal-start-collapse")

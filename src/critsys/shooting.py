@@ -26,7 +26,7 @@ from .core import (
     RadialProfilePair,
     cumulative_trapezoid,
 )
-from .errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
+from .errors import GridTooCoarse, HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
 from .potential import newton_potential_derivative
 
 DECAY_PLATEAU_RTOL = 0.01  # relative variation of r^(n-2)u over the last decade
@@ -132,10 +132,6 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's expression for a real vector
 
 
-# stage s: (s, its row of _A, its node)
-_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
-
-
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
     """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
 
@@ -145,9 +141,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
     rejection), a floor of ten float spacings at t, and the quartic dense
     output at the t_eval nodes of each step, written into one preallocated
-    (len(y0), len(t_eval)) array.  Samples and nfev are bitwise equal to
-    scipy's.  On status -1 the result holds the samples reached and scipy's
-    message.  Like scipy, it rejects a y0 that is not finite.
+    (len(y0), len(t_eval)) array.  Each stage sum, y_new and the dense-output
+    block are formed in place (scale the product by h, then add y), so a
+    step makes one temporary per quantity; the IEEE operations and BLAS
+    calls are scipy's, and samples and nfev are bitwise equal to scipy's.
+    On status -1 the result holds the samples reached and scipy's message.
+    Like scipy, it rejects a y0 that is not finite.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -184,6 +183,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     h_abs = min(100 * h0, h1, interval)
 
     K = np.empty((len(_C) + 1, y.size))
+    # stage s: (its row of K, the rows before it, its row of _A, its node)
+    stages = [(K[s], K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
+    KT, KT_rk = K.T, K[:-1].T
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -195,12 +197,17 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s, a, c in _STAGES:
-                K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            for Ks, KsT, a, c in stages:
+                z = np.dot(KsT, a)
+                z *= h
+                z += y
+                Ks[:] = rhs(t + c * h, z)
+            y_new = np.dot(KT_rk, _B)
+            y_new *= h
+            y_new += y
             f_new = K[-1] = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            error_norm = _rms(np.dot(KT, _E) * h / scale)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _ERROR_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -214,7 +221,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
             p[0] = x
             for i in range(1, len(p)):
                 np.multiply(p[i - 1], x, out=p[i])
-            out[:, done:end] = h * np.dot(K.T.dot(_P), p) + y[:, None]
+            q = np.dot(KT.dot(_P), p)
+            q *= h
+            np.add(q, y[:, None], out=out[:, done:end])
             done = end
         t, y, f = t_new, y_new, f_new
     return result(0, "The solver successfully reached the end of the integration interval.")
@@ -258,7 +267,9 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     (u or v reaches zero) keeps being integrated with the clamped RHS, so
     every solve samples every node.  Returns the nodes up to r_max, the
     solver result and each column's count of samples before its first
-    nonpositive one.
+    nonpositive one.  Raises GridTooCoarse if a column's series start at the
+    first node already has u or v <= 0 (large u0, v0 for that node): such a
+    column has no positive sample, so no zero to bracket.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -271,9 +282,15 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
         # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
         grid = RadialGrid.geometric(rmax=first.r_max)
     nodes = grid.nodes[grid.nodes <= first.r_max]
+    start = _taylor_start(inputs, nodes[0])
+    # a non-finite start is left to solve_ivp, which refuses it
+    bad = np.flatnonzero((np.minimum(start[0], start[2]) <= 0.0) & np.isfinite(start).all(axis=0))
+    if bad.size:
+        raise GridTooCoarse(
+            f"the series start at r0 = {nodes[0]:g} has u or v <= 0 in columns "
+            f"{bad.tolist()}: u0, v0 this large need a smaller first node")
     sol = solve_ivp(
-        _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max),
-        _taylor_start(inputs, nodes[0]).ravel(),
+        _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max), start.ravel(),
         t_eval=nodes, rtol=first.tol, atol=first.tol,
     )
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor

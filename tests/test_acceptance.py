@@ -1,4 +1,6 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,19 +48,44 @@ def test_property_suite_batches_match_single_shots(monkeypatch):
                 assert np.array_equal(g == 0.0, r == 0.0)
 
 
-def test_property_suite_catches_planted_swap_violation(monkeypatch):
+def plant_swap_violation(monkeypatch, which: int, du: float, dv: float):
+    """Offset u and v of the which-th shooting batch of the property suite."""
     batch, calls = sh.integrate_radial_batch, []
 
     def planted(inputs, grid=None):
         calls.append(inputs)
         profiles = batch(inputs, grid)
-        if len(calls) != 2:
+        if len(calls) != which:
             return profiles
-        # the second, swapped (b) batch: v off by 1e-6
-        return [RadialProfilePair(p.grid, p.u, p.v + 1e-6, p.du, p.dv)
-                for p in profiles]
+        return [RadialProfilePair(p.grid, p.u + du, p.v + dv, p.du, p.dv) for p in profiles]
 
     monkeypatch.setattr(sh, "integrate_radial_batch", planted)
+
+
+def test_property_suite_catches_planted_swap_violation(monkeypatch):
+    # the second, swapped (b) batch: v off by 1e-6
+    plant_swap_violation(monkeypatch, 2, 0.0, 1e-6)
     ok, detail = acceptance.check_property_suites()
     assert not ok and "swap-antisymmetry" in detail
     assert "equal-start-collapse" not in detail
+
+
+def test_property_suite_compares_the_kept_first_batch(monkeypatch):
+    # the first (a) batch: u off by 1e-6, seen only through the copies the suite keeps
+    plant_swap_violation(monkeypatch, 1, 1e-6, 0.0)
+    ok, detail = acceptance.check_property_suites()
+    assert not ok and "swap-antisymmetry" in detail
+    assert "equal-start-collapse" not in detail
+
+
+def test_property_suite_holds_under_two_sample_blocks():
+    # one (4, 100, 4000) float64 block of samples is 12.8 MB; the suite keeps a's u
+    # and v (6.4 MB) while b is solved, so two whole blocks must never be alive
+    block = 4 * 100 * 4000 * 8
+    tracemalloc.start()
+    try:
+        assert acceptance.check_property_suites() == (True, "no violations")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block, f"peak {peak / 1e6:.1f} MB"

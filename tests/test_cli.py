@@ -545,6 +545,16 @@ def test_overflowing_start_is_usage_error(argv):
     assert "must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["shoot", "--u0", "1e4", "--v0", "1e4"],
+                                  ["sweep", "--base", "1e4"]], ids=" ".join)
+def test_nonpositive_series_start_is_numerical_failure(argv, capsys):
+    # the series start at the default first node is already negative: no zero to bracket
+    assert run(argv) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: GridTooCoarse: ")
+    assert "r0 = 1e-06" in err
+
+
 def test_main_passes_the_exit_code_through():
     proc = fresh_python("-m", "critsys.cli", "hls", "--lam", "4")
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr

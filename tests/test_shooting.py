@@ -10,7 +10,12 @@ from scipy.optimize import brentq
 from critsys import acceptance, shooting
 from critsys.bubble import amplitude_constant, bubble_profile, eval_bubble_radial, make_bubble
 from critsys.core import ExponentConfig, RadialGrid, RadialProfilePair
-from critsys.errors import HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
+from critsys.errors import (
+    GridTooCoarse,
+    HypothesisNotApplicable,
+    NonpositiveInput,
+    StepSizeUnderflow,
+)
 from critsys.shooting import (
     Kind,
     ShootInput,
@@ -208,6 +213,22 @@ class TestBatch:
         for prof in profiles:
             for arr in (prof.u, prof.v, prof.du, prof.dv):
                 assert np.shares_memory(arr, sols[0].y)
+
+    def test_nonpositive_series_start_is_grid_too_coarse(self, monkeypatch):
+        # at r0 = 1e-6 the series start of (1e4, 1e4) has u ~ -1.7e7, and that of
+        # (1, 1e5) has u ~ -166; before any solve, every such column is named
+        sols = record_solves(monkeypatch)
+        inputs = [ShootInput(CFG, u0, v0, r_max=10.0)
+                  for u0, v0 in [(1.0, 1.0), (1e4, 1e4), (1.0, 2.0), (1.0, 1e5)]]
+        for shoot in (integrate_radial_batch, classify_batch):
+            with pytest.raises(GridTooCoarse, match=r"r0 = 1e-06 .* columns \[1, 3\]"):
+                shoot(inputs)
+        with pytest.raises(GridTooCoarse, match=r"columns \[0\]"):
+            integrate_radial(inputs[1])
+        assert sols == []
+        # a first node 100 times nearer the origin gives a positive start
+        prof = integrate_radial(inputs[1], RadialGrid.geometric(1e-8, 10.0))
+        assert prof.u[0] > 0.0 and prof.v[0] > 0.0
 
     def test_sweep_is_one_solve(self, monkeypatch):
         sols = record_solves(monkeypatch)
