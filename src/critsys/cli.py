@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 # argparse's gettext imports locale for its first message; importing it with
 # the package keeps that import out of the first command run
@@ -323,7 +324,13 @@ _COMMANDS = [
 _GROUPS = {"bubble": "the exact solution family", "mp": "moving-plane scans and checks"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    Each parse_args call returns a new Namespace and every default is
+    immutable, so what a run writes to its args never reaches the next run.
+    """
     parser = argparse.ArgumentParser(
         prog="critsys", description="Solve and verify the critical-exponent elliptic system")
     parser.add_argument("--version", action="version", version=__version__)

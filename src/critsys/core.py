@@ -133,6 +133,18 @@ class RadialGrid:
         return RadialGrid(merged)
 
 
+def steep_at_origin(r0, u, v, du, dv):
+    """Where a slope at the first node r0 is too large for u'(0) = v'(0) = 0.
+
+    A loose guard: the slope at r0 must be O(r0).  alpha + beta = (n+2)/(n-2)
+    <= 5 for n >= 3, so (1 + u + v)^5 bounds the forcing u^alpha v^beta that
+    sets it.  Takes floats or arrays, so one call checks every column of a
+    batch.
+    """
+    bound = 100.0 * r0 * (1.0 + u + v) ** 5
+    return (abs(du) > bound) | (abs(dv) > bound)
+
+
 @dataclass(frozen=True)
 class RadialProfilePair:
     """Sampled (u, v) pair on a radial grid with derivative data."""
@@ -151,16 +163,8 @@ class RadialProfilePair:
                 raise ValueError(f"{name} must match grid length {len(self.grid)}")
         if np.any(self.u < -1e-12) or np.any(self.v < -1e-12):
             raise ValueError("profile samples must be nonnegative")
-        # loose guard for u'(0) = v'(0) = 0: the slope at r0 must be O(r0).
-        # alpha + beta = (n+2)/(n-2) <= 5 for n >= 3, so (1+u0+v0)^5 bounds
-        # the forcing u0^alpha v0^beta that sets the slope
-        r0 = self.grid.r0
-        scale = (1.0 + self.u[0] + self.v[0]) ** 5
-        bound = 100.0 * r0 * scale
-        if abs(self.du[0]) > bound or abs(self.dv[0]) > bound:
-            raise ValueError(
-                "derivative at first node inconsistent with a regular origin"
-            )
+        if steep_at_origin(self.grid.r0, self.u[0], self.v[0], self.du[0], self.dv[0]):
+            raise ValueError("derivative at first node inconsistent with a regular origin")
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     RadialGrid,
     RadialProfilePair,
     cumulative_trapezoid,
+    steep_at_origin,
 )
 from .errors import GridTooCoarse, HypothesisNotApplicable, NonpositiveInput, StepSizeUnderflow
 from .potential import newton_potential_derivative
@@ -268,8 +269,10 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     every solve samples every node.  Returns the nodes up to r_max, the
     solver result and each column's count of samples before its first
     nonpositive one.  Raises GridTooCoarse if a column's series start at the
-    first node already has u or v <= 0 (large u0, v0 for that node): such a
-    column has no positive sample, so no zero to bracket.
+    first node already has u or v <= 0, or a slope that RadialProfilePair
+    would refuse as too steep for a regular origin (large u0, v0 for that
+    node): the first has no positive sample, so no zero to bracket, and the
+    second no profile.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -283,12 +286,15 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
         grid = RadialGrid.geometric(rmax=first.r_max)
     nodes = grid.nodes[grid.nodes <= first.r_max]
     start = _taylor_start(inputs, nodes[0])
+    u, du, v, dv = start
+    with np.errstate(over="ignore"):  # a bound that overflows to +-inf compares the right way
+        unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(nodes[0], u, v, du, dv)
     # a non-finite start is left to solve_ivp, which refuses it
-    bad = np.flatnonzero((np.minimum(start[0], start[2]) <= 0.0) & np.isfinite(start).all(axis=0))
+    bad = np.flatnonzero(unfit & np.isfinite(start).all(axis=0))
     if bad.size:
         raise GridTooCoarse(
-            f"the series start at r0 = {nodes[0]:g} has u or v <= 0 in columns "
-            f"{bad.tolist()}: u0, v0 this large need a smaller first node")
+            f"the series start at r0 = {nodes[0]:g} has u or v <= 0 or too steep a slope "
+            f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
     sol = solve_ivp(
         _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max), start.ravel(),
         t_eval=nodes, rtol=first.tol, atol=first.tol,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -487,12 +488,63 @@ def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
     assert run(argv[1:]) == EXIT_OK
 
 
-def fresh_python(*argv, timeout=120):
+def fresh_python(*argv, timeout=120, cwd=None):
     """python3 argv in a new interpreter that imports critsys from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, cwd=cwd)
+
+
+def test_run_builds_one_parser_per_process(monkeypatch, capsys):
+    run(["--version"])  # builds the parser, unless an earlier test has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["--version"], ["bubble", "residual"], ["shoot", "--u0", "x", "--v0", "1"],
+                 ["mp", "identity"], ["sweep", "--help"]):
+        run(argv)
+    assert built == []
+
+
+# (first, second, manifest parameters of the second): the second writes b.*
+_RUN_PAIRS = [
+    (["mp", "scan", "--center", "1", "--v-center", "2", "--out", "a.txt"],
+     ["mp", "scan", "--center", "1", "--out", "b.txt"], {"v_center": 1.0}),
+    (["shoot", "--u0", "1", "--v0", "2", "--rmax", "50", "--out", "a.csv"],
+     ["shoot", "--u0", "1.3", "--v0", "1.3", "--out", "b.csv"], {"rmax": 1e4}),
+    (["shoot", "--u0", "x", "--v0", "1"],
+     ["shoot", "--u0", "1.3", "--v0", "1.3", "--out", "b.csv"], {"rmax": 1e4}),
+    (["--version"], ["--version"], None),
+]
+
+
+@pytest.mark.parametrize("first, second, params", _RUN_PAIRS,
+                         ids=[" ".join(a) + " then " + " ".join(b) for a, b, _ in _RUN_PAIRS])
+def test_a_run_leaves_nothing_to_the_next(first, second, params, tmp_path, monkeypatch,
+                                          capsys):
+    # the second run gives the exit code, stdout and files of the same command run
+    # alone, in a new process, though both runs share this process's parser
+    pair, alone = tmp_path / "pair", tmp_path / "alone"
+    pair.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(pair)
+    run(first)
+    capsys.readouterr()
+    code = run(second)
+    out = capsys.readouterr().out
+    proc = fresh_python("-m", "critsys.cli", *second, cwd=alone, timeout=60)
+    assert (code, out) == (proc.returncode, proc.stdout)
+    written = {p.name: p.read_bytes() for p in pair.glob("b.*")}
+    assert written == {p.name: p.read_bytes() for p in alone.iterdir()}
+    if params is not None:
+        manifest = json.loads(written[second[-1] + ".manifest.json"])
+        assert params.items() <= manifest["parameters"].items()
 
 
 def test_scipy_is_never_imported():
@@ -546,9 +598,12 @@ def test_overflowing_start_is_usage_error(argv):
 
 
 @pytest.mark.parametrize("argv", [["shoot", "--u0", "1e4", "--v0", "1e4"],
-                                  ["sweep", "--base", "1e4"]], ids=" ".join)
+                                  ["sweep", "--base", "1e4"],
+                                  ["shoot", "--u0", "1500", "--v0", "1500"],
+                                  ["sweep", "--base", "1500"]], ids=" ".join)
 def test_nonpositive_series_start_is_numerical_failure(argv, capsys):
-    # the series start at the default first node is already negative: no zero to bracket
+    # the series start at the default first node is already negative (1e4), so no zero
+    # to bracket, or still positive but too steep for a regular origin (1500)
     assert run(argv) == EXIT_NUMERICAL
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: GridTooCoarse: ")

@@ -230,6 +230,34 @@ class TestBatch:
         prof = integrate_radial(inputs[1], RadialGrid.geometric(1e-8, 10.0))
         assert prof.u[0] > 0.0 and prof.v[0] > 0.0
 
+    def test_steep_series_start_is_grid_too_coarse(self, monkeypatch):
+        # at r0 = 1e-6 the series start of (1500, 1500) is still positive (u ~ 234),
+        # but its slope fails RadialProfilePair's regular-origin guard; (1490, 1490)
+        # passes it.  Before any solve, only the failing columns are named; the guard's
+        # bound for (1e60, 1) overflows to -inf, with no RuntimeWarning
+        sols = record_solves(monkeypatch)
+        inputs = [ShootInput(CFG, u0, v0, r_max=10.0) for u0, v0 in
+                  [(1.0, 1.0), (1500.0, 1500.0), (1490.0, 1490.0), (1.0, 2.0), (1e60, 1.0)]]
+        start = shooting._taylor_start(inputs, 1e-6)
+        assert start[0, 1] > 0.0 and start[2, 1] > 0.0
+        for shoot in (integrate_radial_batch, classify_batch):
+            with pytest.raises(GridTooCoarse, match=r"r0 = 1e-06 .* columns \[1, 4\]"):
+                shoot(inputs)
+        assert sols == []
+        # the same guard, as the profile applies it, refuses that start and takes 1490's
+        grid = RadialGrid.geometric(1e-6, 10.0)
+
+        def constant_profile(j):  # column j's (u, v, u', v') start at every node
+            return RadialProfilePair(grid, *np.repeat(start[[0, 2, 1, 3], j, None], len(grid), 1))
+
+        constant_profile(2)
+        with pytest.raises(ValueError, match="regular origin"):
+            constant_profile(1)
+        assert classify(inputs[2]).kind is Kind.POSITIVITY_FAILURE
+        # a first node 100 times nearer the origin takes the 1500 start
+        prof = integrate_radial(inputs[1], RadialGrid.geometric(1e-8, 10.0))
+        assert prof.u[0] > 0.0 and prof.v[0] > 0.0
+
     def test_sweep_is_one_solve(self, monkeypatch):
         sols = record_solves(monkeypatch)
         rows = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0])
