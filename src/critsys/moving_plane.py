@@ -11,7 +11,9 @@ The sampler's points and their mirror images are column-contiguous (an
 (n, N) buffer viewed as (N, n)), so a field reads each coordinate as one
 contiguous column.  Fields must be pure functions of the points: when one
 callable is passed as both u and v, it is evaluated once per point set (the
-sampler, each probe, each half-space) and its values serve for v too.
+sampler, each probe, each half-space) and its values serve for v too.  A
+field must not keep the points it is given: a scan rewrites one mirror
+buffer from plane to plane.
 """
 from __future__ import annotations
 
@@ -114,22 +116,11 @@ class CartesianSampler:
         return cols.T, np.tile(ring * dx * drho, self.m)
 
 
-def _half_space(pts: np.ndarray, plane: PlaneParam,
-                last: int | None = None) -> tuple[slice, np.ndarray]:
-    """Slice of the sampler nodes in H_lam = {x1 < lam} (or its ``last`` rows), mirror images.
-
-    The sampler's nodes are x1-major, so H_lam is a prefix; a mirror image
-    differs from its node only in x1, where it takes reflect's expression.
-    """
-    if not plane.is_axis_aligned:
-        raise ValueError("the sampler fast path requires direction e1")
-    end = int(np.searchsorted(pts[:, 0], plane.lam))
-    half = slice(0 if last is None else max(end - last, 0), end)
-    x1 = pts[half, 0]
-    refl = np.empty((pts.shape[1], len(x1))).T  # column-contiguous, like the nodes
-    refl[:, 0] = x1 + 2.0 * (plane.lam - x1)
-    refl[:, 1:] = pts[half, 1:]
-    return half, refl
+def _mirror_x1(x1: np.ndarray, lam: float, out: np.ndarray) -> None:
+    """reflect's x1 + 2(lam - x1) across the plane x1 = lam, written into out."""
+    np.subtract(lam, x1, out=out)
+    out *= 2.0
+    out += x1
 
 
 def _pair(u_field, v_field, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +140,6 @@ class ReflectionReport:
     inequality_margins: dict
 
 
-def _lp_on_set(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
-
-
 def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
                                 config: ExponentConfig,
                                 sampler: CartesianSampler) -> ReflectionReport:
@@ -167,26 +154,41 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     if not n == plane.n == sampler.n:
         raise ValueError(f"dimensions disagree: config.n = {n}, plane.n = {plane.n}, "
                          f"sampler.n = {sampler.n}")
+    if not plane.is_axis_aligned:
+        raise ValueError("the sampler fast path requires direction e1")
     p = 2.0 * n / (n - 2.0)
     pts, w = sampler.nodes()
-    half, refl = _half_space(pts, plane)
-    w_h = w[half]
-
     u_all, v_all = _pair(u_field, v_field, pts)
-    u, v = u_all[half], v_all[half]
-    ul, vl = _pair(u_field, v_field, refl)
+    end = int(np.searchsorted(pts[:, 0], plane.lam))  # H_lam is a prefix of the x1-major nodes
+    refl = np.empty((n, end))  # column-contiguous, like the nodes
+    _mirror_x1(pts[:end, 0], plane.lam, out=refl[0])
+    refl[1:] = pts[:end, 1:].T
+    del pts  # hold no point set past its evaluation
+    ul, vl = _pair(u_field, v_field, refl.T)
+    del refl
+    u, v, w_h = u_all[:end], v_all[:end], w[:end]
+    same = ul is vl and u_all is v_all  # one callable: each v term is its u term
     bu = ul > u
-    bv = vl > v
+    bv = bu if same else vl > v
 
+    def terms(values, weights):  # w |values|^p, formed once per array
+        return weights * np.abs(values) ** p
+
+    def norm(t, on=None):  # summed over the set `on` in node order
+        return float(np.sum(t if on is None else t[on]) ** (1.0 / p))
+
+    du, t_ul, t_u = terms(ul - u, w_h), terms(ul, w_h), terms(u_all, w)
+    dv, t_vl, t_v = ((du, t_ul, t_u) if same
+                     else (terms(vl - v, w_h), terms(vl, w_h), terms(v_all, w)))
     norms = {
-        "u_lam-u_p_Bu": _lp_on_set((ul - u)[bu], w_h[bu], p),
-        "v_lam-v_p_Bv": _lp_on_set((vl - v)[bv], w_h[bv], p),
-        "u_lam_p_Bu": _lp_on_set(ul[bu], w_h[bu], p),
-        "v_lam_p_Bu": _lp_on_set(vl[bu], w_h[bu], p),
-        "u_lam_p_Bv": _lp_on_set(ul[bv], w_h[bv], p),
-        "v_lam_p_Bv": _lp_on_set(vl[bv], w_h[bv], p),
-        "u_p_global": _lp_on_set(u_all, w, p),
-        "v_p_global": _lp_on_set(v_all, w, p),
+        "u_lam-u_p_Bu": norm(du, bu),
+        "v_lam-v_p_Bv": norm(dv, bv),
+        "u_lam_p_Bu": norm(t_ul, bu),
+        "v_lam_p_Bu": norm(t_vl, bu),
+        "u_lam_p_Bv": norm(t_ul, bv),
+        "v_lam_p_Bv": norm(t_vl, bv),
+        "u_p_global": norm(t_u),
+        "v_p_global": norm(t_v),
     }
     # smallness factors multiplying the difference norms in the estimates
     margins = {
@@ -215,22 +217,35 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     """Smallest swept lam with empty B_u and B_v at every lam' >= lam.
 
     For bubbles centered at c1*e1 the answer is the larger c1 up to one grid
-    cell.  Non-monotone emptiness across the sweep raises ScanInconclusive.
+    cell.  The sweep must bracket it: a first swept plane that is already
+    empty only bounds lam0 from above and raises ScanInconclusive, as does
+    non-monotone emptiness.  Raises ValueError unless lambdas is a nonempty
+    sequence of finite numbers.  Every plane's mirror images are written into
+    one buffer, so a field must not keep the points it is given.
     """
-    lambdas = np.sort(np.asarray(lambdas, dtype=float))
-    pts, _ = sampler.nodes()
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1 or lambdas.size == 0 or not np.all(np.isfinite(lambdas)):
+        raise ValueError(f"need a nonempty sequence of finite planes, got {lambdas}")
+    lambdas = np.sort(lambdas)
+    pts = sampler.nodes()[0]
     u_all, v_all = _pair(u_field, v_field, pts)
     if np.max(np.abs(u_all)) == 0.0 and np.max(np.abs(v_all)) == 0.0:
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
+    x1 = pts[:, 0]
+    ends = np.searchsorted(x1, lambdas)  # H_lam is a prefix of the x1-major nodes
+    # one mirror buffer, as long as the last half-space: each plane rewrites
+    # only the x1 rows it evaluates
+    buf = np.empty((sampler.n, ends[-1]))
+    buf[1:] = pts[:ends[-1], 1:].T
     empty = np.zeros(len(lambdas), dtype=bool)
-    for i, lam in enumerate(lambdas):
-        plane = PlaneParam(lam, n=sampler.n)
-        for last in (sampler.m, None):  # the node column next to the plane first
-            half, refl = _half_space(pts, plane, last)
-            if np.any(u_field(refl) > u_all[half]) or (
-                    v_field is not u_field and np.any(v_field(refl) > v_all[half])):
+    for i, (lam, end) in enumerate(zip(lambdas, ends)):
+        for start in (max(end - sampler.m, 0), 0):  # the node column next to the plane first
+            _mirror_x1(x1[start:end], lam, out=buf[0, start:end])
+            refl = buf[:, start:end].T
+            if np.any(u_field(refl) > u_all[start:end]) or (
+                    v_field is not u_field and np.any(v_field(refl) > v_all[start:end])):
                 break
         else:
             empty[i] = True
@@ -241,6 +256,10 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     if not np.all(empty[first_empty:]):
         raise ScanInconclusive(
             "set emptiness is non-monotone across the sweep (grid artifacts)")
+    if first_empty == 0:
+        raise ScanInconclusive(
+            f"the first swept plane {lambdas[0]:g} already has empty exceedance sets, "
+            "so lambda0 lies at or below it")
     return ScanResult(float(lambdas[first_empty]))
 
 

@@ -62,8 +62,10 @@ class TestEvalBubble:
         x = rng.normal(size=(*lead, n)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, n))
         d2 = np.sum((np.atleast_2d(x) - b.center) ** 2, axis=-1)
         want = b.c * (b.t / (b.t ** 2 + d2)) ** ((n - 2) / 2.0)
+        x0 = x.copy()
         got = eval_bubble(b, x)
         assert np.array_equal(got, want[0] if lead == () else want)
+        assert x.tobytes() == x0.tobytes()  # evaluated in place, but not in x
 
     def test_decay_monotone(self):
         b = make_bubble(cfg_for(3), t=1.0)

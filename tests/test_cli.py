@@ -610,6 +610,21 @@ def test_nonpositive_series_start_is_numerical_failure(argv, capsys):
     assert "r0 = 1e-06" in err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["mp", "scan", "--lnum", "0"], EXIT_USAGE, "error: need a nonempty sequence of finite planes"),
+    (["mp", "scan", "--lmin", "-60", "--lmax", "-50", "--lnum", "3"], EXIT_NUMERICAL,
+     "numerical failure: ScanInconclusive: the first swept plane -60 "),
+    (["mp", "scan", "--lmin", "50", "--lmax", "60", "--lnum", "3"], EXIT_NUMERICAL,
+     "numerical failure: ScanInconclusive: the first swept plane 50 "),
+], ids=["no-plane", "left-of-box", "right-of-centre"])
+def test_scan_needs_planes_that_bracket_lambda0(argv, code, err, capsys):
+    # no plane at all; every plane left of the box (no sampler node in H_lam);
+    # every plane right of the centre (only an upper bound on lambda0)
+    assert run(argv) == code
+    out, got = capsys.readouterr()
+    assert out == "" and got.startswith(err)
+
+
 def test_main_passes_the_exit_code_through():
     proc = fresh_python("-m", "critsys.cli", "hls", "--lam", "4")
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr

@@ -11,6 +11,7 @@ from critsys.errors import BudgetExceeded, ScanInconclusive
 from critsys.moving_plane import (
     CartesianSampler,
     PlaneParam,
+    ReflectionReport,
     ScanResult,
     critical_plane_scan,
     greens_reflection_identity,
@@ -228,6 +229,57 @@ class TestCriticalPlaneScan:
         assert res.degenerate
         assert res.lambda0 == -2.0
 
+    @pytest.mark.parametrize("lams", [[], [np.nan], [np.inf], [0.0, np.nan, 1.0],
+                                      [-np.inf, 1.0], [[0.0, 1.0]]], ids=str)
+    def test_empty_or_nonfinite_planes_rejected(self, lams, sampler):
+        calls = []
+
+        def field(pts):
+            calls.append(len(pts))
+            return np.ones(len(pts))
+
+        with pytest.raises(ValueError, match="nonempty sequence of finite planes"):
+            critical_plane_scan(field, field, sampler, lams)
+        assert calls == []  # raised before any field evaluation
+
+    @pytest.mark.parametrize("lams", [[-60.0, -55.0, -50.0], [50.0, 55.0, 60.0],
+                                      [0.0, 1.0, 2.0]], ids=str)
+    def test_sweep_must_bracket_lambda0(self, lams, sampler):
+        # left of the box H_lam holds no node and is empty vacuously; at or
+        # right of the centre every swept plane is empty, an upper bound only
+        field = bubble_field(make_bubble(CFG, t=1.0))
+        with pytest.raises(ScanInconclusive, match=rf"first swept plane {lams[0]:g} .* "
+                                                   r"lies at or below it"):
+            critical_plane_scan(field, field, sampler, lams)
+
+    @pytest.mark.parametrize("L, m, lams", [(10.0, 64, np.linspace(-2, 3, 41)),
+                                            (10.0, 64, np.linspace(-9.6, 3, 22)),
+                                            (7.3, 48, np.linspace(-7.0, 2.9, 34))],
+                             ids=["sweep", "short-prefix", "inexact"])
+    def test_field_sees_each_planes_mirror_images(self, L, m, lams):
+        # the field keeps copies: the scan rewrites one buffer between planes;
+        # off the dyadic grid, 2 lam - x1 would differ from reflect's x1 + 2 (lam - x1)
+        sampler = CartesianSampler(L=L, m=m)
+        pts, _ = sampler.nodes()
+        bubble = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
+        seen = []
+
+        def field(x):
+            seen.append(np.array(x))
+            return bubble(x)
+
+        critical_plane_scan(field, field, sampler, lams)
+        assert seen[0].tobytes() == pts.tobytes()
+        calls = iter(seen[1:])
+        for lam in np.sort(lams):
+            end = np.count_nonzero(pts[:, 0] < lam)
+            for start in (max(end - sampler.m, 0), 0):  # the probe, then all of H_lam
+                got, want = next(calls), reflect(pts[start:end], PlaneParam(lam))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                if np.any(bubble(want) > bubble(pts[start:end])):
+                    break
+        assert next(calls, None) is None
+
 
 def full_scan(u_field, v_field, sampler, lambdas):
     """critical_plane_scan without the probe: each plane evaluates all of H_lam."""
@@ -247,6 +299,10 @@ def full_scan(u_field, v_field, sampler, lambdas):
     if not all(empty[first:]):
         raise ScanInconclusive(
             "set emptiness is non-monotone across the sweep (grid artifacts)")
+    if first == 0:  # the sweep does not bracket lambda0
+        raise ScanInconclusive(
+            f"the first swept plane {lambdas[0]:g} already has empty exceedance sets, "
+            "so lambda0 lies at or below it")
     return ScanResult(float(lambdas[first]))
 
 
@@ -296,9 +352,13 @@ _SAME = {c: _bubble_at(c) for c in (0.0, 1.0, 2.0)}  # one callable passed as u 
     *[(f, f, SWEEP) for f in _SAME.values()],
     (_SAME[1.0], _SAME[1.0], [-2.0, -1.0]),
     (_SAME[1.0], _SAME[1.0], np.linspace(-10, 3, 41)),
+    (_SAME[0.0], _SAME[0.0], [-60.0, -55.0, -50.0]),  # no node in any H_lam
+    (_SAME[0.0], _SAME[0.0], [0.0, 1.0, 2.0]),  # starts at lambda0
+    (_bubble_at(0.0), _bubble_at(1.0), [1.0, 2.0, 3.0]),
 ], ids=["c0", "c0.5", "c1", "c1.375", "c2", "u0-v1", "u1-v0", "u2-v-0.5", "zero-u",
         "zero", "no-empty", "non-monotone", "short-prefix", "far-exceedance",
-        "same-c0", "same-c1", "same-c2", "same-no-empty", "same-short-prefix"])
+        "same-c0", "same-c1", "same-c2", "same-no-empty", "same-short-prefix",
+        "left-of-box", "from-lambda0", "u0-v1-from-lambda0"])
 @pytest.mark.parametrize("m", [32, 64])
 def test_probe_scan_matches_full_evaluation(u, v, lams, m):
     sampler = CartesianSampler(L=10.0, m=m)
@@ -306,7 +366,54 @@ def test_probe_scan_matches_full_evaluation(u, v, lams, m):
             == scan_outcome(full_scan, u, v, sampler, lams))
 
 
+def reference_report(u_field, v_field, lam, config, sampler):
+    """reflection_inequality_check with each norm formed on its own set, field by field."""
+    p = 2.0 * config.n / (config.n - 2.0)
+    pts, w = sampler.nodes()
+    half = pts[:, 0] < lam
+    refl = reflect(pts[half], PlaneParam(lam, n=sampler.n))
+    u_all, v_all = u_field(pts), v_field(pts)
+    u, v, ul, vl, w_h = u_all[half], v_all[half], u_field(refl), v_field(refl), w[half]
+    bu, bv = ul > u, vl > v
+
+    def lp(values, weights):
+        return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
+
+    norms = {
+        "u_lam-u_p_Bu": lp((ul - u)[bu], w_h[bu]),
+        "v_lam-v_p_Bv": lp((vl - v)[bv], w_h[bv]),
+        "u_lam_p_Bu": lp(ul[bu], w_h[bu]),
+        "v_lam_p_Bu": lp(vl[bu], w_h[bu]),
+        "u_lam_p_Bv": lp(ul[bv], w_h[bv]),
+        "v_lam_p_Bv": lp(vl[bv], w_h[bv]),
+        "u_p_global": lp(u_all, w),
+        "v_p_global": lp(v_all, w),
+    }
+    margins = {
+        "factor_u": norms["u_lam_p_Bu"] ** (config.alpha - 1.0)
+        * norms["v_lam_p_Bu"] ** config.beta,
+        "factor_v": norms["v_lam_p_Bv"] ** (config.alpha - 1.0)
+        * norms["u_lam_p_Bv"] ** config.beta,
+    }
+    return ReflectionReport(lam, float(np.sum(w_h[bu])), float(np.sum(w_h[bv])),
+                            norms, margins)
+
+
 class TestReflectionInequalityCheck:
+    @pytest.mark.parametrize("lam", [-12.0, -10.0, -3.3, 0.0, 0.7, 1.0, 10.0, 12.0])
+    @pytest.mark.parametrize("cfg", [CFG, ExponentConfig(5, 1.0, 4.0 / 3.0)], ids=["n3", "n5"])
+    @pytest.mark.parametrize("pair", ["one", "two", "swapped"])
+    def test_bitwise_equal_to_per_set_reference(self, pair, cfg, lam):
+        # planes beyond the box, on its edges and inside it
+        sampler = CartesianSampler(L=10.0, m=32, n=cfg.n)
+        e1 = np.eye(cfg.n)[0]
+        f = bubble_field(make_bubble(cfg, t=1.0))
+        g = bubble_field(make_bubble(cfg, center=e1, t=0.6))
+        u, v = {"one": (f, f), "two": (f, g), "swapped": (g, f)}[pair]
+        got = reflection_inequality_check(u, v, PlaneParam(lam, n=cfg.n), cfg, sampler)
+        # repr tells -0.0 from 0.0 and prints each float exactly
+        assert repr(got) == repr(reference_report(u, v, lam, cfg, sampler))
+
     def test_centered_bubble_vacuous(self, sampler):
         field = bubble_field(make_bubble(CFG, t=1.0))
         rep = reflection_inequality_check(field, field, PlaneParam(1.0), CFG, sampler)
