@@ -217,8 +217,11 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     """Smallest swept lam with empty B_u and B_v at every lam' >= lam.
 
     For bubbles centered at c1*e1 the answer is the larger c1 up to one grid
-    cell.  The sweep must bracket it: a first swept plane that is already
-    empty only bounds lam0 from above and raises ScanInconclusive, as does
+    cell.  A plane whose H_lam holds no sampler node (at or left of the first
+    node column) is empty vacuously and no evidence: it is left out of the
+    sweep, and a sweep of such planes only raises ScanInconclusive naming
+    them.  The rest must bracket lam0: a first plane that is already empty
+    only bounds lam0 from above and raises ScanInconclusive, as does
     non-monotone emptiness.  Raises ValueError unless lambdas is a nonempty
     sequence of finite numbers.  Every plane's mirror images are written into
     one buffer, so a field must not keep the points it is given.
@@ -228,13 +231,20 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
         raise ValueError(f"need a nonempty sequence of finite planes, got {lambdas}")
     lambdas = np.sort(lambdas)
     pts = sampler.nodes()[0]
+    x1 = pts[:, 0]
+    ends = np.searchsorted(x1, lambdas)  # H_lam is a prefix of the x1-major nodes
+    held = ends > 0
+    if not np.any(held):
+        raise ScanInconclusive(
+            f"no swept plane holds a sampler node in H_lam: planes "
+            f"{', '.join(f'{lam:g}' for lam in lambdas)} lie at or left of the first "
+            f"node column x1 = {x1[0]:g}")
+    lambdas, ends = lambdas[held], ends[held]
     u_all, v_all = _pair(u_field, v_field, pts)
     if np.max(np.abs(u_all)) == 0.0 and np.max(np.abs(v_all)) == 0.0:
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
-    x1 = pts[:, 0]
-    ends = np.searchsorted(x1, lambdas)  # H_lam is a prefix of the x1-major nodes
     # one mirror buffer, as long as the last half-space: each plane rewrites
     # only the x1 rows it evaluates
     buf = np.empty((sampler.n, ends[-1]))
@@ -258,8 +268,8 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
             "set emptiness is non-monotone across the sweep (grid artifacts)")
     if first_empty == 0:
         raise ScanInconclusive(
-            f"the first swept plane {lambdas[0]:g} already has empty exceedance sets, "
-            "so lambda0 lies at or below it")
+            f"the first swept plane {lambdas[0]:g} that holds a sampler node already has "
+            "empty exceedance sets, so lambda0 lies at or below it")
     return ScanResult(float(lambdas[first_empty]))
 
 

@@ -142,10 +142,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
     rejection), a floor of ten float spacings at t, and the quartic dense
     output at the t_eval nodes of each step, written into one preallocated
-    (len(y0), len(t_eval)) array.  Each stage sum, y_new and the dense-output
-    block are formed in place (scale the product by h, then add y), so a
-    step makes one temporary per quantity; the IEEE operations and BLAS
-    calls are scipy's, and samples and nfev are bitwise equal to scipy's.
+    (len(y0), len(t_eval)) array.  Each stage sum, y_new, the error
+    estimate and the dense-output block are formed in place (scale the
+    product by h, then add y), so a step makes one temporary per quantity,
+    and |y| is carried from one step to the next, so a step forms one |y_new|;
+    the IEEE operations and BLAS calls are scipy's, and samples and nfev are
+    bitwise equal to scipy's.
     On status -1 the result holds the samples reached and scipy's message.
     Like scipy, it rejects a y0 that is not finite.
     """
@@ -173,7 +175,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     f = rhs(t, y)
     # initial step from the size of y, y' and a finite-difference y''
     interval = abs(t_bound - t)
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)  # carried from step to step: each step forms |y_new| once
+    scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
@@ -207,8 +210,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
             y_new *= h
             y_new += y
             f_new = K[-1] = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(KT, _E) * h / scale)
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rtol
+            scale += atol
+            err = np.dot(KT, _E)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _ERROR_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -219,30 +228,32 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
         if end > done:
             x = (t_eval[done:end] - t) / h
             p = np.empty((_P.shape[1], x.size))  # x, x^2, x^3, x^4 as np.cumprod multiplies
-            p[0] = x
-            for i in range(1, len(p)):
-                np.multiply(p[i - 1], x, out=p[i])
+            p[:] = x
+            np.multiply.accumulate(p, axis=0, out=p)
             q = np.dot(KT.dot(_P), p)
             q *= h
             np.add(q, y[:, None], out=out[:, done:end])
             done = end
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
     return result(0, "The solver successfully reached the end of the integration interval.")
 
 
 def _rhs(n: int, alpha: float, beta: float):
-    """Right-hand side on the flattened (4, k) state of k stacked shots.
+    """Right-hand side on the flattened (u, v, u', v') state of k stacked shots.
 
-    Each call returns a fresh array: the solver keeps the last one between steps.
+    Each of u, v, u', v' is a block of k, so (u, v) and (u', v') are
+    contiguous halves: one clamp, one power per exponent and one product
+    cover both equations.  Each call returns a fresh array: the solver keeps
+    the last one between steps.
     """
     def rhs(r, y):
-        y = y.reshape(4, -1)
-        w = np.maximum(y[::2], 0.0)  # u and v, clamped at zero
+        y = y.reshape(2, 2, -1)  # (values, slopes) x (u, v) x k
+        w = np.maximum(y[0], 0.0)  # u and v, clamped at zero
         dy = np.empty_like(y)
-        dy[::2] = y[1::2]
-        np.multiply(y[1::2], -(n - 1) / r, out=dy[1::2])
+        dy[0] = y[1]
+        np.multiply(y[1], -(n - 1) / r, out=dy[1])
         # minus u^alpha v^beta and v^alpha u^beta (IEEE products commute)
-        dy[1::2] -= w ** alpha * (w ** beta)[::-1]
+        dy[1] -= w ** alpha * (w ** beta)[::-1]
         return dy.ravel()
     return rhs
 
@@ -250,23 +261,24 @@ def _rhs(n: int, alpha: float, beta: float):
 def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
     """Second-order series data at r0 consistent with u'(0) = v'(0) = 0.
 
-    Returns the (4, k) state (u, u', v, v') of the k shots.
+    Returns the (4, k) state (u, v, u', v') of the k shots.
     """
     cfg = inputs[0].config
     u0 = np.array([inp.u0 for inp in inputs])
     v0 = np.array([inp.v0 for inp in inputs])
     fu = u0 ** cfg.alpha * v0 ** cfg.beta
     fv = u0 ** cfg.beta * v0 ** cfg.alpha
-    return np.array([u0 - fu * r0 ** 2 / (2 * cfg.n), -fu * r0 / cfg.n,
-                     v0 - fv * r0 ** 2 / (2 * cfg.n), -fv * r0 / cfg.n])
+    return np.array([u0 - fu * r0 ** 2 / (2 * cfg.n), v0 - fv * r0 ** 2 / (2 * cfg.n),
+                     -fu * r0 / cfg.n, -fv * r0 / cfg.n])
 
 
 def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
-    """Integrate k shots as one RK45 system with state shape (4, k) out to r_max.
+    """Integrate k shots as one RK45 system with state (u, v, u', v') out to r_max.
 
-    Error control is the RMS over the whole stack.  A column that fails
-    (u or v reaches zero) keeps being integrated with the clamped RHS, so
-    every solve samples every node.  Returns the nodes up to r_max, the
+    The state is flattened from shape (4, k), so u, v, u' and v' are each a
+    block of k (see _rhs).  Error control is the RMS over the whole stack.
+    A column that fails (u or v reaches zero) keeps being integrated with
+    the clamped RHS, so every solve samples every node.  Returns the nodes up to r_max, the
     solver result and each column's count of samples before its first
     nonpositive one.  Raises GridTooCoarse if a column's series start at the
     first node already has u or v <= 0, or a slope that RadialProfilePair
@@ -286,7 +298,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
         grid = RadialGrid.geometric(rmax=first.r_max)
     nodes = grid.nodes[grid.nodes <= first.r_max]
     start = _taylor_start(inputs, nodes[0])
-    u, du, v, dv = start
+    u, v, du, dv = start
     with np.errstate(over="ignore"):  # a bound that overflows to +-inf compares the right way
         unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(nodes[0], u, v, du, dv)
     # a non-finite start is left to solve_ivp, which refuses it
@@ -303,7 +315,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
         raise StepSizeUnderflow(sol.message)
 
     samples = sol.y.reshape(4, k, -1)
-    nonpositive = np.minimum(samples[0], samples[2]) <= 0.0
+    nonpositive = np.minimum(samples[0], samples[1]) <= 0.0
     positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(nodes))
     return nodes, sol, positive
 
@@ -317,7 +329,7 @@ def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfil
     y = sol.y.reshape(4, k, -1)
     for j, m in enumerate(positive):
         y[:, j, m:] = 0.0
-    u, du, v, dv = y
+    u, v, du, dv = y
     return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(k)]
 
 
@@ -399,13 +411,13 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
 def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
     """First zero of u or v on [ra, rb] from the cubic Hermite interpolant.
 
-    ``ya``, ``yb`` are the states (u, u', v, v') at the ends; u and v are
+    ``ya``, ``yb`` are the states (u, v, u', v') at the ends; u and v are
     positive at ra and at least one of them is nonpositive at rb.
     """
     h = float(rb - ra)
     roots = {}
-    for which, i in (("u", 0), ("v", 2)):
-        f0, d0, f1, d1 = map(float, (ya[i], ya[i + 1], yb[i], yb[i + 1]))
+    for which, i in (("u", 0), ("v", 1)):
+        f0, d0, f1, d1 = map(float, (ya[i], ya[i + 2], yb[i], yb[i + 2]))
         if f1 > 0.0:
             continue
 

@@ -613,7 +613,8 @@ def test_nonpositive_series_start_is_numerical_failure(argv, capsys):
 @pytest.mark.parametrize("argv, code, err", [
     (["mp", "scan", "--lnum", "0"], EXIT_USAGE, "error: need a nonempty sequence of finite planes"),
     (["mp", "scan", "--lmin", "-60", "--lmax", "-50", "--lnum", "3"], EXIT_NUMERICAL,
-     "numerical failure: ScanInconclusive: the first swept plane -60 "),
+     "numerical failure: ScanInconclusive: no swept plane holds a sampler node in H_lam: "
+     "planes -60, -55, -50 "),
     (["mp", "scan", "--lmin", "50", "--lmax", "60", "--lnum", "3"], EXIT_NUMERICAL,
      "numerical failure: ScanInconclusive: the first swept plane 50 "),
 ], ids=["no-plane", "left-of-box", "right-of-centre"])
@@ -623,6 +624,17 @@ def test_scan_needs_planes_that_bracket_lambda0(argv, code, err, capsys):
     assert run(argv) == code
     out, got = capsys.readouterr()
     assert out == "" and got.startswith(err)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["mp", "scan", "--lmin", "-10"], "lambda0 0.075\n"),
+    (["mp", "scan", "--lmin", "-10", "--lmax", "0", "--lnum", "21"], "lambda0 0\n"),
+], ids=["lmin-10", "lmin-10-to-0"])
+def test_scan_skips_planes_without_nodes(argv, out, capsys):
+    # the plane at -10 lies left of the first node column (-9.84375), so its H_lam
+    # holds no node; it is left out, and the bubble at 0 is found as from -2
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr() == (out, "")
 
 
 def test_main_passes_the_exit_code_through():

@@ -242,15 +242,45 @@ class TestCriticalPlaneScan:
             critical_plane_scan(field, field, sampler, lams)
         assert calls == []  # raised before any field evaluation
 
-    @pytest.mark.parametrize("lams", [[-60.0, -55.0, -50.0], [50.0, 55.0, 60.0],
-                                      [0.0, 1.0, 2.0]], ids=str)
-    def test_sweep_must_bracket_lambda0(self, lams, sampler):
-        # left of the box H_lam holds no node and is empty vacuously; at or
-        # right of the centre every swept plane is empty, an upper bound only
-        field = bubble_field(make_bubble(CFG, t=1.0))
-        with pytest.raises(ScanInconclusive, match=rf"first swept plane {lams[0]:g} .* "
-                                                   r"lies at or below it"):
+    @pytest.mark.parametrize("lams, err", [
+        # left of the box H_lam holds no node: each plane is empty vacuously, so
+        # the sweep is no evidence, and the scan names its planes
+        pytest.param([-60.0, -55.0, -50.0],
+                     r"no swept plane holds a sampler node in H_lam: planes -60, -55, -50 "
+                     r"lie at or left of the first node column x1 = -9.84375$",
+                     id="[-60.0, -55.0, -50.0]"),
+        # at or right of the centre every swept plane is empty, an upper bound only
+        pytest.param([50.0, 55.0, 60.0], r"first swept plane 50 .* lies at or below it",
+                     id="[50.0, 55.0, 60.0]"),
+        pytest.param([0.0, 1.0, 2.0], r"first swept plane 0 .* lies at or below it",
+                     id="[0.0, 1.0, 2.0]"),
+        # the vacuous plane -10 is skipped, and the next one is already empty
+        pytest.param([-10.0, 3.0], r"first swept plane 3 that holds a sampler node .* "
+                                   r"lies at or below it", id="[-10.0, 3.0]"),
+    ])
+    def test_sweep_must_bracket_lambda0(self, lams, err, sampler):
+        calls = []
+        bubble = bubble_field(make_bubble(CFG, t=1.0))
+
+        def field(pts):
+            calls.append(len(pts))
+            return bubble(pts)
+
+        with pytest.raises(ScanInconclusive, match=err):
             critical_plane_scan(field, field, sampler, lams)
+        # a sweep of vacuous planes is refused before any field evaluation
+        assert (calls == []) == (lams[-1] < -9.84375)
+
+    @pytest.mark.parametrize("lams", [np.linspace(-10, 3, 41), [-12.0, -10.0, -0.5, 0.5]],
+                             ids=["cli-lmin-10", "two-vacuous"])
+    def test_vacuous_planes_are_skipped(self, lams, sampler):
+        # planes at or left of the first node column x1 = -9.84375 hold no node;
+        # counted as empty, they would make the sweep look non-monotone
+        field = bubble_field(make_bubble(CFG, t=1.0))
+        held = [lam for lam in lams if lam > -9.84375]
+        want = critical_plane_scan(field, field, sampler, held)
+        assert critical_plane_scan(field, field, sampler, lams) == want
+        assert want.lambda0 == held[np.searchsorted(held, 0.0)]  # the first plane right of 0
 
     @pytest.mark.parametrize("L, m, lams", [(10.0, 64, np.linspace(-2, 3, 41)),
                                             (10.0, 64, np.linspace(-9.6, 3, 22)),
@@ -282,9 +312,19 @@ class TestCriticalPlaneScan:
 
 
 def full_scan(u_field, v_field, sampler, lambdas):
-    """critical_plane_scan without the probe: each plane evaluates all of H_lam."""
+    """critical_plane_scan without the probe: each plane evaluates all of H_lam.
+
+    Planes whose H_lam holds no node are dropped, plane by plane.
+    """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
     pts, _ = sampler.nodes()
+    held = np.array([np.any(pts[:, 0] < lam) for lam in lambdas])
+    if not np.any(held):  # no plane's H_lam holds a node: no evidence at all
+        raise ScanInconclusive(
+            f"no swept plane holds a sampler node in H_lam: planes "
+            f"{', '.join(f'{lam:g}' for lam in lambdas)} lie at or left of the first "
+            f"node column x1 = {np.min(pts[:, 0]):g}")
+    lambdas = lambdas[held]
     u_all, v_all = u_field(pts), v_field(pts)
     if not (np.any(u_all) or np.any(v_all)):
         return ScanResult(float(lambdas[0]), degenerate=True)
@@ -301,8 +341,8 @@ def full_scan(u_field, v_field, sampler, lambdas):
             "set emptiness is non-monotone across the sweep (grid artifacts)")
     if first == 0:  # the sweep does not bracket lambda0
         raise ScanInconclusive(
-            f"the first swept plane {lambdas[0]:g} already has empty exceedance sets, "
-            "so lambda0 lies at or below it")
+            f"the first swept plane {lambdas[0]:g} that holds a sampler node already has "
+            "empty exceedance sets, so lambda0 lies at or below it")
     return ScanResult(float(lambdas[first]))
 
 
