@@ -48,12 +48,12 @@ def check_shooting_oracle() -> tuple[bool, str]:
     """Diagonal shots reproduce phi_{0,t} to relative 1e-6 on [0, 50]."""
     c = bb.amplitude_constant(3)
     ts = (0.5, 1.0, 2.0)
-    profiles = sh.integrate_radial_batch(
+    nodes, (us, _) = sh.values_batch(
         [sh.ShootInput(_CFG, c * t ** -0.5, c * t ** -0.5, r_max=50.0) for t in ts])
     worst = 0.0
-    for t, prof in zip(ts, profiles):
-        phi = bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), prof.grid.nodes)
-        worst = max(worst, float(np.max(np.abs(prof.u - phi) / phi)))
+    for t, u in zip(ts, us):
+        phi = bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), nodes)
+        worst = max(worst, float(np.max(np.abs(u - phi) / phi)))
     return worst <= 1e-6, f"max relative error {worst:.3e} (tol 1e-6)"
 
 
@@ -199,25 +199,25 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             fails.append("kernel-positivity")
             break
 
-    # swap antisymmetry and equal-start collapse of the shooting map; each
-    # family of shots is one stacked solve, so a and b are solved apart
+    # swap antisymmetry and equal-start collapse of the shooting map.  The draws a
+    # and the equal starts c are columns of one stacked solve, the swapped draws b
+    # another, so a and b are solved apart and do not take the same steps
     draws = rng.uniform(0.5, 2.0, size=(cases, 2))  # rows (u0, v0)
 
-    def shots(pairs):
-        return sh.integrate_radial_batch(
-            [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in pairs])
+    def values(pairs):  # the (2, k, N) block of u and v
+        return sh.values_batch(
+            [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in pairs])[1]
 
-    # only copies of a's u and v outlive it, so one full sample block is alive at a time
-    a = shots(draws)
-    au, av = np.array([p.u for p in a]), np.array([p.v for p in a])
-    del a
-    b = shots(draws[:, ::-1])
-    if any(np.max(np.abs(u - q.v)) > 1e-7 or np.max(np.abs(v - q.u)) > 1e-7
-           for u, v, q in zip(au, av, b)):
+    ac = values(np.concatenate((draws, draws[:, [0, 0]])))
+    collapse_fails = any(np.max(np.abs(u - v)) > 1e-10 for u, v in zip(*ac[:, cases:]))
+    # only copies of a's u and v outlive the block, so one block is alive during b's solve
+    au, av = ac[:, :cases].copy()
+    del ac
+    bu, bv = values(draws[:, ::-1])
+    if any(np.max(np.abs(u - q)) > 1e-7 or np.max(np.abs(v - p)) > 1e-7
+           for u, v, p, q in zip(au, av, bu, bv)):
         fails.append("swap-antisymmetry")
-    del au, av, b
-    # equal-start from the same draws
-    if any(np.max(np.abs(c.u - c.v)) > 1e-10 for c in shots(draws[:, [0, 0]])):
+    if collapse_fails:
         fails.append("equal-start-collapse")
 
     return not fails, "no violations" if not fails else f"failed: {fails}"

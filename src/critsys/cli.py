@@ -74,6 +74,14 @@ def _finite(text: str) -> float:
     return x
 
 
+def _seed(text: str) -> int:
+    """int(text), raising ValueError (a usage error to argparse) if negative."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"need a nonnegative seed, got {seed}")
+    return seed
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     """The finite numbers of a comma-separated list; ValueError naming flag if there are none."""
     values = [_finite(tok) for tok in text.split(",") if tok.strip()]
@@ -295,7 +303,7 @@ _FLAGS = {
     "v_center": (_finite, "x1 of the v bubble (default: --center)"),
     "L": (_finite, "sampler box [-L, L] x [0, L]"), "m": (int, "sampler nodes per axis"),
     "lmin": (_finite, "first plane"), "lmax": (_finite, "last plane"), "lnum": (int, "planes"),
-    "x": (_finite, "x1 of the point x"), "seed": (int, "property-suite seed"),
+    "x": (_finite, "x1 of the point x"), "seed": (_seed, "property-suite seed"),
 }
 _IO = dict(config=None, out=None)
 _MP = dict(center=0.0, t=1.0, **_IO)

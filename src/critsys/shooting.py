@@ -133,7 +133,8 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's expression for a real vector
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float,
+              sample_rows: int | None = None) -> _Solution:
     """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
@@ -142,7 +143,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
     rejection), a floor of ten float spacings at t, and the quartic dense
     output at the t_eval nodes of each step, written into one preallocated
-    (len(y0), len(t_eval)) array.  Each stage sum, y_new, the error
+    (sample_rows, len(t_eval)) array.  ``sample_rows`` (default len(y0))
+    samples only that many leading state rows: steps, error control and
+    nfev stay over the whole state, and the samples are bitwise the leading
+    rows of a full sampling.  Each stage sum, y_new, the error
     estimate and the dense-output block are formed in place (scale the
     product by h, then add y), so a step makes one temporary per quantity,
     and |y| is carried from one step to the next, so a step forms one |y_new|;
@@ -167,7 +171,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
         nfev += 1
         return np.asarray(fun(t, y), dtype=float)
 
-    out, done = np.empty((y.size, len(t_eval))), 0
+    m = y.size if sample_rows is None else sample_rows
+    if not 0 < m <= y.size:
+        raise ValueError(f"need 0 < sample_rows <= {y.size}, got {m}")
+    out, done = np.empty((m, len(t_eval))), 0
 
     def result(status: int, message: str) -> _Solution:
         return _Solution(t_eval[:done], out[:, :done], nfev, status, message)
@@ -189,7 +196,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     K = np.empty((len(_C) + 1, y.size))
     # stage s: (its row of K, the rows before it, its row of _A, its node)
     stages = [(K[s], K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
-    KT, KT_rk = K.T, K[:-1].T
+    KT, KT_rk, KT_out = K.T, K[:-1].T, K.T[:m]
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -230,9 +237,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
             p = np.empty((_P.shape[1], x.size))  # x, x^2, x^3, x^4 as np.cumprod multiplies
             p[:] = x
             np.multiply.accumulate(p, axis=0, out=p)
-            q = np.dot(KT.dot(_P), p)
+            q = np.dot(KT_out.dot(_P), p)
             q *= h
-            np.add(q, y[:, None], out=out[:, done:end])
+            np.add(q, y[:m, None], out=out[:, done:end])
             done = end
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
     return result(0, "The solver successfully reached the end of the integration interval.")
@@ -272,19 +279,21 @@ def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
                      -fu * r0 / cfg.n, -fv * r0 / cfg.n])
 
 
-def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
+def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None, blocks: int = 4):
     """Integrate k shots as one RK45 system with state (u, v, u', v') out to r_max.
 
     The state is flattened from shape (4, k), so u, v, u' and v' are each a
     block of k (see _rhs).  Error control is the RMS over the whole stack.
     A column that fails (u or v reaches zero) keeps being integrated with
-    the clamped RHS, so every solve samples every node.  Returns the nodes up to r_max, the
-    solver result and each column's count of samples before its first
-    nonpositive one.  Raises GridTooCoarse if a column's series start at the
-    first node already has u or v <= 0, or a slope that RadialProfilePair
-    would refuse as too steep for a regular origin (large u0, v0 for that
-    node): the first has no positive sample, so no zero to bracket, and the
-    second no profile.
+    the clamped RHS, so every solve samples every node.  Only the leading
+    ``blocks`` of u, v, u', v' are sampled (2: u and v alone).  Returns the
+    nodes up to r_max, the (blocks, k, len(nodes)) samples, each column's
+    count of samples before its first nonpositive one and the solver's nfev.
+    Raises ValueError if the grid ends before r_max, and GridTooCoarse if a
+    column's series start at the first node already has u or v <= 0, or a
+    slope that RadialProfilePair would refuse as too steep for a regular
+    origin (large u0, v0 for that node): the first has no positive sample,
+    so no zero to bracket, and the second no profile.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -296,6 +305,8 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
     if grid is None:
         # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
         grid = RadialGrid.geometric(rmax=first.r_max)
+    if grid.rmax < first.r_max:
+        raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, before r_max = {first.r_max:g}")
     nodes = grid.nodes[grid.nodes <= first.r_max]
     start = _taylor_start(inputs, nodes[0])
     u, v, du, dv = start
@@ -309,28 +320,46 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
             f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
     sol = solve_ivp(
         _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max), start.ravel(),
-        t_eval=nodes, rtol=first.tol, atol=first.tol,
+        t_eval=nodes, rtol=first.tol, atol=first.tol, sample_rows=blocks * k,
     )
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
         raise StepSizeUnderflow(sol.message)
 
-    samples = sol.y.reshape(4, k, -1)
+    samples = sol.y.reshape(blocks, k, -1)
     nonpositive = np.minimum(samples[0], samples[1]) <= 0.0
     positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(nodes))
-    return nodes, sol, positive
+    return nodes, samples, positive, sol.nfev
 
 
-def _profiles(nodes: np.ndarray, sol, positive: np.ndarray) -> list[RadialProfilePair]:
-    """One profile per column, zero from its first nonpositive sample on.
+def _zero_fill(samples: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Zero each column of the samples from its first nonpositive node on, in place."""
+    for j, m in enumerate(positive):
+        samples[:, j, m:] = 0.0
+    return samples
+
+
+def _profiles(nodes: np.ndarray, samples: np.ndarray,
+              positive: np.ndarray) -> list[RadialProfilePair]:
+    """One profile per column of the (4, k, N) samples, zero from its first nonpositive one on.
 
     Zero-fills the solver's samples in place (no second copy of the batch).
     """
-    grid, k = RadialGrid(nodes), len(positive)
-    y = sol.y.reshape(4, k, -1)
-    for j, m in enumerate(positive):
-        y[:, j, m:] = 0.0
-    u, v, du, dv = y
-    return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(k)]
+    grid = RadialGrid(nodes)
+    u, v, du, dv = _zero_fill(samples, positive)
+    return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(len(positive))]
+
+
+def values_batch(inputs: list[ShootInput],
+                 grid: RadialGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """u and v alone of k shots sharing config, r_max and tol, solved as one system.
+
+    Returns the nodes up to r_max and the (2, k, len(nodes)) block of u and v,
+    each column zero from its first nonpositive node on.  The solve is that of
+    integrate_radial_batch, bitwise, but samples neither u' nor v', for
+    callers that read values only.
+    """
+    nodes, samples, positive, _ = _solve_batch(inputs, grid, blocks=2)
+    return nodes, _zero_fill(samples, positive)
 
 
 def integrate_radial_batch(inputs: list[ShootInput],
@@ -340,7 +369,8 @@ def integrate_radial_batch(inputs: list[ShootInput],
     A trajectory whose u or v hits zero is zero from its first nonpositive
     node on (flag available through classify_batch()).
     """
-    return _profiles(*_solve_batch(inputs, grid))
+    nodes, samples, positive, _ = _solve_batch(inputs, grid)
+    return _profiles(nodes, samples, positive)
 
 
 def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialProfilePair:
@@ -439,18 +469,17 @@ def classify_batch(inputs: list[ShootInput],
     The zero radius ``at_r`` is the cubic-Hermite root on the two nodes that
     bracket the column's first nonpositive sample.
     """
-    nodes, sol, positive = _solve_batch(inputs, grid)
+    nodes, samples, positive, nfev = _solve_batch(inputs, grid)
     k = len(inputs)
-    samples = sol.y.reshape(4, k, -1)
     n = inputs[0].config.n
     zeros = {j: _hermite_zero(nodes[m - 1], nodes[m], samples[:, j, m - 1], samples[:, j, m])
              for j, m in enumerate(positive) if m < len(nodes)}  # before _profiles zero-fills
     outcomes = []
-    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, sol, positive))):
+    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, samples, positive))):
         crossing = _first_crossing(nodes, prof.u, prof.v)
         diagnostics = {"u0": inp.u0, "v0": inp.v0,
                        "r_reached": float(nodes[positive[j] - 1]),
-                       "nfev": int(sol.nfev), "batch": k}
+                       "nfev": nfev, "batch": k}
         if j in zeros:  # a component reached zero
             which, at_r = zeros[j]
             outcomes.append(ShootOutcome(Kind.POSITIVITY_FAILURE, prof, which=which,
@@ -545,11 +574,13 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
 
     Radii are snapped to the nearest grid node so the comparison isolates the
     quadrature error; r = 0 is allowed and both sides vanish there exactly.
-    An empty radii raises ValueError.
+    Empty radii, or a radius that is negative or not finite, raise ValueError.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if radii.size == 0:
         raise ValueError("radii is empty: need at least one radius to check")
+    if not (np.isfinite(radii) & (radii >= 0.0)).all():
+        raise ValueError(f"radii must be finite and nonnegative, got {radii.tolist()}")
     r = profile.grid.nodes
     u, v = profile.u, profile.v
     # u(0), v(0) from the first sample: the offset is O(r0^2)

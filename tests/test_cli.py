@@ -81,6 +81,22 @@ def test_verify_all_seed_reaches_property_suite(monkeypatch):
     assert seen == [7]
 
 
+def test_verify_all_negative_seed_is_usage_error(monkeypatch, capsys):
+    # refused by the parser, before any criterion runs
+    ran = []
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [("recorder", lambda **kwargs: ran.append(1) or (True, ""))])
+    assert run(["verify-all", "--seed", "-1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert ran == [] and out == "" and "--seed" in err
+
+
+def test_identity_negative_radius_is_usage_error(capsys):
+    assert run(["identity", "--radii", "1,-1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: radii must be finite and nonnegative")
+
+
 def test_sweep_tol_reaches_the_solver(monkeypatch):
     seen = []
     sweep = sh.uniqueness_sweep
