@@ -67,18 +67,27 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
 
 
 def _finite(text: str) -> float:
-    """float(text), raising ValueError (a usage error to argparse) unless finite."""
-    x = float(text)
+    """float(text), raising ArgumentTypeError (a usage error) unless it is a finite number.
+
+    argparse prints the reason; run() reports it as a usage error outside argparse.
+    """
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {text}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
     return x
 
 
 def _seed(text: str) -> int:
-    """int(text), raising ValueError (a usage error to argparse) if negative."""
-    seed = int(text)
+    """int(text), raising ArgumentTypeError (a usage error) unless it is nonnegative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if seed < 0:
-        raise ValueError(f"need a nonnegative seed, got {seed}")
+        raise argparse.ArgumentTypeError(f"need a nonnegative seed, got {seed}")
     return seed
 
 
@@ -140,6 +149,8 @@ def _shooting_config(args) -> tuple[ExponentConfig, RadialGrid]:
     """The config and its grid, stretched to --rmax when that is given."""
     cfg, grid = load_config(args.config)
     args.rmax = grid.rmax if args.rmax is None else args.rmax  # for the manifest
+    if not args.rmax > grid.r0:
+        raise ValueError(f"--rmax {args.rmax:g} must exceed the grid's r0 = {grid.r0:g}")
     return cfg, RadialGrid.geometric(grid.r0, args.rmax, len(grid))
 
 
@@ -369,7 +380,7 @@ def run(argv=None) -> int:
     except CritsysError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

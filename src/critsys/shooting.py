@@ -5,9 +5,11 @@ from near the origin, classifies trajectories (bound state / positivity
 failure / no decay), and checks the nested integral identity that drives the
 crossing argument.
 
-The integrator is the package's own solve_ivp: Dormand-Prince 5(4)
-(J. Comput. Appl. Math. 6, 1980) with the step control and dense output of
-scipy's RK45, whose samples and RHS counts it reproduces bitwise.
+The integrator is the package's own RK45, one step generator (_steps):
+Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with the step control
+and dense output of scipy's RK45, whose samples and RHS counts it reproduces
+bitwise.  solve_ivp collects its blocks; values_stream zero-fills and yields
+them one step at a time.
 """
 from __future__ import annotations
 
@@ -133,27 +135,28 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's expression for a real vector
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float,
-              sample_rows: int | None = None) -> _Solution:
-    """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
+def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | None = None):
+    """Integrate y' = fun(t, y) forward over t_span with RK45, one step at a time.
+
+    A generator: for each accepted step that passes t_eval nodes it yields
+    (first, end, block), the dense output at t_eval[first:end] of the leading
+    ``rows`` state rows (default len(y0)), a fresh (rows, end - first) array.
+    Steps, error control and nfev stay over the whole state, so the blocks
+    are bitwise the leading rows of a full sampling.  It returns (status,
+    message, nfev): status 0 when it reached t_span[1], -1 with scipy's
+    message when the step size fell below its floor.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
     t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
     (I, Sec. II.4), the RMS error norm (sqrt(x.x), as np.linalg.norm has it),
     step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
     rejection), a floor of ten float spacings at t, and the quartic dense
-    output at the t_eval nodes of each step, written into one preallocated
-    (sample_rows, len(t_eval)) array.  ``sample_rows`` (default len(y0))
-    samples only that many leading state rows: steps, error control and
-    nfev stay over the whole state, and the samples are bitwise the leading
-    rows of a full sampling.  Each stage sum, y_new, the error
-    estimate and the dense-output block are formed in place (scale the
+    output at the t_eval nodes of each step.  Each stage sum, y_new, the
+    error estimate and the dense-output block are formed in place (scale the
     product by h, then add y), so a step makes one temporary per quantity,
-    and |y| is carried from one step to the next, so a step forms one |y_new|;
-    the IEEE operations and BLAS calls are scipy's, and samples and nfev are
-    bitwise equal to scipy's.
-    On status -1 the result holds the samples reached and scipy's message.
-    Like scipy, it rejects a y0 that is not finite.
+    and |y| is carried from one step to the next, so a step forms one
+    |y_new|; the IEEE operations and BLAS calls are scipy's.  Like scipy, it
+    rejects a y0 that is not finite, at the first next().
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -161,23 +164,19 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float,
         raise ValueError("All components of the initial state `y0` must be finite.")
     t_eval = np.asarray(t_eval)
     if rtol < (floor := 100 * np.finfo(float).eps):  # scipy's floor on rtol, and its warning
+        # stacklevel 3: past this generator and the function that drives it
         warnings.warn(f"rtol = {rtol} is below 100 machine epsilons; using rtol = {floor}",
-                      stacklevel=2)
+                      stacklevel=3)
         rtol = floor
-    nfev = 0
+    m = y.size if rows is None else rows
+    if not 0 < m <= y.size:
+        raise ValueError(f"need 0 < rows <= {y.size}, got {m}")
+    nfev, done = 0, 0
 
     def rhs(t, y):
         nonlocal nfev
         nfev += 1
         return np.asarray(fun(t, y), dtype=float)
-
-    m = y.size if sample_rows is None else sample_rows
-    if not 0 < m <= y.size:
-        raise ValueError(f"need 0 < sample_rows <= {y.size}, got {m}")
-    out, done = np.empty((m, len(t_eval))), 0
-
-    def result(status: int, message: str) -> _Solution:
-        return _Solution(t_eval[:done], out[:, :done], nfev, status, message)
 
     f = rhs(t, y)
     # initial step from the size of y, y' and a finite-difference y''
@@ -203,7 +202,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return result(-1, TOO_SMALL_STEP)
+                return -1, TOO_SMALL_STEP, nfev
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -239,10 +238,31 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float,
             np.multiply.accumulate(p, axis=0, out=p)
             q = np.dot(KT_out.dot(_P), p)
             q *= h
-            np.add(q, y[:m, None], out=out[:, done:end])
+            q += y[:m, None]
+            yield done, end, q
             done = end
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
-    return result(0, "The solver successfully reached the end of the integration interval.")
+    return 0, "The solver successfully reached the end of the integration interval.", nfev
+
+
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
+    """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
+
+    Collects the blocks of _steps into one preallocated (len(y0), len(t_eval))
+    array, so samples and nfev are bitwise those of
+    scipy.integrate.solve_ivp(method="RK45").  On status -1 the result holds
+    the samples reached and scipy's message.
+    """
+    t_eval = np.asarray(t_eval)
+    out, done = np.empty((np.size(y0), len(t_eval))), 0
+    steps = _steps(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
+    while True:
+        try:
+            first, done, block = next(steps)
+        except StopIteration as stop:
+            status, message, nfev = stop.value
+            return _Solution(t_eval[:done], out[:, :done], nfev, status, message)
+        out[:, first:done] = block
 
 
 def _rhs(n: int, alpha: float, beta: float):
@@ -279,21 +299,20 @@ def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
                      -fu * r0 / cfg.n, -fv * r0 / cfg.n])
 
 
-def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None, blocks: int = 4):
-    """Integrate k shots as one RK45 system with state (u, v, u', v') out to r_max.
+def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
+    """The checked RK45 system of k shots sharing config, r_max and tol.
 
-    The state is flattened from shape (4, k), so u, v, u' and v' are each a
-    block of k (see _rhs).  Error control is the RMS over the whole stack.
-    A column that fails (u or v reaches zero) keeps being integrated with
-    the clamped RHS, so every solve samples every node.  Only the leading
-    ``blocks`` of u, v, u', v' are sampled (2: u and v alone).  Returns the
-    nodes up to r_max, the (blocks, k, len(nodes)) samples, each column's
-    count of samples before its first nonpositive one and the solver's nfev.
-    Raises ValueError if the grid ends before r_max, and GridTooCoarse if a
-    column's series start at the first node already has u or v <= 0, or a
-    slope that RadialProfilePair would refuse as too steep for a regular
-    origin (large u0, v0 for that node): the first has no positive sample,
-    so no zero to bracket, and the second no profile.
+    The state (u, v, u', v') is flattened from shape (4, k), so u, v, u' and
+    v' are each a block of k (see _rhs), and error control is the RMS over
+    the whole stack.  A column that fails (u or v reaches zero) keeps being
+    integrated with the clamped RHS, so every solve samples every node.
+    Returns the nodes up to r_max and the keyword arguments of solve_ivp
+    and _steps.  Raises ValueError unless the shots share config, r_max and
+    tol, or if the grid ends before r_max, and GridTooCoarse if a column's
+    series start at the first node already has u or v <= 0, or a slope that
+    RadialProfilePair would refuse as too steep for a regular origin (large
+    u0, v0 for that node): the first has no positive sample, so no zero to
+    bracket, and the second no profile.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -301,7 +320,7 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None, blocks: int 
     shared = (first.config, first.r_max, first.tol)
     if any((inp.config, inp.r_max, inp.tol) != shared for inp in inputs):
         raise ValueError("shots of a batch must share config, r_max and tol")
-    cfg, k = first.config, len(inputs)
+    cfg = first.config
     if grid is None:
         # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
         grid = RadialGrid.geometric(rmax=first.r_max)
@@ -312,54 +331,96 @@ def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None, blocks: int 
     u, v, du, dv = start
     with np.errstate(over="ignore"):  # a bound that overflows to +-inf compares the right way
         unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(nodes[0], u, v, du, dv)
-    # a non-finite start is left to solve_ivp, which refuses it
+    # a non-finite start is left to the solver, which refuses it
     bad = np.flatnonzero(unfit & np.isfinite(start).all(axis=0))
     if bad.size:
         raise GridTooCoarse(
             f"the series start at r0 = {nodes[0]:g} has u or v <= 0 or too steep a slope "
             f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
-    sol = solve_ivp(
-        _rhs(cfg.n, cfg.alpha, cfg.beta), (nodes[0], first.r_max), start.ravel(),
-        t_eval=nodes, rtol=first.tol, atol=first.tol, sample_rows=blocks * k,
-    )
+    return nodes, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta), t_span=(nodes[0], first.r_max),
+                       y0=start.ravel(), t_eval=nodes, rtol=first.tol, atol=first.tol)
+
+
+def _failed(uv: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The (k, m) mask of a block's nodes from each column's first with min(u, v) <= 0 on.
+
+    ``uv`` holds the u and v rows of the block's k columns first.  ``live``
+    flags the columns that no earlier block of the solve has failed; it is
+    updated in place, so the blocks of one solve, taken in order, carry each
+    column's state.  Every result is zero under the mask.
+    """
+    failed = np.minimum(uv[0], uv[1]) <= 0.0
+    failed[:, 0] |= ~live
+    np.logical_or.accumulate(failed, axis=1, out=failed)
+    live &= ~failed[:, -1]
+    return failed
+
+
+def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
+    """Integrate k shots as one RK45 system (see _batch_system) out to r_max.
+
+    Returns the nodes up to r_max, the (4, k, len(nodes)) samples of u, v,
+    u' and v', their _failed mask and the solver's nfev.
+    """
+    nodes, system = _batch_system(inputs, grid)
+    sol = solve_ivp(**system)
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
         raise StepSizeUnderflow(sol.message)
-
-    samples = sol.y.reshape(blocks, k, -1)
-    nonpositive = np.minimum(samples[0], samples[1]) <= 0.0
-    positive = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), len(nodes))
-    return nodes, samples, positive, sol.nfev
-
-
-def _zero_fill(samples: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Zero each column of the samples from its first nonpositive node on, in place."""
-    for j, m in enumerate(positive):
-        samples[:, j, m:] = 0.0
-    return samples
+    samples = sol.y.reshape(4, len(inputs), -1)
+    return nodes, samples, _failed(samples, np.ones(len(inputs), dtype=bool)), sol.nfev
 
 
 def _profiles(nodes: np.ndarray, samples: np.ndarray,
-              positive: np.ndarray) -> list[RadialProfilePair]:
-    """One profile per column of the (4, k, N) samples, zero from its first nonpositive one on.
+              failed: np.ndarray) -> list[RadialProfilePair]:
+    """One profile per column of the (4, k, N) samples, zero where ``failed``.
 
     Zero-fills the solver's samples in place (no second copy of the batch).
     """
     grid = RadialGrid(nodes)
-    u, v, du, dv = _zero_fill(samples, positive)
-    return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(len(positive))]
+    np.copyto(samples, 0.0, where=failed)
+    u, v, du, dv = samples
+    return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(len(failed))]
+
+
+def values_stream(inputs: list[ShootInput], grid: RadialGrid | None = None):
+    """u and v alone of k shots sharing config, r_max and tol, one RK45 step at a time.
+
+    A generator over the solve of integrate_radial_batch: for each step that
+    passes nodes it yields (r, uv), those nodes and the fresh (2, k, len(r))
+    block of u and v at them, each column zero from its first node with
+    min(u, v) <= 0 on, across blocks.  The blocks, concatenated, are
+    bitwise the u and v of integrate_radial_batch; u' and v' are stepped
+    but never sampled.  The checks of integrate_radial_batch run at the first
+    next(); StepSizeUnderflow is raised after the last block reached.
+    """
+    nodes, system = _batch_system(inputs, grid)
+    k = len(inputs)
+    live = np.ones(k, dtype=bool)
+    steps = _steps(**system, rows=2 * k)
+    while True:
+        try:
+            first, end, block = next(steps)
+        except StopIteration as stop:
+            status, message, _ = stop.value
+            break
+        uv = block.reshape(2, k, -1)
+        np.copyto(uv, 0.0, where=_failed(uv, live))
+        yield nodes[first:end], uv
+    if status == -1:  # RK45's only failure: the step size fell below its floor
+        raise StepSizeUnderflow(message)
 
 
 def values_batch(inputs: list[ShootInput],
                  grid: RadialGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
     """u and v alone of k shots sharing config, r_max and tol, solved as one system.
 
-    Returns the nodes up to r_max and the (2, k, len(nodes)) block of u and v,
-    each column zero from its first nonpositive node on.  The solve is that of
-    integrate_radial_batch, bitwise, but samples neither u' nor v', for
-    callers that read values only.
+    Collects values_stream: returns the nodes up to r_max and the
+    (2, k, len(nodes)) block of u and v, each column zero from its first
+    nonpositive node on, bitwise those of integrate_radial_batch.
     """
-    nodes, samples, positive, _ = _solve_batch(inputs, grid, blocks=2)
-    return nodes, _zero_fill(samples, positive)
+    blocks = list(values_stream(inputs, grid))
+    return (np.concatenate([r for r, _ in blocks]),
+            np.concatenate([uv for _, uv in blocks], axis=2))
 
 
 def integrate_radial_batch(inputs: list[ShootInput],
@@ -369,8 +430,8 @@ def integrate_radial_batch(inputs: list[ShootInput],
     A trajectory whose u or v hits zero is zero from its first nonpositive
     node on (flag available through classify_batch()).
     """
-    nodes, samples, positive, _ = _solve_batch(inputs, grid)
-    return _profiles(nodes, samples, positive)
+    nodes, samples, failed, _ = _solve_batch(inputs, grid)
+    return _profiles(nodes, samples, failed)
 
 
 def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialProfilePair:
@@ -469,13 +530,14 @@ def classify_batch(inputs: list[ShootInput],
     The zero radius ``at_r`` is the cubic-Hermite root on the two nodes that
     bracket the column's first nonpositive sample.
     """
-    nodes, samples, positive, nfev = _solve_batch(inputs, grid)
+    nodes, samples, failed, nfev = _solve_batch(inputs, grid)
     k = len(inputs)
     n = inputs[0].config.n
+    positive = len(nodes) - failed.sum(axis=1)  # each column's samples before its first zero
     zeros = {j: _hermite_zero(nodes[m - 1], nodes[m], samples[:, j, m - 1], samples[:, j, m])
              for j, m in enumerate(positive) if m < len(nodes)}  # before _profiles zero-fills
     outcomes = []
-    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, samples, positive))):
+    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, samples, failed))):
         crossing = _first_crossing(nodes, prof.u, prof.v)
         diagnostics = {"u0": inp.u0, "v0": inp.v0,
                        "r_reached": float(nodes[positive[j] - 1]),

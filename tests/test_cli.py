@@ -322,6 +322,39 @@ def test_infinite_rmax_is_rejected_by_the_parser():
         build_parser().parse_args(["shoot", "--u0", "1", "--v0", "1", "--rmax", "inf"])
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["shoot", "--u0", "1", "--v0", "1", "--rmax", "inf"], "not a finite number: inf"),
+    (["shoot", "--v0", "1", "--u0", "abc"], "not a number: 'abc'"),
+    (["verify-all", "--seed", "-1"], "need a nonnegative seed, got -1"),
+    (["verify-all", "--seed", "x"], "not an integer: 'x'"),
+], ids=["rmax inf", "u0 abc", "seed -1", "seed x"])
+def test_flag_type_error_names_the_rule(argv, reason, capsys):
+    # the parser prints the reason, not "invalid <type function> value"
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: argument {argv[-2]}: {reason}\n" in err
+    assert "invalid" not in err
+
+
+@pytest.mark.parametrize("argv", [["identity", "--radii", "nan"],
+                                  ["sweep", "--ratios", "1,nan"]], ids=" ".join)
+def test_nonfinite_list_entry_is_usage_error(argv, capsys):
+    # the same rule outside the parser: a usage error, not a traceback
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: not a finite number: nan\n")
+
+
+@pytest.mark.parametrize("argv", [["shoot", "--u0", "1", "--v0", "1", "--rmax", "1e-6"],
+                                  ["shoot", "--u0", "1", "--v0", "1", "--rmax", "-3"],
+                                  ["sweep", "--rmax", "5e-7"]], ids=" ".join)
+def test_rmax_at_or_below_r0_is_usage_error(argv, capsys):
+    # refused naming both radii, before the grid is built
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --rmax {float(argv[-1]):g} must exceed the grid's r0 = 1e-06\n"
+
+
 def test_identity_subcommand(capsys):
     assert run(["identity", "--radii", "0.1,1,10"]) == EXIT_OK
     assert "max_abs_gap" in capsys.readouterr().out

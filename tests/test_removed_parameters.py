@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import critsys
-from critsys import core, errors, moving_plane, potential
+from critsys import core, errors, moving_plane, potential, shooting
 from critsys.bubble import make_bubble
 from critsys.core import ExponentConfig, RadialGrid, radial_laplacian
 from critsys.moving_plane import CartesianSampler, PlaneParam, greens_reflection_identity
@@ -25,7 +25,10 @@ F = np.exp(-GRID.nodes)
     lambda: ShootInput(CFG, 1.0, 1.0, atol=1e-8),
     lambda: core.lp_norm_radial(F, GRID, 2.0, 3, check_tol=1e-8),
     lambda: picard_iterate(None, CFG, callback=print),
-], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "callback"])
+    lambda: shooting.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(2), t_eval=[0.0, 1.0],
+                               rtol=1e-6, atol=1e-6, sample_rows=1),
+], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "callback",
+        "sample_rows"])
 def test_removed_parameter_is_rejected(call):
     with pytest.raises(TypeError):
         call()

@@ -29,6 +29,7 @@ from critsys.shooting import (
     sweep_consistent,
     uniqueness_sweep,
     values_batch,
+    values_stream,
 )
 
 CFG = ExponentConfig(3, 2.0, 3.0)
@@ -48,15 +49,40 @@ def first_crossing_loop(nodes, u, v):
     return None
 
 
+def tap_steps(monkeypatch, on_solve):
+    """Route shooting's RK45 step generator through a tap.
+
+    Once a solve's generator has returned, on_solve gets its arguments (a
+    dict) and a _Solution of the blocks it yielded, copied as they passed:
+    a consumer may zero-fill a block in place.
+    """
+    steps = shooting._steps
+
+    def tapped(fun, t_span, y0, *, t_eval, rtol, atol, rows=None):
+        gen = steps(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol, rows=rows)
+        blocks, done = [], 0
+        while True:
+            try:
+                first, done, block = next(gen)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            blocks.append(block.copy())
+            yield first, done, block
+        status, message, nfev = result
+        y = np.concatenate(blocks, axis=1) if blocks else np.empty((rows or np.size(y0), 0))
+        on_solve(dict(fun=fun, t_span=t_span, y0=y0, t_eval=t_eval, rtol=rtol, atol=atol,
+                      rows=rows),
+                 shooting._Solution(np.asarray(t_eval)[:done], y, nfev, status, message))
+        return result
+
+    monkeypatch.setattr(shooting, "_steps", tapped)
+
+
 def record_solves(monkeypatch):
-    """Route shooting's solve_ivp through a recorder; returns the results."""
-    sols, solve = [], shooting.solve_ivp
-
-    def recording(*args, **kwargs):
-        sols.append(solve(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(shooting, "solve_ivp", recording)
+    """Record every solve of shooting's step generator; returns the _Solutions."""
+    sols = []
+    tap_steps(monkeypatch, lambda args, sol: sols.append(sol))
     return sols
 
 
@@ -206,7 +232,13 @@ class TestBatch:
 
     def test_profiles_are_views_of_the_solver_samples(self, monkeypatch):
         # _profiles zero-fills the solver's samples in place: no second copy of the batch
-        sols = record_solves(monkeypatch)
+        sols, solve = [], shooting.solve_ivp
+
+        def recording(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(shooting, "solve_ivp", recording)
         profiles = integrate_radial_batch([ShootInput(CFG, 1.0, v0, r_max=10.0)
                                            for v0 in (1.0, 2.0)])
         samples = sols[0].y.reshape(4, 2, -1)
@@ -267,34 +299,89 @@ class TestBatch:
 
 
 class TestValuesBatch:
-    @pytest.mark.parametrize("k", [1, 3, 100])
-    def test_values_are_bitwise_the_leading_rows(self, k, monkeypatch):
-        # the same steps and nfev as a full sampling, and its u and v rows bit for bit,
-        # zero-filled alike; the v0 span has u-failing, bound and v-failing columns
+    @pytest.mark.parametrize("k", [1, 3, 300])
+    def test_stream_is_bitwise_the_full_solve(self, k, monkeypatch):
+        # the same steps and nfev as a full sampling and its u and v rows bit for bit;
+        # the blocks, collected, are values_batch and the zero-filled u and v of
+        # integrate_radial_batch
         sols = record_solves(monkeypatch)
         inputs = [ShootInput(CFG, 1.0, v0, r_max=50.0) for v0 in np.linspace(0.5, 2.0, k)]
         profiles = integrate_radial_batch(inputs)
-        nodes, uv = values_batch(inputs)
-        full, part = sols
-        assert part.nfev == full.nfev and np.array_equal(part.t, full.t)
-        assert part.y.shape == (2 * k, len(nodes))
-        assert part.y.tobytes() == full.y[:2 * k].tobytes()
-        assert uv.shape == (2, k, len(nodes)) and np.shares_memory(uv, part.y)
-        assert np.array_equal(nodes, profiles[0].grid.nodes)
+        blocks = list(values_stream(inputs))
+        full, streamed = sols
+        assert streamed.nfev == full.nfev and np.array_equal(streamed.t, full.t)
+        assert streamed.y.shape == (2 * k, len(full.t))
+        assert streamed.y.tobytes() == full.y[:2 * k].tobytes()  # before the zero fill
+        assert len(blocks) > 1
+        nodes = np.concatenate([r for r, _ in blocks])
+        uv = np.concatenate([b for _, b in blocks], axis=2)
+        assert nodes.tobytes() == profiles[0].grid.nodes.tobytes()
+        assert uv.shape == (2, k, len(nodes))
         assert uv[0].tobytes() == np.array([p.u for p in profiles]).tobytes()
         assert uv[1].tobytes() == np.array([p.v for p in profiles]).tobytes()
+        got_nodes, got = values_batch(inputs)
+        assert got_nodes.tobytes() == nodes.tobytes() and got.tobytes() == uv.tobytes()
+        assert len(sols) == 3 and sols[2].nfev == full.nfev
+        # v0 = 0.5 and 2 fail before r_max; of 300, the near-diagonal columns do not
+        failing = (uv[:, :, -1] == 0.0).all(axis=0)
+        assert failing[0] and failing[-1] and failing.all() == (k < 300)
 
-    def test_solver_samples_any_leading_rows(self):
-        # a linear system whose rows differ: 3 of 5 rows, and the bounds of sample_rows
+    def test_zero_fill_carries_across_blocks(self):
+        # the mask of a block split anywhere is that of the whole block: a column is
+        # failed from its first node with min(u, v) <= 0 on, even where u and v are
+        # positive again, and NaN never fails a node
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            uv = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], size=(2, 6, 12),
+                            p=[0.05, 0.05, 0.4, 0.4, 0.1])
+            whole = shooting._failed(uv, np.ones(6, dtype=bool))
+            cuts = np.sort(rng.choice(np.arange(1, 12), size=3, replace=False))
+            live = np.ones(6, dtype=bool)
+            parts = [shooting._failed(part, live) for part in np.split(uv, cuts, axis=2)]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
+            assert np.array_equal(live, ~whole[:, -1])
+            for j in range(6):
+                m = np.minimum(uv[0, j], uv[1, j]) <= 0.0
+                first = int(np.argmax(m)) if m.any() else 12
+                assert np.array_equal(whole[j], np.arange(12) >= first)
+
+    def test_step_size_underflow_in_the_stream(self, monkeypatch):
+        # the blocks reached come first, then StepSizeUnderflow with the solver's message
+        steps = shooting._steps
+
+        def failing(*args, **kwargs):
+            gen = steps(*args, **kwargs)
+            yield next(gen)
+            return -1, shooting.TOO_SMALL_STEP, 7
+
+        monkeypatch.setattr(shooting, "_steps", failing)
+        inputs = [ShootInput(CFG, 1.0, v0, r_max=10.0) for v0 in (1.0, 2.0)]
+        stream = values_stream(inputs)
+        r, uv = next(stream)
+        assert uv.shape == (2, 2, len(r)) and len(r) > 0
+        with pytest.raises(StepSizeUnderflow, match=shooting.TOO_SMALL_STEP):
+            next(stream)
+        with pytest.raises(StepSizeUnderflow, match=shooting.TOO_SMALL_STEP):
+            values_batch(inputs)
+
+    def test_steps_sample_any_leading_rows(self):
+        # a linear system whose rows differ: 3 of 5 rows, and the bounds of rows
         rates = np.arange(1.0, 6.0)
         args = (lambda t, y: -rates * y, (0.0, 2.0), np.ones(5))
         kwargs = dict(t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-8, atol=1e-8)
         full = shooting.solve_ivp(*args, **kwargs)
-        part = shooting.solve_ivp(*args, sample_rows=3, **kwargs)
-        assert part.nfev == full.nfev and part.y.tobytes() == full.y[:3].tobytes()
+        steps = shooting._steps(*args, rows=3, **kwargs)
+        blocks = []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                first, end, block = next(steps)
+                assert block.shape == (3, end - first)
+                blocks.append(block)
+        assert stop.value.value == (full.status, full.message, full.nfev)
+        assert np.concatenate(blocks, axis=1).tobytes() == full.y[:3].tobytes()
         for rows in (0, 6):
-            with pytest.raises(ValueError, match="sample_rows"):
-                shooting.solve_ivp(*args, sample_rows=rows, **kwargs)
+            with pytest.raises(ValueError, match="rows"):
+                next(shooting._steps(*args, rows=rows, **kwargs))
 
     @pytest.mark.parametrize("rmax", [100.0, 5000.0])
     def test_grid_ending_before_r_max_refused(self, rmax, monkeypatch):
@@ -307,6 +394,8 @@ class TestValuesBatch:
                 shoot(inp, grid)
         with pytest.raises(ValueError, match="before r_max"):
             values_batch([inp], grid)
+        with pytest.raises(ValueError, match="before r_max"):
+            next(values_stream([inp], grid))
         assert sols == []
 
 
@@ -500,33 +589,32 @@ def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
 
 
 def compare_with_scipy(monkeypatch):
-    """Route shooting's solve_ivp through a bitwise comparison with scipy's RK45.
+    """Route shooting's step generator through a bitwise comparison with scipy's RK45.
 
     Returns one (status, scipy status, same message, same t, same y, nfev,
     scipy nfev) record per solve; y is compared with as many of scipy's
-    leading rows as the call sampled.
+    leading rows as the solve sampled.
     """
-    records, solve = [], shooting.solve_ivp
+    records = []
 
-    def compared(fun, t_span, y0, **kwargs):
-        got = solve(fun, t_span, y0, **kwargs)
-        rows = kwargs.pop("sample_rows", None)  # scipy samples every row
-        ref = scipy_solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+    def compared(args, got):
+        rows = args.pop("rows")  # scipy samples every row
+        ref = scipy_solve_ivp(method="RK45", **args)
         records.append((got.status, ref.status, got.message == ref.message,
                         np.array_equal(got.t, ref.t), np.array_equal(got.y, ref.y[:rows]),
                         got.nfev, ref.nfev))
-        return got
 
-    monkeypatch.setattr(shooting, "solve_ivp", compared)
+    tap_steps(monkeypatch, compared)
     return records
 
 
 class TestSolverMatchesScipy:
-    """shooting.solve_ivp is bitwise scipy.integrate.solve_ivp(method="RK45")."""
+    """shooting's RK45 (_steps, as solve_ivp and values_stream take it) is bitwise
+    scipy.integrate.solve_ivp(method="RK45")."""
 
     @pytest.mark.parametrize("run, solves", [
-        # the property suite's batches of 200 and 100 columns at r_max 50, u and v sampled
-        (lambda: acceptance.check_property_suites(), 2),
+        # the property suite's one streamed solve of 300 columns at r_max 50, u and v sampled
+        (lambda: acceptance.check_property_suites(), 1),
         # the gate's 7-ratio sweep out to 1e4
         (lambda: uniqueness_sweep(CFG, (0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 2.0)), 1),
         (lambda: classify_batch([ShootInput(CFG, a, a) for a in (0.01, 1.0, 100.0)]), 1),
