@@ -63,6 +63,8 @@ def load_config(path: str | None) -> tuple[ExponentConfig, RadialGrid]:
     # type(), not isinstance(): true is an int, but neither a radius nor a node count
     if type(r0) not in (int, float) or type(rmax) not in (int, float) or type(nodes) is not int:
         raise ValueError(f"{path}: grid r0 and rmax must be numbers and nodes an integer")
+    if not 0 < r0 < rmax:
+        raise ValueError(f"{path}: grid needs 0 < r0 < rmax, got r0 = {r0} and rmax = {rmax}")
     return cfg, RadialGrid.geometric(r0, rmax, nodes)
 
 

@@ -136,31 +136,35 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | None = None):
-    """Integrate y' = fun(t, y) forward over t_span with RK45, one step at a time.
+    """Integrate y' = f(t, y) forward over t_span with RK45, one step at a time.
 
-    A generator: for each accepted step that passes t_eval nodes it yields
+    ``fun(t, y, out)`` writes f(t, y) into ``out`` and must not write ``y``;
+    both are views in the shape of ``y0``, which may have any shape.  A
+    generator: for each accepted step that passes t_eval nodes it yields
     (first, end, block), the dense output at t_eval[first:end] of the leading
-    ``rows`` state rows (default len(y0)), a fresh (rows, end - first) array.
-    Steps, error control and nfev stay over the whole state, so the blocks
-    are bitwise the leading rows of a full sampling.  It returns (status,
-    message, nfev): status 0 when it reached t_span[1], -1 with scipy's
-    message when the step size fell below its floor.
+    ``rows`` entries of the flattened state (default all), a fresh
+    (rows, end - first) array.  Steps and error control stay over the whole
+    state, so the blocks are bitwise the leading rows of a full sampling.  It
+    returns (status, message, nfev): status 0 when it reached t_span[1], -1
+    with scipy's message when the step size fell below its floor; nfev
+    counts as scipy does, 2 for the start and 6 per attempted step.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
     t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
     (I, Sec. II.4), the RMS error norm (sqrt(x.x), as np.linalg.norm has it),
     step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 right after a
     rejection), a floor of ten float spacings at t, and the quartic dense
-    output at the t_eval nodes of each step.  Each stage sum, y_new, the
-    error estimate and the dense-output block are formed in place (scale the
-    product by h, then add y), so a step makes one temporary per quantity,
-    and |y| is carried from one step to the next, so a step forms one
-    |y_new|; the IEEE operations and BLAS calls are scipy's.  Like scipy, it
+    output at the t_eval nodes of each step.  The stage inputs, the stage
+    rows K, |y|, the error scale and the error estimate are allocated once
+    per solve: each stage sum and y_new is formed in its buffer (the product
+    scaled by h, then y added), fun writes its stage row of K, and an
+    accepted step copies y_new into y and its last stage row into the
+    first; the IEEE operations and BLAS calls are scipy's.  Like scipy, it
     rejects a y0 that is not finite, at the first next().
     """
     t, t_bound = map(float, t_span)
-    y = np.asarray(y0, dtype=float)
-    if not np.isfinite(y).all():
+    y0 = np.asarray(y0, dtype=float)
+    if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     t_eval = np.asarray(t_eval)
     if rtol < (floor := 100 * np.finfo(float).eps):  # scipy's floor on rtol, and its warning
@@ -168,33 +172,39 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
         warnings.warn(f"rtol = {rtol} is below 100 machine epsilons; using rtol = {floor}",
                       stacklevel=3)
         rtol = floor
-    m = y.size if rows is None else rows
-    if not 0 < m <= y.size:
-        raise ValueError(f"need 0 < rows <= {y.size}, got {m}")
-    nfev, done = 0, 0
+    m = y0.size if rows is None else rows
+    if not 0 < m <= y0.size:
+        raise ValueError(f"need 0 < rows <= {y0.size}, got {m}")
+    shape, done = y0.shape, 0
+    # flat buffers, and the views in y0's shape that fun gets: the state, the inputs
+    # of stages 1-5 and y_new (the input of stage 6), and the stage rows
+    y = y0.flatten()
+    Z = np.empty((len(_C), y.size))
+    K = np.empty((len(_C) + 1, y.size))
+    y_view, K_views = y.reshape(shape), [k.reshape(shape) for k in K]
+    y_new, y_new_view = Z[-1], Z[-1].reshape(shape)
+    abs_y = np.abs(y)  # carried from step to step: each step forms |y_new| once
+    abs_new, err = np.empty_like(y), np.empty_like(y)
 
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    f = rhs(t, y)
+    f = K[0]  # f(t, y), the first stage row of every step
+    fun(t, y_view, K_views[0])
     # initial step from the size of y, y' and a finite-difference y''
     interval = abs(t_bound - t)
-    abs_y = np.abs(y)  # carried from step to step: each step forms |y_new| once
     scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    fun(t + h0, (y + h0 * f).reshape(shape), K_views[1])
+    d2 = _rms((K[1] - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval)
+    nfev = 2
 
-    K = np.empty((len(_C) + 1, y.size))
-    # stage s: (its row of K, the rows before it, its row of _A, its node)
-    stages = [(K[s], K[:s].T, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
+    # stage s: (its input, its view, its row's view, the rows before it, its row of _A, its node)
+    stages = [(Z[s - 1], Z[s - 1].reshape(shape), K_views[s], K[:s].T, _A[s, :s], float(_C[s]))
+              for s in range(1, len(_C))]
     KT, KT_rk, KT_out = K.T, K[:-1].T, K.T[:m]
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -206,21 +216,21 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for Ks, KsT, a, c in stages:
-                z = np.dot(KsT, a)
+            nfev += 6
+            for z, z_view, K_view, KsT, a, c in stages:
+                np.dot(KsT, a, out=z)
                 z *= h
                 z += y
-                Ks[:] = rhs(t + c * h, z)
-            y_new = np.dot(KT_rk, _B)
+                fun(t + c * h, z_view, K_view)
+            np.dot(KT_rk, _B, out=y_new)
             y_new *= h
             y_new += y
-            f_new = K[-1] = rhs(t + h, y_new)
-            abs_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_new)
+            fun(t + h, y_new_view, K_views[-1])
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
             scale *= rtol
             scale += atol
-            err = np.dot(KT, _E)
+            np.dot(KT, _E, out=err)
             err *= h
             err /= scale
             error_norm = _rms(err)
@@ -241,17 +251,21 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
             q += y[:m, None]
             yield done, end, q
             done = end
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        t = t_new
+        y[:] = y_new
+        f[:] = K[-1]
+        abs_y, abs_new = abs_new, abs_y
     return 0, "The solver successfully reached the end of the integration interval.", nfev
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
-    """Integrate y' = fun(t, y) forward over t_span with RK45, sampled at t_eval.
+    """Integrate y' = f(t, y) forward over t_span with RK45, sampled at t_eval.
 
-    Collects the blocks of _steps into one preallocated (len(y0), len(t_eval))
-    array, so samples and nfev are bitwise those of
-    scipy.integrate.solve_ivp(method="RK45").  On status -1 the result holds
-    the samples reached and scipy's message.
+    ``fun(t, y, out)`` writes f(t, y) into ``out`` (see _steps).  Collects the
+    blocks of _steps into one preallocated (y0.size, len(t_eval)) array, so
+    samples and nfev are bitwise those of scipy.integrate.solve_ivp(
+    method="RK45") with a fun that returns the same values.  On status -1
+    the result holds the samples reached and scipy's message.
     """
     t_eval = np.asarray(t_eval)
     out, done = np.empty((np.size(y0), len(t_eval))), 0
@@ -265,23 +279,26 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
         out[:, first:done] = block
 
 
-def _rhs(n: int, alpha: float, beta: float):
-    """Right-hand side on the flattened (u, v, u', v') state of k stacked shots.
+def _rhs(n: int, alpha: float, beta: float, k: int):
+    """Right-hand side fun(r, y, out) of k stacked shots, y and out of shape (2, 2, k).
 
-    Each of u, v, u', v' is a block of k, so (u, v) and (u', v') are
+    The axes are (values, slopes) x (u, v) x k, so (u, v) and (u', v') are
     contiguous halves: one clamp, one power per exponent and one product
-    cover both equations.  Each call returns a fresh array: the solver keeps
-    the last one between steps.
+    cover both equations.  The clamp and the powers go to buffers allocated
+    once, with the function, so a call allocates nothing; out gets (u', v')
+    and (-(n-1)/r u' - u^alpha v^beta, -(n-1)/r v' - v^alpha u^beta).
     """
-    def rhs(r, y):
-        y = y.reshape(2, 2, -1)  # (values, slopes) x (u, v) x k
-        w = np.maximum(y[0], 0.0)  # u and v, clamped at zero
-        dy = np.empty_like(y)
-        dy[0] = y[1]
-        np.multiply(y[1], -(n - 1) / r, out=dy[1])
-        # minus u^alpha v^beta and v^alpha u^beta (IEEE products commute)
-        dy[1] -= w ** alpha * (w ** beta)[::-1]
-        return dy.ravel()
+    w, wa, wb = np.empty((3, 2, k))
+
+    def rhs(r, y, out):
+        np.maximum(y[0], 0.0, out=w)  # u and v, clamped at zero
+        np.power(w, alpha, out=wa)
+        np.power(w, beta, out=wb)
+        # u^alpha v^beta and v^alpha u^beta (IEEE products commute)
+        np.multiply(wa, wb[::-1], out=wa)
+        out[0] = y[1]
+        np.multiply(y[1], -(n - 1) / r, out=out[1])
+        out[1] -= wa
     return rhs
 
 
@@ -302,8 +319,8 @@ def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
 def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     """The checked RK45 system of k shots sharing config, r_max and tol.
 
-    The state (u, v, u', v') is flattened from shape (4, k), so u, v, u' and
-    v' are each a block of k (see _rhs), and error control is the RMS over
+    The state (u, v, u', v') has shape (2, 2, k) (see _rhs), so flattened
+    u, v, u' and v' are each a block of k, and error control is the RMS over
     the whole stack.  A column that fails (u or v reaches zero) keeps being
     integrated with the clamped RHS, so every solve samples every node.
     Returns the nodes up to r_max and the keyword arguments of solve_ivp
@@ -337,8 +354,9 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
         raise GridTooCoarse(
             f"the series start at r0 = {nodes[0]:g} has u or v <= 0 or too steep a slope "
             f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
-    return nodes, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta), t_span=(nodes[0], first.r_max),
-                       y0=start.ravel(), t_eval=nodes, rtol=first.tol, atol=first.tol)
+    return nodes, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta, len(inputs)),
+                       t_span=(nodes[0], first.r_max), y0=start.reshape(2, 2, -1), t_eval=nodes,
+                       rtol=first.tol, atol=first.tol)
 
 
 def _failed(uv: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -347,13 +365,15 @@ def _failed(uv: np.ndarray, live: np.ndarray) -> np.ndarray:
     ``uv`` holds the u and v rows of the block's k columns first.  ``live``
     flags the columns that no earlier block of the solve has failed; it is
     updated in place, so the blocks of one solve, taken in order, carry each
-    column's state.  Every result is zero under the mask.
+    column's state.  Each column's first failing node is an argmax, and the
+    mask one compare of the node indices against them.  Every result is zero
+    under the mask.
     """
     failed = np.minimum(uv[0], uv[1]) <= 0.0
     failed[:, 0] |= ~live
-    np.logical_or.accumulate(failed, axis=1, out=failed)
-    live &= ~failed[:, -1]
-    return failed
+    live &= ~failed.any(axis=1)
+    first = np.where(live, failed.shape[1], failed.argmax(axis=1))
+    return np.arange(failed.shape[1]) >= first[:, None]
 
 
 def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
@@ -388,10 +408,12 @@ def values_stream(inputs: list[ShootInput], grid: RadialGrid | None = None):
     A generator over the solve of integrate_radial_batch: for each step that
     passes nodes it yields (r, uv), those nodes and the fresh (2, k, len(r))
     block of u and v at them, each column zero from its first node with
-    min(u, v) <= 0 on, across blocks.  The blocks, concatenated, are
-    bitwise the u and v of integrate_radial_batch; u' and v' are stepped
-    but never sampled.  The checks of integrate_radial_batch run at the first
-    next(); StepSizeUnderflow is raised after the last block reached.
+    min(u, v) <= 0 on, across blocks (_failed, which a block skips while
+    every column is live and its u and v are all positive).  The blocks,
+    concatenated, are bitwise the u and v of integrate_radial_batch; u' and
+    v' are stepped but never sampled.  The checks of integrate_radial_batch
+    run at the first next(); StepSizeUnderflow is raised after the last block
+    reached.
     """
     nodes, system = _batch_system(inputs, grid)
     k = len(inputs)
@@ -404,7 +426,8 @@ def values_stream(inputs: list[ShootInput], grid: RadialGrid | None = None):
             status, message, _ = stop.value
             break
         uv = block.reshape(2, k, -1)
-        np.copyto(uv, 0.0, where=_failed(uv, live))
+        if not (live.all() and uv.min() > 0.0):  # else no column fails in the block
+            np.copyto(uv, 0.0, where=_failed(uv, live))
         yield nodes[first:end], uv
     if status == -1:  # RK45's only failure: the step size fell below its floor
         raise StepSizeUnderflow(message)

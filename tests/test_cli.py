@@ -267,6 +267,24 @@ def test_malformed_input_is_usage_error(argv, name, text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["shoot", "--u0", "1", "--v0", "1"], ["bubble", "residual"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("grid, radii", [
+    ({"rmax": 1e-7}, "r0 = 1e-06 and rmax = 1e-07"),
+    ({"r0": -1}, "r0 = -1 and rmax = 10000.0"),
+], ids=["rmax below r0", "negative r0"])
+def test_config_grid_radii_out_of_order_are_usage_error(argv, grid, radii, tmp_path, capsys):
+    # refused by load_config, naming the file and both radii, before numpy sees them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3, "alpha": 2.0, "beta": 3.0, "grid": grid}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--config", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: grid needs 0 < r0 < rmax, got {radii}\n"
+
+
 _NONFINITE_FILES = {
     "nan.json": '{"n": 3, "alpha": NaN, "beta": NaN}',
     "r0.json": '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"r0": NaN}}',

@@ -25,8 +25,9 @@ F = np.exp(-GRID.nodes)
     lambda: ShootInput(CFG, 1.0, 1.0, atol=1e-8),
     lambda: core.lp_norm_radial(F, GRID, 2.0, 3, check_tol=1e-8),
     lambda: picard_iterate(None, CFG, callback=print),
-    lambda: shooting.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(2), t_eval=[0.0, 1.0],
-                               rtol=1e-6, atol=1e-6, sample_rows=1),
+    lambda: shooting.solve_ivp(lambda t, y, out: np.negative(y, out=out), (0.0, 1.0),
+                               np.ones(2), t_eval=[0.0, 1.0], rtol=1e-6, atol=1e-6,
+                               sample_rows=1),
 ], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "callback",
         "sample_rows"])
 def test_removed_parameter_is_rejected(call):

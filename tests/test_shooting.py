@@ -86,6 +86,16 @@ def record_solves(monkeypatch):
     return sols
 
 
+def returning(fun, shape=None):
+    """scipy's fun(t, y) -> f(t, y) over the flat state, from an in-place fun(t, y, out)
+    over states of ``shape`` (default: the shape scipy passes)."""
+    def f(t, y):
+        out = np.empty(y.shape if shape is None else shape)
+        fun(t, y.reshape(out.shape), out)
+        return out.ravel()
+    return f
+
+
 class TestIntegrateRadial:
     def test_matches_unit_bubble(self):
         prof = integrate_radial(ShootInput(CFG, C3, C3, r_max=50.0))
@@ -345,6 +355,34 @@ class TestValuesBatch:
                 first = int(np.argmax(m)) if m.any() else 12
                 assert np.array_equal(whole[j], np.arange(12) >= first)
 
+    @pytest.mark.parametrize("k, cuts, fails", [
+        # blocks [0, 3) all live, [3, 4) one node, [4, 9), [9, 12) all positive again;
+        # column 0 fails at a block's first node, 1 mid-block, 2 at a block's last
+        # node, and in the last block 0, 1 and 2 are dead from earlier blocks
+        (4, [3, 4, 9], [(0, 0, 3), (1, 1, 6), (0, 2, 8)]),
+        (4, [3, 4, 9], []),  # never a failing node: every block takes the fast path
+        (1, [1, 2], [(1, 0, 2)]),  # one-node blocks, then a failure at a block's first node
+        (1, [5], [(0, 0, 11)]),  # the last node of the solve
+    ], ids=["k4", "k4-live", "k1-one-node", "k1-last-node"])
+    def test_stream_zero_fill_is_the_accumulated_rule(self, k, cuts, fails, monkeypatch):
+        # values_stream on crafted blocks against np.logical_or.accumulate over the
+        # whole solve: a column is zero from its first node with min(u, v) <= 0 on
+        uv = np.random.default_rng(k).uniform(0.5, 2.0, size=(2, k, 12))
+        for row, col, node in fails:
+            uv[row, col, node] = -uv[row, col, node] if node % 2 else 0.0
+        uv[:, -1, 1] = np.nan  # NaN never fails a node
+
+        def crafted(*args, **kwargs):
+            for first, end in zip([0] + cuts, cuts + [12]):
+                yield first, end, uv[:, :, first:end].reshape(2 * k, -1).copy()
+            return 0, "done", 0
+
+        monkeypatch.setattr(shooting, "_steps", crafted)
+        inputs = [ShootInput(CFG, 1.0, 1.0, r_max=10.0)] * k
+        got = np.concatenate([b for _, b in values_stream(inputs)], axis=2)
+        failed = np.logical_or.accumulate(np.minimum(uv[0], uv[1]) <= 0.0, axis=1)
+        assert got.tobytes() == np.where(failed, 0.0, uv).tobytes()
+
     def test_step_size_underflow_in_the_stream(self, monkeypatch):
         # the blocks reached come first, then StepSizeUnderflow with the solver's message
         steps = shooting._steps
@@ -367,7 +405,7 @@ class TestValuesBatch:
     def test_steps_sample_any_leading_rows(self):
         # a linear system whose rows differ: 3 of 5 rows, and the bounds of rows
         rates = np.arange(1.0, 6.0)
-        args = (lambda t, y: -rates * y, (0.0, 2.0), np.ones(5))
+        args = (lambda t, y, out: np.multiply(-rates, y, out=out), (0.0, 2.0), np.ones(5))
         kwargs = dict(t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-8, atol=1e-8)
         full = shooting.solve_ivp(*args, **kwargs)
         steps = shooting._steps(*args, rows=3, **kwargs)
@@ -570,7 +608,7 @@ def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
     # both solvers of TestSolverMatchesScipy call the same RHS, so only a
     # direct comparison catches a change in its arithmetic
     rng = np.random.default_rng(k)
-    rhs = shooting._rhs(n, alpha, beta)
+    rhs = shooting._rhs(n, alpha, beta, k)
     for i, r in enumerate((1e-6, 0.37, 1e4)):
         # signed states (u, v, u', v') of mixed magnitude: negative u and v exercise the clamp
         y = rng.normal(size=(4, k)) * 10.0 ** rng.integers(-3, 4, size=(4, k))
@@ -581,11 +619,42 @@ def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
         c = (n - 1) / r
         ref = np.concatenate((du, dv, -c * du - uu ** alpha * vv ** beta,
                               -c * dv - uu ** beta * vv ** alpha))
-        first, second = rhs(r, y.ravel()), rhs(r, y.ravel())
+        state = y.reshape(2, 2, k)
+        before = state.tobytes()
+        # NaN-filled, so an entry left unwritten fails; the second call reuses the buffers
+        first, second = np.full((2, 2, k), np.nan), np.full((2, 2, k), np.nan)
+        rhs(r, state, first)
+        rhs(r, state, second)
         assert first.tobytes() == second.tobytes() == ref.tobytes()
-        # the solver keeps one RHS value while it computes the next
-        assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, y)
+        assert state.tobytes() == before
+
+
+def test_rhs_writes_only_the_stage_rows(monkeypatch):
+    # over the property suite's solve, every RHS call writes one of the solver's
+    # 7 stage rows, all views of one array, and leaves its input as it was
+    sols, calls, make = record_solves(monkeypatch), [], shooting._rhs
+
+    def recording(n, alpha, beta, k):
+        rhs = make(n, alpha, beta, k)
+
+        def recorded(r, y, out):
+            before = y.tobytes()
+            rhs(r, y, out)
+            calls.append((out, np.shares_memory(y, out), y.tobytes() == before))
+        return recorded
+
+    monkeypatch.setattr(shooting, "_rhs", recording)
+    assert acceptance.check_property_suites() == (True, "no violations")
+    [sol] = sols
+    assert len(calls) == sol.nfev
+    assert not any(shared for _, shared, _ in calls)
+    assert all(unchanged for _, _, unchanged in calls)
+    outs = [out for out, _, _ in calls]
+    assert outs[0].shape == (2, 2, 300)
+    assert len({out.__array_interface__["data"][0] for out in outs}) == 7
+    owner = outs[0].base
+    assert owner.size == 7 * outs[0].size
+    assert all(out.base is owner for out in outs)
 
 
 def compare_with_scipy(monkeypatch):
@@ -599,6 +668,9 @@ def compare_with_scipy(monkeypatch):
 
     def compared(args, got):
         rows = args.pop("rows")  # scipy samples every row
+        # scipy takes a flat y0 and a fun that returns its value
+        y0 = np.asarray(args["y0"])
+        args.update(fun=returning(args["fun"], y0.shape), y0=y0.ravel())
         ref = scipy_solve_ivp(method="RK45", **args)
         records.append((got.status, ref.status, got.message == ref.message,
                         np.array_equal(got.t, ref.t), np.array_equal(got.y, ref.y[:rows]),
@@ -637,10 +709,14 @@ class TestSolverMatchesScipy:
     def test_step_size_underflow(self):
         # y = 1/(1-t) blows up at t = 1: the step falls below ten float spacings
         t_eval = np.linspace(0.0, 2.0, 41)
+
+        def square(t, y, out):
+            np.multiply(y, y, out=out)
+
         for tol in (1e-6, 1e-10):
-            got = shooting.solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.array([1.0]),
+            got = shooting.solve_ivp(square, (0.0, 2.0), np.array([1.0]),
                                      t_eval=t_eval, rtol=tol, atol=tol)
-            ref = scipy_solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.array([1.0]),
+            ref = scipy_solve_ivp(returning(square), (0.0, 2.0), np.array([1.0]),
                                   method="RK45", t_eval=t_eval, rtol=tol, atol=tol)
             assert got.status == ref.status == -1
             assert got.message == ref.message == shooting.TOO_SMALL_STEP
@@ -652,28 +728,31 @@ class TestSolverMatchesScipy:
         # a non-finite start makes every step size NaN; the RHS cap stops a solver that loops on
         calls = []
 
-        def fun(t, y):
+        def fun(t, y, out):
             calls.append(t)
             if len(calls) > 1000:
                 raise RuntimeError("the solver kept stepping from a non-finite y0")
-            return -y
+            np.negative(y, out=out)
 
-        args = (fun, (0.0, 1.0), np.array([1.0, bad]))
+        args = ((0.0, 1.0), np.array([1.0, bad]))
         kwargs = dict(t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-6, atol=1e-6)
         with pytest.raises(ValueError) as ref:
-            scipy_solve_ivp(*args, method="RK45", **kwargs)
+            scipy_solve_ivp(returning(fun), *args, method="RK45", **kwargs)
         with pytest.raises(ValueError) as got:
-            shooting.solve_ivp(*args, **kwargs)
+            shooting.solve_ivp(fun, *args, **kwargs)
         assert str(got.value) == str(ref.value)
 
     def test_rtol_floor(self):
         # scipy raises rtol to 100 machine epsilons, with a warning
-        args = (lambda t, y: -y, (0.0, 1.0), np.array([1.0, 2.0]))
+        def fun(t, y, out):
+            np.negative(y, out=out)
+
+        args = ((0.0, 1.0), np.array([1.0, 2.0]))
         kwargs = dict(t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-20, atol=1e-12)
         with pytest.warns(UserWarning, match="rtol"):
-            got = shooting.solve_ivp(*args, **kwargs)
+            got = shooting.solve_ivp(fun, *args, **kwargs)
         with pytest.warns(UserWarning, match="rtol"):
-            ref = scipy_solve_ivp(*args, method="RK45", **kwargs)
+            ref = scipy_solve_ivp(returning(fun), *args, method="RK45", **kwargs)
         assert np.array_equal(got.y, ref.y) and got.nfev == ref.nfev
 
 
