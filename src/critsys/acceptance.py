@@ -205,17 +205,19 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     # no block of samples outlives its step
     draws = rng.uniform(0.5, 2.0, size=(cases, 2))  # rows (u0, v0)
     starts = np.concatenate((draws, draws[:, ::-1], draws[:, [0, 0]]))
-    swap = collapse = 0.0  # max |u_a - v_b| and |v_a - u_b|; max |u_c - v_c|
+    # max |u_a - v_b| and |v_a - u_b|; max |u_c - v_c|.  np.maximum keeps a NaN
+    # gap, and a NaN gap fails its test
+    swap = collapse = 0.0
     for _, uv in sh.values_stream(
             [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in starts]):
         a, b, c = uv[:, :cases], uv[:, cases:2 * cases], uv[:, 2 * cases:]
         d = a - b[::-1]
-        swap = max(swap, np.abs(d, out=d).max())
+        swap = np.maximum(swap, np.abs(d, out=d).max())
         d = c[0] - c[1]
-        collapse = max(collapse, np.abs(d, out=d).max())
-    if swap > 1e-7:
+        collapse = np.maximum(collapse, np.abs(d, out=d).max())
+    if not swap <= 1e-7:
         fails.append("swap-antisymmetry")
-    if collapse > 1e-10:
+    if not collapse <= 1e-10:
         fails.append("equal-start-collapse")
 
     return not fails, "no violations" if not fails else f"failed: {fails}"

@@ -7,13 +7,15 @@ plane position recovered by a scan sits at the center coordinate.
 All test fields are radial about a point on the x1 axis, so scans and
 reflection reports run on an exact axisymmetric 2D reduction in coordinates
 (x1, rho), and the Green's identity on a Gauss rule in polar coordinates.
-The sampler's points and their mirror images are column-contiguous (an
-(n, N) buffer viewed as (N, n)), so a field reads each coordinate as one
-contiguous column.  Fields must be pure functions of the points: when one
-callable is passed as both u and v, it is evaluated once per point set (the
-sampler, each probe, each half-space) and its values serve for v too.  A
-field must not keep the points it is given: a scan rewrites one mirror
-buffer from plane to plane.
+The sampler's points are column-contiguous (an (n, N) buffer viewed as
+(N, n)), so a field reads each coordinate as one contiguous column.  Fields
+must be pure functions of the points: when one callable is passed as both u
+and v, it is evaluated once per point set (the sampler, each probe, each
+half-space) and its values serve for v too.  Once u and v are known on the
+nodes, the scan and the reflection check write the mirror images into the
+nodes' own buffer, rewriting only its x1 row, so a field must not keep, or
+return a view of, the points it is given, the sampler nodes included.  (A
+returned view is copied before the row is rewritten.)
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ class PlaneParam:
 
     @property
     def is_axis_aligned(self) -> bool:
-        return bool(np.allclose(self.direction, _e1(self.n)))
+        return bool(np.array_equal(self.direction, _e1(self.n)))
 
 
 def reflect(x, plane: PlaneParam) -> np.ndarray:
@@ -100,17 +102,20 @@ class CartesianSampler:
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(points (N, n), weights (N,)) for the axisymmetric slice.
 
-        The nodes are x1-major, and the points are an (n, N) buffer viewed
-        as (N, n), so each coordinate is a contiguous column.  The scans
-        evaluate a callable passed as both u and v once per point set.
+        The nodes are x1-major: node column j is the m nodes j*m ... j*m + m - 1,
+        which share one x1, and a half-space x1 < lam is whole node columns.
+        The points are a fresh (n, N) buffer viewed as (N, n), so each
+        coordinate is a contiguous column; the scan and the reflection check
+        write the mirror images into that buffer's x1 row.
         """
         dx = 2.0 * self.L / self.m
         drho = self.L / self.m
         x1 = -self.L + (np.arange(self.m) + 0.5) * dx
         rho = (np.arange(self.m) + 0.5) * drho
         cols = np.zeros((self.n, self.m * self.m))
-        cols[0] = np.repeat(x1, self.m)
-        cols[1] = np.tile(rho, self.m)
+        grid = cols[:2].reshape(2, self.m, self.m)  # (coordinate, node column, node)
+        grid[0] = x1[:, None]
+        grid[1] = rho
         # ring volume: omega_{n-2} rho^{n-2} drho dx1
         ring = unit_sphere_area(self.n - 1) * rho ** (self.n - 2)
         return cols.T, np.tile(ring * dx * drho, self.m)
@@ -123,10 +128,19 @@ def _mirror_x1(x1: np.ndarray, lam: float, out: np.ndarray) -> None:
     out += x1
 
 
+def _own(values, pts):
+    """values, copied if they share memory with pts: the scans rewrite the points."""
+    return values.copy() if np.may_share_memory(values, pts) else values
+
+
 def _pair(u_field, v_field, pts) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) at pts; one evaluation when u and v are one callable."""
-    u = u_field(pts)
-    return u, (u if v_field is u_field else v_field(pts))
+    """(u, v) at pts; one evaluation when u and v are one callable.
+
+    A field that returns a view of its points has its values copied, so that
+    rewriting the points leaves them intact.
+    """
+    u = _own(u_field(pts), pts)
+    return u, (u if v_field is u_field else _own(v_field(pts), pts))
 
 
 @dataclass(frozen=True)
@@ -148,7 +162,11 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     Reports |u_lam - u|_{p,Bu}, |v_lam - v|_{p,Bv} and the smallness factors
     |u_lam|, |v_lam| restricted to both sets, with p = 2n/(n-2).  Empty sets
     give exactly zero norms (the estimates hold vacuously).  Raises
-    ValueError unless config, plane and sampler share one dimension n.
+    ValueError unless config, plane and sampler share one dimension n, and
+    unless the plane's direction is exactly e1.  The mirror images of H_lam
+    are written into the nodes' x1 row after u and v are evaluated on the
+    nodes, one mirrored x1 per node column.  When u and v are one callable,
+    each v norm and Bv_measure is its u twin and is computed once.
     """
     n = config.n
     if not n == plane.n == sampler.n:
@@ -160,36 +178,38 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     pts, w = sampler.nodes()
     u_all, v_all = _pair(u_field, v_field, pts)
     end = int(np.searchsorted(pts[:, 0], plane.lam))  # H_lam is a prefix of the x1-major nodes
-    refl = np.empty((n, end))  # column-contiguous, like the nodes
-    _mirror_x1(pts[:end, 0], plane.lam, out=refl[0])
-    refl[1:] = pts[:end, 1:].T
-    del pts  # hold no point set past its evaluation
-    ul, vl = _pair(u_field, v_field, refl.T)
-    del refl
+    # the mirror images overwrite the nodes' x1 row: H_lam is whole node columns,
+    # and each column's m nodes share one x1, so one mirrored x1 serves a column
+    x1_grid = pts[:end, 0].reshape(-1, sampler.m)  # (node column, node)
+    mirror = np.empty(len(x1_grid))
+    _mirror_x1(x1_grid[:, 0], plane.lam, out=mirror)
+    x1_grid[:] = mirror[:, None]
+    ul, vl = _pair(u_field, v_field, pts[:end])
+    del pts, x1_grid  # hold no point set past its evaluation
     u, v, w_h = u_all[:end], v_all[:end], w[:end]
     same = ul is vl and u_all is v_all  # one callable: each v term is its u term
     bu = ul > u
     bv = bu if same else vl > v
 
-    def terms(values, weights):  # w |values|^p, formed once per array
-        return weights * np.abs(values) ** p
+    def terms(values, weights):  # w |values|^p, formed once per array in one buffer
+        t = np.abs(values)
+        t **= p
+        t *= weights
+        return t
 
     def norm(t, on=None):  # summed over the set `on` in node order
         return float(np.sum(t if on is None else t[on]) ** (1.0 / p))
 
     du, t_ul, t_u = terms(ul - u, w_h), terms(ul, w_h), terms(u_all, w)
-    dv, t_vl, t_v = ((du, t_ul, t_u) if same
-                     else (terms(vl - v, w_h), terms(vl, w_h), terms(v_all, w)))
-    norms = {
-        "u_lam-u_p_Bu": norm(du, bu),
-        "v_lam-v_p_Bv": norm(dv, bv),
-        "u_lam_p_Bu": norm(t_ul, bu),
-        "v_lam_p_Bu": norm(t_vl, bu),
-        "u_lam_p_Bv": norm(t_ul, bv),
-        "v_lam_p_Bv": norm(t_vl, bv),
-        "u_p_global": norm(t_u),
-        "v_p_global": norm(t_v),
-    }
+    if same:  # B_v is B_u, so each v norm is its u twin
+        diff, small, glob = norm(du, bu), norm(t_ul, bu), norm(t_u)
+        values = (diff, diff, small, small, small, small, glob, glob)
+    else:
+        dv, t_vl, t_v = terms(vl - v, w_h), terms(vl, w_h), terms(v_all, w)
+        values = (norm(du, bu), norm(dv, bv), norm(t_ul, bu), norm(t_vl, bu),
+                  norm(t_ul, bv), norm(t_vl, bv), norm(t_u), norm(t_v))
+    norms = dict(zip(("u_lam-u_p_Bu", "v_lam-v_p_Bv", "u_lam_p_Bu", "v_lam_p_Bu",
+                      "u_lam_p_Bv", "v_lam_p_Bv", "u_p_global", "v_p_global"), values))
     # smallness factors multiplying the difference norms in the estimates
     margins = {
         "factor_u": norms["u_lam_p_Bu"] ** (config.alpha - 1.0)
@@ -197,10 +217,11 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
         "factor_v": norms["v_lam_p_Bv"] ** (config.alpha - 1.0)
         * norms["u_lam_p_Bv"] ** config.beta,
     }
+    bu_measure = float(np.sum(w_h[bu]))
     return ReflectionReport(
         lam=plane.lam,
-        Bu_measure=float(np.sum(w_h[bu])),
-        Bv_measure=float(np.sum(w_h[bv])),
+        Bu_measure=bu_measure,
+        Bv_measure=bu_measure if same else float(np.sum(w_h[bv])),
         norms=norms,
         inequality_margins=margins,
     )
@@ -223,13 +244,16 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     them.  The rest must bracket lam0: a first plane that is already empty
     only bounds lam0 from above and raises ScanInconclusive, as does
     non-monotone emptiness.  Raises ValueError unless lambdas is a nonempty
-    sequence of finite numbers.  Every plane's mirror images are written into
-    one buffer, so a field must not keep the points it is given.
+    sequence of finite numbers.  After u and v are evaluated on the nodes,
+    every plane's mirror images are written into the nodes' own x1 row, one
+    mirrored x1 per node column, so a field must not keep, or return a view
+    of, the points it is given.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0 or not np.all(np.isfinite(lambdas)):
         raise ValueError(f"need a nonempty sequence of finite planes, got {lambdas}")
     lambdas = np.sort(lambdas)
+    m = sampler.m
     pts = sampler.nodes()[0]
     x1 = pts[:, 0]
     ends = np.searchsorted(x1, lambdas)  # H_lam is a prefix of the x1-major nodes
@@ -241,21 +265,26 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
             f"node column x1 = {x1[0]:g}")
     lambdas, ends = lambdas[held], ends[held]
     u_all, v_all = _pair(u_field, v_field, pts)
-    if np.max(np.abs(u_all)) == 0.0 and np.max(np.abs(v_all)) == 0.0:
+    if not np.any(u_all) and not np.any(v_all):
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
-    # one mirror buffer, as long as the last half-space: each plane rewrites
-    # only the x1 rows it evaluates
-    buf = np.empty((sampler.n, ends[-1]))
-    buf[1:] = pts[:ends[-1], 1:].T
+    # the mirror images overwrite the nodes' x1 row: each H_lam is whole node
+    # columns, and each column's m nodes share one x1, so each probe and each
+    # full pass writes one mirrored x1 per column
+    x1_grid = x1.reshape(m, m)  # (node column, node)
+    col_x1 = x1_grid[:ends[-1] // m, 0].copy()
+    mirror = np.empty_like(col_x1)
     empty = np.zeros(len(lambdas), dtype=bool)
     for i, (lam, end) in enumerate(zip(lambdas, ends)):
-        for start in (max(end - sampler.m, 0), 0):  # the node column next to the plane first
-            _mirror_x1(x1[start:end], lam, out=buf[0, start:end])
-            refl = buf[:, start:end].T
-            if np.any(u_field(refl) > u_all[start:end]) or (
-                    v_field is not u_field and np.any(v_field(refl) > v_all[start:end])):
+        ncols = end // m
+        _mirror_x1(col_x1[:ncols], lam, out=mirror[:ncols])
+        for col in (ncols - 1, 0):  # the node column next to the plane first
+            x1_grid[col:ncols] = mirror[col:ncols, None]
+            rows = slice(col * m, end)
+            refl = pts[rows]
+            if np.any(u_field(refl) > u_all[rows]) or (
+                    v_field is not u_field and np.any(v_field(refl) > v_all[rows])):
                 break
         else:
             empty[i] = True

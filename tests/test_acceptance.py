@@ -61,17 +61,24 @@ def test_property_suite_batches_match_single_shots(monkeypatch):
             assert np.array_equal(g == 0.0, r == 0.0)
 
 
-def plant_violation(monkeypatch, columns: slice, du: float, dv: float):
-    """Offset u and v in some columns of every block of the property suite's stream."""
+def plant_violation(monkeypatch, columns: slice, du: float, dv: float, block=None):
+    """Offset u and v in some columns of every block (or of one) of the property suite's stream.
+
+    Returns the list of planted block indices, filled in as the stream runs.
+    """
     stream = sh.values_stream
+    planted_blocks = []
 
     def planted(inputs, grid=None):
-        for r, uv in stream(inputs, grid):
-            uv[0, columns] += du
-            uv[1, columns] += dv
+        for i, (r, uv) in enumerate(stream(inputs, grid)):
+            if block is None or i == block:
+                uv[0, columns] += du
+                uv[1, columns] += dv
+                planted_blocks.append(i)
             yield r, uv
 
     monkeypatch.setattr(sh, "values_stream", planted)
+    return planted_blocks
 
 
 def test_property_suite_catches_planted_swap_violation(monkeypatch):
@@ -97,6 +104,19 @@ def test_property_suite_catches_planted_equal_start_violation(monkeypatch):
     ok, detail = acceptance.check_property_suites()
     assert not ok and "equal-start-collapse" in detail
     assert "swap-antisymmetry" not in detail
+
+
+@pytest.mark.parametrize("columns, dv, failed", [
+    (slice(100, 200), np.nan, "swap-antisymmetry"),  # one block of the swapped (b) columns
+    (slice(200, None), 0.0, "equal-start-collapse"),  # the equal-start (c) columns
+], ids=["swap", "collapse"])
+def test_property_suite_fails_a_nan_sample(monkeypatch, columns, dv, failed):
+    # a NaN gap never compares greater than a tolerance; it must still fail the suite,
+    # planted in one block only (a running max that drops NaN would pass)
+    planted = plant_violation(monkeypatch, columns, np.nan, dv, block=1)
+    ok, detail = acceptance.check_property_suites()
+    assert planted == [1]
+    assert not ok and detail == f"failed: {[failed]}"
 
 
 def test_property_suite_holds_under_two_sample_blocks():

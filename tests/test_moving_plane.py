@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,19 @@ class TestReflect:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             PlaneParam(0.0, np.array([1.0, 1.0, 0.0]))
+
+    def test_nearly_e1_direction_is_not_axis_aligned(self, sampler):
+        # a 5e-9 tilt moves the image of (-1, 3, 0) by 3e-8, so the e1 fast paths
+        # would return a quietly wrong value: they refuse the plane instead
+        plane = PlaneParam(0.0, np.array([1.0, 5e-9, 0.0]))
+        assert np.linalg.norm(reflect(np.array([-1.0, 3.0, 0.0]), plane) - [1.0, 3.0, 0.0]) > 1e-8
+        assert not plane.is_axis_aligned
+        assert PlaneParam(0.0, np.array([1.0, -0.0, 0.0])).is_axis_aligned
+        field = bubble_field(make_bubble(CFG, t=1.0))
+        with pytest.raises(ValueError, match="requires direction e1"):
+            reflection_inequality_check(field, field, plane, CFG, sampler)
+        with pytest.raises(ValueError, match="requires direction e1"):
+            greens_reflection_identity(make_bubble(CFG, t=1.0), plane, np.array([-1.0, 0, 0]), CFG)
 
 
 class TestExceedanceSets:
@@ -287,8 +301,9 @@ class TestCriticalPlaneScan:
                                             (7.3, 48, np.linspace(-7.0, 2.9, 34))],
                              ids=["sweep", "short-prefix", "inexact"])
     def test_field_sees_each_planes_mirror_images(self, L, m, lams):
-        # the field keeps copies: the scan rewrites one buffer between planes;
-        # off the dyadic grid, 2 lam - x1 would differ from reflect's x1 + 2 (lam - x1)
+        # the field keeps copies: the scan and the check rewrite the nodes' x1 row
+        # between evaluations, one mirrored x1 per node column; off the dyadic grid,
+        # 2 lam - x1 would differ from reflect's x1 + 2 (lam - x1) in the last bit
         sampler = CartesianSampler(L=L, m=m)
         pts, _ = sampler.nodes()
         bubble = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
@@ -298,17 +313,29 @@ class TestCriticalPlaneScan:
             seen.append(np.array(x))
             return bubble(x)
 
+        def assert_mirror_images(got, lam, start, end):
+            want = reflect(pts, PlaneParam(lam))[start:end, 0]
+            assert got.shape == (end - start, sampler.n)
+            assert got[:, 0].tobytes() == want.tobytes()
+            assert got[:, 1:].tobytes() == pts[start:end, 1:].tobytes()
+
         critical_plane_scan(field, field, sampler, lams)
         assert seen[0].tobytes() == pts.tobytes()
         calls = iter(seen[1:])
         for lam in np.sort(lams):
             end = np.count_nonzero(pts[:, 0] < lam)
             for start in (max(end - sampler.m, 0), 0):  # the probe, then all of H_lam
-                got, want = next(calls), reflect(pts[start:end], PlaneParam(lam))
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                if np.any(bubble(want) > bubble(pts[start:end])):
+                assert_mirror_images(next(calls), lam, start, end)
+                if np.any(bubble(reflect(pts[start:end], PlaneParam(lam)))
+                          > bubble(pts[start:end])):
                     break
         assert next(calls, None) is None
+
+        for lam in lams:  # the check: the nodes, then all of H_lam
+            seen.clear()
+            reflection_inequality_check(field, field, PlaneParam(lam), CFG, sampler)
+            assert len(seen) == 2 and seen[0].tobytes() == pts.tobytes()
+            assert_mirror_images(seen[1], lam, 0, np.count_nonzero(pts[:, 0] < lam))
 
 
 def full_scan(u_field, v_field, sampler, lambdas):
@@ -406,6 +433,22 @@ def test_probe_scan_matches_full_evaluation(u, v, lams, m):
             == scan_outcome(full_scan, u, v, sampler, lams))
 
 
+def test_scan_peak_under_two_node_buffers():
+    # the mirror images are written into the sampler's own (n, m^2) node buffer; a
+    # second mirror buffer with copies of the other rows takes the peak past two
+    sampler = CartesianSampler(L=10.0, m=512)
+    field = _bubble_at(0.5)
+    buffers = 2 * sampler.n * sampler.m ** 2 * 8
+    tracemalloc.start()
+    try:
+        res = critical_plane_scan(field, field, sampler, SWEEP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == ScanResult(0.5)
+    assert peak < buffers, f"peak {peak / 1e6:.1f} MB"
+
+
 def reference_report(u_field, v_field, lam, config, sampler):
     """reflection_inequality_check with each norm formed on its own set, field by field."""
     p = 2.0 * config.n / (config.n - 2.0)
@@ -437,6 +480,23 @@ def reference_report(u_field, v_field, lam, config, sampler):
     }
     return ReflectionReport(lam, float(np.sum(w_h[bu])), float(np.sum(w_h[bv])),
                             norms, margins)
+
+
+def _x1_view(pts):
+    return pts[:, 0]
+
+
+@pytest.mark.parametrize("u, v", [(_x1_view, _x1_view), (_x1_view, _bubble_at(1.0)),
+                                  (_bubble_at(1.0), _x1_view)], ids=["one", "u", "v"])
+def test_field_returning_a_view_of_its_points(u, v):
+    # x1 read as a view of the points: the nodes' x1 row is overwritten by the
+    # mirror images, so values kept as that view would turn into u_lam
+    sampler = CartesianSampler(L=10.0, m=32)
+    assert (scan_outcome(critical_plane_scan, u, v, sampler, SWEEP)
+            == scan_outcome(full_scan, u, v, sampler, SWEEP))
+    for lam in (-3.3, 0.0, 1.0):
+        got = reflection_inequality_check(u, v, PlaneParam(lam), CFG, sampler)
+        assert repr(got) == repr(reference_report(u, v, lam, CFG, sampler))
 
 
 class TestReflectionInequalityCheck:
