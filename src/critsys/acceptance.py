@@ -48,12 +48,12 @@ def check_shooting_oracle() -> tuple[bool, str]:
     """Diagonal shots reproduce phi_{0,t} to relative 1e-6 on [0, 50]."""
     c = bb.amplitude_constant(3)
     ts = (0.5, 1.0, 2.0)
-    nodes, (us, _) = sh.values_batch(
+    profs = sh.integrate_radial_batch(
         [sh.ShootInput(_CFG, c * t ** -0.5, c * t ** -0.5, r_max=50.0) for t in ts])
     worst = 0.0
-    for t, u in zip(ts, us):
-        phi = bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), nodes)
-        worst = max(worst, float(np.max(np.abs(u - phi) / phi)))
+    for t, prof in zip(ts, profs):
+        phi = bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), prof.grid.nodes)
+        worst = max(worst, float(np.max(np.abs(prof.u - phi) / phi)))
     return worst <= 1e-6, f"max relative error {worst:.3e} (tol 1e-6)"
 
 

@@ -7,15 +7,16 @@ plane position recovered by a scan sits at the center coordinate.
 All test fields are radial about a point on the x1 axis, so scans and
 reflection reports run on an exact axisymmetric 2D reduction in coordinates
 (x1, rho), and the Green's identity on a Gauss rule in polar coordinates.
-The sampler's points are column-contiguous (an (n, N) buffer viewed as
-(N, n)), so a field reads each coordinate as one contiguous column.  Fields
-must be pure functions of the points: when one callable is passed as both u
-and v, it is evaluated once per point set (the sampler, each probe, each
-half-space) and its values serve for v too.  Once u and v are known on the
-nodes, the scan and the reflection check write the mirror images into the
-nodes' own buffer, rewriting only its x1 row, so a field must not keep, or
-return a view of, the points it is given, the sampler nodes included.  (A
-returned view is copied before the row is rewritten.)
+The sampler's points are an (n, N) buffer viewed as (N, n), so a field reads
+each coordinate as one contiguous column, and x1-major: each of the m node
+columns has one x1, so H_lam is whole columns.  Fields must be pure functions
+of the points: when one callable is passed as both u and v, it is evaluated
+once per point set (the sampler, each probe, each half-space) and its values
+serve for v too.  Once u and v are known on the nodes, the scan and the
+reflection check write the mirror images into the nodes' x1 row, one x1 per
+column (_NodeColumns), so a field must not keep, or return a view of, the
+points it is given, the sampler nodes included.  (A returned view is copied
+before the row is rewritten.)
 """
 from __future__ import annotations
 
@@ -43,14 +44,21 @@ def _e1(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneParam:
-    """Hyperplane x . direction = lam (default direction e1)."""
+    """Hyperplane x . direction = lam, lam finite (default direction e1 in R^3)."""
 
     lam: float
     direction: np.ndarray | None = None
-    n: int = 3
+    n: int | None = None  # must be len(direction) when both are given
 
     def __post_init__(self):
-        d = _e1(self.n) if self.direction is None else np.asarray(self.direction, dtype=float)
+        if not math.isfinite(self.lam):
+            raise ValueError(f"need a finite plane, got lam = {self.lam}")
+        if self.direction is None:
+            d = _e1(3 if self.n is None else self.n)
+        else:
+            d = np.asarray(self.direction, dtype=float)
+        if self.n is not None and len(d) != self.n:
+            raise ValueError(f"direction has {len(d)} components, but n = {self.n}")
         norm = np.linalg.norm(d)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
@@ -100,13 +108,13 @@ class CartesianSampler:
         return 2.0 * self.L / self.m
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points (N, n), weights (N,)) for the axisymmetric slice.
+        """(points (N, n), ring volumes (m,)) for the axisymmetric slice.
 
         The nodes are x1-major: node column j is the m nodes j*m ... j*m + m - 1,
-        which share one x1, and a half-space x1 < lam is whole node columns.
-        The points are a fresh (n, N) buffer viewed as (N, n), so each
-        coordinate is a contiguous column; the scan and the reflection check
-        write the mirror images into that buffer's x1 row.
+        which share one x1, and node i of each column carries the i-th ring
+        volume, so the weights of the N = m^2 nodes are the m ring volumes once
+        per column.  The points are a fresh (n, N) buffer viewed as (N, n), so
+        each coordinate is a contiguous column.
         """
         dx = 2.0 * self.L / self.m
         drho = self.L / self.m
@@ -118,14 +126,30 @@ class CartesianSampler:
         grid[1] = rho
         # ring volume: omega_{n-2} rho^{n-2} drho dx1
         ring = unit_sphere_area(self.n - 1) * rho ** (self.n - 2)
-        return cols.T, np.tile(ring * dx * drho, self.m)
+        return cols.T, ring * dx * drho
 
 
-def _mirror_x1(x1: np.ndarray, lam: float, out: np.ndarray) -> None:
-    """reflect's x1 + 2(lam - x1) across the plane x1 = lam, written into out."""
-    np.subtract(lam, x1, out=out)
-    out *= 2.0
-    out += x1
+class _NodeColumns:
+    """The sampler's points as m node columns, mirrored in place across x1 = lam.
+
+    Keeps each column's x1 apart, since the mirror images overwrite the x1 row.
+    """
+
+    def __init__(self, pts: np.ndarray, m: int):
+        self.pts, self.m = pts, m
+        self.x1_row = pts[:, 0].reshape(m, m)  # (node column, node)
+        self.x1 = self.x1_row[:, 0].copy()
+
+    def count(self, lam):
+        """The node columns in H_lam = {x1 < lam}, for one plane or an array of them."""
+        return np.searchsorted(self.x1, lam)
+
+    def mirrored(self, lam, lo, hi) -> tuple[slice, np.ndarray]:
+        """(node rows, points) of columns [lo, hi), each x1 reflect's x1 + 2(lam - x1)."""
+        x1 = self.x1[lo:hi]
+        self.x1_row[lo:hi] = (x1 + 2.0 * (lam - x1))[:, None]
+        rows = slice(lo * self.m, hi * self.m)
+        return rows, self.pts[rows]
 
 
 def _own(values, pts):
@@ -163,10 +187,9 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     |u_lam|, |v_lam| restricted to both sets, with p = 2n/(n-2).  Empty sets
     give exactly zero norms (the estimates hold vacuously).  Raises
     ValueError unless config, plane and sampler share one dimension n, and
-    unless the plane's direction is exactly e1.  The mirror images of H_lam
-    are written into the nodes' x1 row after u and v are evaluated on the
-    nodes, one mirrored x1 per node column.  When u and v are one callable,
-    each v norm and Bv_measure is its u twin and is computed once.
+    unless the plane's direction is exactly e1.  Each node's weight is the
+    ring volume of its place in its node column.  When u and v are one
+    callable, each v norm and Bv_measure is its u twin and is computed once.
     """
     n = config.n
     if not n == plane.n == sampler.n:
@@ -175,37 +198,37 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     if not plane.is_axis_aligned:
         raise ValueError("the sampler fast path requires direction e1")
     p = 2.0 * n / (n - 2.0)
-    pts, w = sampler.nodes()
+    m = sampler.m
+    pts, ring = sampler.nodes()
+    cols = _NodeColumns(pts, m)
     u_all, v_all = _pair(u_field, v_field, pts)
-    end = int(np.searchsorted(pts[:, 0], plane.lam))  # H_lam is a prefix of the x1-major nodes
-    # the mirror images overwrite the nodes' x1 row: H_lam is whole node columns,
-    # and each column's m nodes share one x1, so one mirrored x1 serves a column
-    x1_grid = pts[:end, 0].reshape(-1, sampler.m)  # (node column, node)
-    mirror = np.empty(len(x1_grid))
-    _mirror_x1(x1_grid[:, 0], plane.lam, out=mirror)
-    x1_grid[:] = mirror[:, None]
-    ul, vl = _pair(u_field, v_field, pts[:end])
-    del pts, x1_grid  # hold no point set past its evaluation
-    u, v, w_h = u_all[:end], v_all[:end], w[:end]
+    half, refl = cols.mirrored(plane.lam, 0, cols.count(plane.lam))
+    ul, vl = _pair(u_field, v_field, refl)
+    del pts, cols, refl  # hold no point set past its evaluation
+    u, v = u_all[half], v_all[half]
     same = ul is vl and u_all is v_all  # one callable: each v term is its u term
     bu = ul > u
     bv = bu if same else vl > v
 
-    def terms(values, weights):  # w |values|^p, formed once per array in one buffer
-        t = np.abs(values)
+    def terms(values):  # w |values|^p, formed once per array in one buffer
+        t = np.abs(values).reshape(-1, m)  # (node column, node)
         t **= p
-        t *= weights
-        return t
+        t *= ring
+        return t.ravel()
 
     def norm(t, on=None):  # summed over the set `on` in node order
         return float(np.sum(t if on is None else t[on]) ** (1.0 / p))
 
-    du, t_ul, t_u = terms(ul - u, w_h), terms(ul, w_h), terms(u_all, w)
+    def measure(on):  # the ring volumes of the set's nodes, summed in node order
+        on = on.reshape(-1, m)
+        return float(np.sum(np.broadcast_to(ring, on.shape)[on]))
+
+    du, t_ul, t_u = terms(ul - u), terms(ul), terms(u_all)
     if same:  # B_v is B_u, so each v norm is its u twin
         diff, small, glob = norm(du, bu), norm(t_ul, bu), norm(t_u)
         values = (diff, diff, small, small, small, small, glob, glob)
     else:
-        dv, t_vl, t_v = terms(vl - v, w_h), terms(vl, w_h), terms(v_all, w)
+        dv, t_vl, t_v = terms(vl - v), terms(vl), terms(v_all)
         values = (norm(du, bu), norm(dv, bv), norm(t_ul, bu), norm(t_vl, bu),
                   norm(t_ul, bv), norm(t_vl, bv), norm(t_u), norm(t_v))
     norms = dict(zip(("u_lam-u_p_Bu", "v_lam-v_p_Bv", "u_lam_p_Bu", "v_lam_p_Bu",
@@ -217,11 +240,11 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
         "factor_v": norms["v_lam_p_Bv"] ** (config.alpha - 1.0)
         * norms["u_lam_p_Bv"] ** config.beta,
     }
-    bu_measure = float(np.sum(w_h[bu]))
+    bu_measure = measure(bu)
     return ReflectionReport(
         lam=plane.lam,
         Bu_measure=bu_measure,
-        Bv_measure=bu_measure if same else float(np.sum(w_h[bv])),
+        Bv_measure=bu_measure if same else measure(bv),
         norms=norms,
         inequality_margins=margins,
     )
@@ -244,45 +267,33 @@ def critical_plane_scan(u_field, v_field, sampler: CartesianSampler,
     them.  The rest must bracket lam0: a first plane that is already empty
     only bounds lam0 from above and raises ScanInconclusive, as does
     non-monotone emptiness.  Raises ValueError unless lambdas is a nonempty
-    sequence of finite numbers.  After u and v are evaluated on the nodes,
-    every plane's mirror images are written into the nodes' own x1 row, one
-    mirrored x1 per node column, so a field must not keep, or return a view
-    of, the points it is given.
+    sequence of finite numbers.  Per plane, the mirror images of the node
+    column next to the plane are probed first, and only a clean probe
+    evaluates all of H_lam.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0 or not np.all(np.isfinite(lambdas)):
         raise ValueError(f"need a nonempty sequence of finite planes, got {lambdas}")
     lambdas = np.sort(lambdas)
-    m = sampler.m
     pts = sampler.nodes()[0]
-    x1 = pts[:, 0]
-    ends = np.searchsorted(x1, lambdas)  # H_lam is a prefix of the x1-major nodes
-    held = ends > 0
+    cols = _NodeColumns(pts, sampler.m)
+    counts = cols.count(lambdas)
+    held = counts > 0
     if not np.any(held):
         raise ScanInconclusive(
             f"no swept plane holds a sampler node in H_lam: planes "
             f"{', '.join(f'{lam:g}' for lam in lambdas)} lie at or left of the first "
-            f"node column x1 = {x1[0]:g}")
-    lambdas, ends = lambdas[held], ends[held]
+            f"node column x1 = {cols.x1[0]:g}")
+    lambdas, counts = lambdas[held], counts[held]
     u_all, v_all = _pair(u_field, v_field, pts)
     if not np.any(u_all) and not np.any(v_all):
         warnings.warn("both fields are identically zero; every set is empty",
                       stacklevel=2)
         return ScanResult(float(lambdas[0]), degenerate=True)
-    # the mirror images overwrite the nodes' x1 row: each H_lam is whole node
-    # columns, and each column's m nodes share one x1, so each probe and each
-    # full pass writes one mirrored x1 per column
-    x1_grid = x1.reshape(m, m)  # (node column, node)
-    col_x1 = x1_grid[:ends[-1] // m, 0].copy()
-    mirror = np.empty_like(col_x1)
     empty = np.zeros(len(lambdas), dtype=bool)
-    for i, (lam, end) in enumerate(zip(lambdas, ends)):
-        ncols = end // m
-        _mirror_x1(col_x1[:ncols], lam, out=mirror[:ncols])
-        for col in (ncols - 1, 0):  # the node column next to the plane first
-            x1_grid[col:ncols] = mirror[col:ncols, None]
-            rows = slice(col * m, end)
-            refl = pts[rows]
+    for i, (lam, count) in enumerate(zip(lambdas, counts)):
+        for lo in (count - 1, 0):  # the node column next to the plane first
+            rows, refl = cols.mirrored(lam, lo, count)
             if np.any(u_field(refl) > u_all[rows]) or (
                     v_field is not u_field and np.any(v_field(refl) > v_all[rows])):
                 break

@@ -433,19 +433,6 @@ def values_stream(inputs: list[ShootInput], grid: RadialGrid | None = None):
         raise StepSizeUnderflow(message)
 
 
-def values_batch(inputs: list[ShootInput],
-                 grid: RadialGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """u and v alone of k shots sharing config, r_max and tol, solved as one system.
-
-    Collects values_stream: returns the nodes up to r_max and the
-    (2, k, len(nodes)) block of u and v, each column zero from its first
-    nonpositive node on, bitwise those of integrate_radial_batch.
-    """
-    blocks = list(values_stream(inputs, grid))
-    return (np.concatenate([r for r, _ in blocks]),
-            np.concatenate([uv for _, uv in blocks], axis=2))
-
-
 def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
     """Solve k shots sharing config, r_max and tol as one system out to r_max.

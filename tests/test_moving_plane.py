@@ -54,6 +54,19 @@ class TestReflect:
         with pytest.raises(ValueError):
             PlaneParam(0.0, np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_plane_rejected(self, lam):
+        # the check would report empty sets and zero norms: holding vacuously at no plane
+        with pytest.raises(ValueError, match="need a finite plane"):
+            PlaneParam(lam)
+
+    def test_direction_must_have_n_components(self):
+        with pytest.raises(ValueError, match="direction has 3 components, but n = 5"):
+            PlaneParam(0.0, np.eye(3)[0], n=5)
+        assert PlaneParam(0.0, np.eye(5)[0], n=5).n == 5
+        assert PlaneParam(0.0, np.eye(4)[0]).n == 4
+        assert PlaneParam(0.0).n == 3 and PlaneParam(0.0, n=4).direction.tolist() == [1, 0, 0, 0]
+
     def test_nearly_e1_direction_is_not_axis_aligned(self, sampler):
         # a 5e-9 tilt moves the image of (-1, 3, 0) by 3e-8, so the e1 fast paths
         # would return a quietly wrong value: they refuse the plane instead
@@ -132,7 +145,8 @@ def test_nodes_match_meshgrid_reference(n, m):
     ref[:, 0] = X1.ravel()
     ref[:, 1] = RHO.ravel()
     ref_w = unit_sphere_area(n - 1) * RHO.ravel() ** (n - 2) * dx * drho
-    pts, w = sampler.nodes()
+    pts, ring = sampler.nodes()
+    w = np.tile(ring, m)  # node column by node column
     assert pts.shape == ref.shape and w.shape == ref_w.shape
     assert pts.tobytes(order="C") == ref.tobytes() and w.tobytes() == ref_w.tobytes()
     # column-contiguous: each coordinate is one contiguous run
@@ -298,12 +312,14 @@ class TestCriticalPlaneScan:
 
     @pytest.mark.parametrize("L, m, lams", [(10.0, 64, np.linspace(-2, 3, 41)),
                                             (10.0, 64, np.linspace(-9.6, 3, 22)),
-                                            (7.3, 48, np.linspace(-7.0, 2.9, 34))],
-                             ids=["sweep", "short-prefix", "inexact"])
+                                            (7.3, 48, np.linspace(-7.0, 2.9, 34)),
+                                            (10.0, 64, [-2.0, 0.15625, 3.0])],
+                             ids=["sweep", "short-prefix", "inexact", "on-node-column"])
     def test_field_sees_each_planes_mirror_images(self, L, m, lams):
         # the field keeps copies: the scan and the check rewrite the nodes' x1 row
         # between evaluations, one mirrored x1 per node column; off the dyadic grid,
-        # 2 lam - x1 would differ from reflect's x1 + 2 (lam - x1) in the last bit
+        # 2 lam - x1 would differ from reflect's x1 + 2 (lam - x1) in the last bit;
+        # 0.15625 is the x1 of node column 32, which H_lam = {x1 < lam} leaves out
         sampler = CartesianSampler(L=L, m=m)
         pts, _ = sampler.nodes()
         bubble = bubble_field(make_bubble(CFG, center=(1.0, 0, 0), t=1.0))
@@ -422,10 +438,12 @@ _SAME = {c: _bubble_at(c) for c in (0.0, 1.0, 2.0)}  # one callable passed as u 
     (_SAME[0.0], _SAME[0.0], [-60.0, -55.0, -50.0]),  # no node in any H_lam
     (_SAME[0.0], _SAME[0.0], [0.0, 1.0, 2.0]),  # starts at lambda0
     (_bubble_at(0.0), _bubble_at(1.0), [1.0, 2.0, 3.0]),
+    # planes on the x1 of node column 32 (m = 64) and of node column 16 (m = 32)
+    (_bubble_at(0.15625), _bubble_at(0.15625), [-2.0, 0.15625, 0.3125, 3.0]),
 ], ids=["c0", "c0.5", "c1", "c1.375", "c2", "u0-v1", "u1-v0", "u2-v-0.5", "zero-u",
         "zero", "no-empty", "non-monotone", "short-prefix", "far-exceedance",
         "same-c0", "same-c1", "same-c2", "same-no-empty", "same-short-prefix",
-        "left-of-box", "from-lambda0", "u0-v1-from-lambda0"])
+        "left-of-box", "from-lambda0", "u0-v1-from-lambda0", "on-node-column"])
 @pytest.mark.parametrize("m", [32, 64])
 def test_probe_scan_matches_full_evaluation(u, v, lams, m):
     sampler = CartesianSampler(L=10.0, m=m)
@@ -449,10 +467,28 @@ def test_scan_peak_under_two_node_buffers():
     assert peak < buffers, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+def test_check_peak_under_two_node_buffers(lam):
+    # the mirror images are written into the node buffer, and the weights are the m
+    # ring volumes of one node column: a per-node weight array takes the peak past two
+    sampler = CartesianSampler(L=10.0, m=512)
+    field = _bubble_at(0.5)
+    buffers = 2 * sampler.n * sampler.m ** 2 * 8
+    tracemalloc.start()
+    try:
+        rep = reflection_inequality_check(field, field, PlaneParam(lam), CFG, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.Bu_measure > 0.0) == (lam < 0.5)
+    assert peak < buffers, f"peak {peak / 1e6:.1f} MB"
+
+
 def reference_report(u_field, v_field, lam, config, sampler):
     """reflection_inequality_check with each norm formed on its own set, field by field."""
     p = 2.0 * config.n / (config.n - 2.0)
-    pts, w = sampler.nodes()
+    pts, ring = sampler.nodes()
+    w = np.tile(ring, sampler.m)  # node column by node column
     half = pts[:, 0] < lam
     refl = reflect(pts[half], PlaneParam(lam, n=sampler.n))
     u_all, v_all = u_field(pts), v_field(pts)
@@ -500,11 +536,12 @@ def test_field_returning_a_view_of_its_points(u, v):
 
 
 class TestReflectionInequalityCheck:
-    @pytest.mark.parametrize("lam", [-12.0, -10.0, -3.3, 0.0, 0.7, 1.0, 10.0, 12.0])
+    @pytest.mark.parametrize("lam", [-12.0, -10.0, -3.3, 0.0, 0.3125, 0.7, 1.0, 10.0, 12.0])
     @pytest.mark.parametrize("cfg", [CFG, ExponentConfig(5, 1.0, 4.0 / 3.0)], ids=["n3", "n5"])
     @pytest.mark.parametrize("pair", ["one", "two", "swapped"])
     def test_bitwise_equal_to_per_set_reference(self, pair, cfg, lam):
-        # planes beyond the box, on its edges and inside it
+        # planes beyond the box, on its edges and inside it; 0.3125 is the x1 of node
+        # column 16, which H_lam = {x1 < lam} leaves out
         sampler = CartesianSampler(L=10.0, m=32, n=cfg.n)
         e1 = np.eye(cfg.n)[0]
         f = bubble_field(make_bubble(cfg, t=1.0))

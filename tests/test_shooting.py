@@ -28,7 +28,6 @@ from critsys.shooting import (
     ordering_term,
     sweep_consistent,
     uniqueness_sweep,
-    values_batch,
     values_stream,
 )
 
@@ -312,8 +311,7 @@ class TestValuesBatch:
     @pytest.mark.parametrize("k", [1, 3, 300])
     def test_stream_is_bitwise_the_full_solve(self, k, monkeypatch):
         # the same steps and nfev as a full sampling and its u and v rows bit for bit;
-        # the blocks, collected, are values_batch and the zero-filled u and v of
-        # integrate_radial_batch
+        # the blocks, collected, are the zero-filled u and v of integrate_radial_batch
         sols = record_solves(monkeypatch)
         inputs = [ShootInput(CFG, 1.0, v0, r_max=50.0) for v0 in np.linspace(0.5, 2.0, k)]
         profiles = integrate_radial_batch(inputs)
@@ -329,9 +327,6 @@ class TestValuesBatch:
         assert uv.shape == (2, k, len(nodes))
         assert uv[0].tobytes() == np.array([p.u for p in profiles]).tobytes()
         assert uv[1].tobytes() == np.array([p.v for p in profiles]).tobytes()
-        got_nodes, got = values_batch(inputs)
-        assert got_nodes.tobytes() == nodes.tobytes() and got.tobytes() == uv.tobytes()
-        assert len(sols) == 3 and sols[2].nfev == full.nfev
         # v0 = 0.5 and 2 fail before r_max; of 300, the near-diagonal columns do not
         failing = (uv[:, :, -1] == 0.0).all(axis=0)
         assert failing[0] and failing[-1] and failing.all() == (k < 300)
@@ -399,8 +394,6 @@ class TestValuesBatch:
         assert uv.shape == (2, 2, len(r)) and len(r) > 0
         with pytest.raises(StepSizeUnderflow, match=shooting.TOO_SMALL_STEP):
             next(stream)
-        with pytest.raises(StepSizeUnderflow, match=shooting.TOO_SMALL_STEP):
-            values_batch(inputs)
 
     def test_steps_sample_any_leading_rows(self):
         # a linear system whose rows differ: 3 of 5 rows, and the bounds of rows
@@ -430,8 +423,6 @@ class TestValuesBatch:
         for shoot in (classify, integrate_radial):
             with pytest.raises(ValueError, match=f"rmax = {rmax:g}, before r_max = 10000"):
                 shoot(inp, grid)
-        with pytest.raises(ValueError, match="before r_max"):
-            values_batch([inp], grid)
         with pytest.raises(ValueError, match="before r_max"):
             next(values_stream([inp], grid))
         assert sols == []
