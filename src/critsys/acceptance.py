@@ -18,6 +18,7 @@ from .core import ExponentConfig, RadialGrid
 
 DEFAULT_SEED = 1234
 _CFG = ExponentConfig(3, 2.0, 3.0)  # the (n, alpha, beta) of every single-config criterion
+_DILATED = 20  # draws, each with its dilated twin, in the property suite's one solve
 
 
 def check_bubble_residual() -> tuple[bool, str]:
@@ -168,59 +169,106 @@ def check_hls_invariance() -> tuple[bool, str]:
     return ok, f"t-spread {spread:.3e} (tol 1e-4), homogeneity {hom:.3e} (tol 1e-12)"
 
 
+def _node_shift_gap(base: np.ndarray, twin: np.ndarray, shift: np.ndarray,
+                    scale: np.ndarray) -> float:
+    """Largest gap of dilated twins from their bases on a geometric grid.
+
+    ``base`` and ``twin`` are (..., k, N) samples of k columns at the nodes
+    r_i = r0 q^i.  Twin j is predicted to be scale[j] times base j at node
+    i + shift[j]: at the critical sum, u_lam(r) = lam^a u(lam r) with
+    lam = q^shift[j] and scale[j] = lam^a.  So the comparison needs no
+    interpolation: over the N - shift[j] nodes it covers, each row's largest
+    |twin - scale * shifted base|, relative to the largest |base| of that
+    row.  The result keeps a NaN.
+    """
+    num, gaps = base.shape[-1], np.empty(base.shape[:-1])
+    for j, (s, c) in enumerate(zip(shift, scale)):
+        gaps[..., j] = np.abs(twin[..., j, :num - s] - c * base[..., j, s:]).max(axis=-1)
+    return float(np.max(gaps / np.abs(base).max(axis=-1)))
+
+
+def _swap_gaps(x: np.ndarray) -> tuple[float, float]:
+    """Swap and collapse gaps of (4, 3m) rows (u, v, u', v') in thirds a, b, c.
+
+    b should be a with u and v swapped, and c have u = v: the largest
+    |a - swapped b| and the largest |u - v|, |u' - v'| over c.  Both keep a NaN.
+    """
+    a, b, c = np.split(x, 3, axis=1)
+    return float(np.abs(a - b[[1, 0, 3, 2]]).max()), float(np.abs(c[[0, 2]] - c[[1, 3]]).max())
+
+
 def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Randomized involution, swap, equal-start, and kernel positivity runs."""
+    """Randomized involution, kernel positivity, swap, equal-start and dilation runs.
+
+    The swap antisymmetry and equal-start collapse of the shooting map are
+    properties of its two ingredients, the series start and the RHS: each
+    acts on its columns alone, so they are checked on those, over the draws,
+    their u<->v swaps and their equal starts.  Dilation covariance is checked
+    on the solver: one streamed solve of seeded draws and their dilated twins.
+    """
     rng = default_rng(seed)
     cases = 100
     fails = []
 
-    # reflect is an exact involution
+    # reflect is an exact involution: one comparison at np.allclose's tolerances
     x = rng.normal(size=(cases, 3)) * 5.0
-    for i in range(cases):
-        d = rng.normal(size=3)
-        plane = mp.PlaneParam(float(rng.normal() * 3.0), d / np.linalg.norm(d))
-        if not np.allclose(mp.reflect(mp.reflect(x[i], plane), plane), x[i],
-                           atol=1e-12):
-            fails.append("involution")
-            break
+    draws = rng.normal(size=(cases, 4))  # rows (direction, lam / 3)
+    planes = [mp.PlaneParam(float(lam * 3.0), d / np.linalg.norm(d))
+              for d, lam in zip(draws[:, :3], draws[:, 3])]
+    back = np.array([mp.reflect(mp.reflect(xi, plane), plane) for xi, plane in zip(x, planes)])
+    if not np.all(np.abs(back - x) <= 1e-12 + 1e-5 * np.abs(x)):
+        fails.append("involution")
 
     # kernel-difference positivity on H_lam x H_lam
-    for _ in range(cases):
-        lam = float(rng.normal())
-        plane = mp.PlaneParam(lam, n=3)
-        p, q = rng.normal(size=3), rng.normal(size=3)
-        p[0] = lam - abs(p[0]) - 1e-6
-        q[0] = lam - abs(q[0]) - 1e-6
-        if np.allclose(p, q):
-            continue
-        ql = mp.reflect(q, plane)
-        diff = np.linalg.norm(p - q) ** -1.0 - np.linalg.norm(p - ql) ** -1.0
-        if diff <= 0.0:
-            fails.append("kernel-positivity")
-            break
+    draws = rng.normal(size=(cases, 7))  # rows (lam, p, q)
+    lam, p, q = draws[:, 0], draws[:, 1:4], draws[:, 4:]
+    p[:, 0] = lam - np.abs(p[:, 0]) - 1e-6
+    q[:, 0] = lam - np.abs(q[:, 0]) - 1e-6
+    ql = np.array([mp.reflect(qi, mp.PlaneParam(float(li), n=3)) for qi, li in zip(q, lam)])
+    apart = ~np.all(np.abs(p - q) <= 1e-8 + 1e-5 * np.abs(q), axis=1)  # not np.allclose
+    diff = np.linalg.norm(p - q, axis=1) ** -1.0 - np.linalg.norm(p - ql, axis=1) ** -1.0
+    if np.any(diff[apart] <= 0.0):
+        fails.append("kernel-positivity")
 
-    # swap antisymmetry and equal-start collapse of the shooting map.  The draws a,
-    # the swapped draws b and the equal starts c are the columns of one streamed
-    # solve, so a and b take the same steps, and only the largest gaps are kept:
-    # no block of samples outlives its step
+    # swap antisymmetry and equal-start collapse: the draws a, the swapped draws b and
+    # the equal starts c, through the series start and then one RHS call, which also
+    # takes seeded states whose u and v go below 0, so that the clamp is exercised
+    grid = RadialGrid.geometric(rmax=50.0)  # the dilation solve's; its first node is r0
     draws = rng.uniform(0.5, 2.0, size=(cases, 2))  # rows (u0, v0)
-    starts = np.concatenate((draws, draws[:, ::-1], draws[:, [0, 0]]))
-    # max |u_a - v_b| and |v_a - u_b|; max |u_c - v_c|.  np.maximum keeps a NaN
-    # gap, and a NaN gap fails its test
-    swap = collapse = 0.0
-    for _, uv in sh.values_stream(
-            [sh.ShootInput(_CFG, float(u0), float(v0), r_max=50.0) for u0, v0 in starts]):
-        a, b, c = uv[:, :cases], uv[:, cases:2 * cases], uv[:, 2 * cases:]
-        d = a - b[::-1]
-        swap = np.maximum(swap, np.abs(d, out=d).max())
-        d = c[0] - c[1]
-        collapse = np.maximum(collapse, np.abs(d, out=d).max())
+    u0, v0 = np.concatenate((draws, draws[:, ::-1], draws[:, [0, 0]])).T
+    r0 = grid.r0
+    start = sh._taylor_start(_CFG, u0, v0, r0)
+    a = np.concatenate((start[:, :cases], rng.normal(size=(4, cases))), axis=1)
+    states = np.concatenate((a, a[[1, 0, 3, 2]], a[[0, 0, 2, 2]]), axis=1)
+    rates = np.empty_like(states)
+    sh._rhs(_CFG.n, _CFG.alpha, _CFG.beta, states.shape[1])(
+        r0, states.reshape(2, 2, -1), rates.reshape(2, 2, -1))
+    swap, collapse = np.maximum(_swap_gaps(start), _swap_gaps(rates))  # keeps a NaN
     if not swap <= 1e-7:
         fails.append("swap-antisymmetry")
     if not collapse <= 1e-10:
         fails.append("equal-start-collapse")
 
-    return not fails, "no violations" if not fails else f"failed: {fails}"
+    # dilation covariance at the critical sum: the shot from lam^a (u0, v0) is
+    # lam^a u(lam r).  With lam = q^k on the geometric grid of ratio q, twin node i
+    # compares with base node i + k.  Base and twin take different steps, so the gap
+    # measures solver error
+    shift = rng.integers(50, 201, size=_DILATED)
+    scale = grid.log_step ** (shift * (_CFG.n - 2) / 2.0)
+    base = draws[:_DILATED]
+    starts = np.concatenate((base, base * scale[:, None]))
+    uv, done = np.empty((2, len(starts), len(grid))), 0
+    for r, block in sh.values_stream(
+            [sh.ShootInput(_CFG, float(u), float(v), r_max=50.0) for u, v in starts], grid):
+        uv[:, :, done:done + len(r)] = block
+        done += len(r)
+    dilation = _node_shift_gap(uv[:, :_DILATED], uv[:, _DILATED:], shift, scale)
+    if not dilation <= 1e-8:
+        fails.append("dilation-covariance")
+
+    gaps = (f"swap gap {swap:.3e} (tol 1e-7), collapse gap {collapse:.3e} (tol 1e-10), "
+            f"dilation gap {dilation:.3e} (tol 1e-8)")
+    return not fails, gaps if not fails else f"failed: {fails}; {gaps}"
 
 
 ALL_CRITERIA = [

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bubble import eval_bubble, eval_bubble_radial
 from .core import ExponentConfig, unit_sphere_area
-from .errors import BudgetExceeded, ScanInconclusive
+from .errors import BudgetExceeded, DimensionTooSmall, ScanInconclusive
 
 SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
 GREENS_NODES = 64  # Gauss-Legendre nodes per variable on each panel of the Green's rule
@@ -44,7 +44,7 @@ def _e1(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneParam:
-    """Hyperplane x . direction = lam, lam finite (default direction e1 in R^3)."""
+    """Hyperplane x . direction = lam, lam finite (default direction e1 in R^3), n >= 3."""
 
     lam: float
     direction: np.ndarray | None = None
@@ -53,12 +53,16 @@ class PlaneParam:
     def __post_init__(self):
         if not math.isfinite(self.lam):
             raise ValueError(f"need a finite plane, got lam = {self.lam}")
+        if self.n is not None and self.n < 3:
+            raise DimensionTooSmall(f"need n >= 3, got n = {self.n}")
         if self.direction is None:
             d = _e1(3 if self.n is None else self.n)
         else:
             d = np.asarray(self.direction, dtype=float)
         if self.n is not None and len(d) != self.n:
             raise ValueError(f"direction has {len(d)} components, but n = {self.n}")
+        if len(d) < 3:
+            raise DimensionTooSmall(f"need n >= 3, got a direction of {len(d)} components")
         norm = np.linalg.norm(d)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")

@@ -302,14 +302,11 @@ def _rhs(n: int, alpha: float, beta: float, k: int):
     return rhs
 
 
-def _taylor_start(inputs: list[ShootInput], r0: float) -> np.ndarray:
+def _taylor_start(cfg: ExponentConfig, u0: np.ndarray, v0: np.ndarray, r0: float) -> np.ndarray:
     """Second-order series data at r0 consistent with u'(0) = v'(0) = 0.
 
-    Returns the (4, k) state (u, v, u', v') of the k shots.
+    Returns the (4, k) state (u, v, u', v') of the k shots from u0 and v0.
     """
-    cfg = inputs[0].config
-    u0 = np.array([inp.u0 for inp in inputs])
-    v0 = np.array([inp.v0 for inp in inputs])
     fu = u0 ** cfg.alpha * v0 ** cfg.beta
     fv = u0 ** cfg.beta * v0 ** cfg.alpha
     return np.array([u0 - fu * r0 ** 2 / (2 * cfg.n), v0 - fv * r0 ** 2 / (2 * cfg.n),
@@ -344,7 +341,8 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     if grid.rmax < first.r_max:
         raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, before r_max = {first.r_max:g}")
     nodes = grid.nodes[grid.nodes <= first.r_max]
-    start = _taylor_start(inputs, nodes[0])
+    start = _taylor_start(cfg, np.array([inp.u0 for inp in inputs]),
+                          np.array([inp.v0 for inp in inputs]), nodes[0])
     u, v, du, dv = start
     with np.errstate(over="ignore"):  # a bound that overflows to +-inf compares the right way
         unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(nodes[0], u, v, du, dv)

