@@ -204,7 +204,7 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     properties of its two ingredients, the series start and the RHS: each
     acts on its columns alone, so they are checked on those, over the draws,
     their u<->v swaps and their equal starts.  Dilation covariance is checked
-    on the solver: one streamed solve of seeded draws and their dilated twins.
+    on the solver: one solve of seeded draws and their dilated twins.
     """
     rng = default_rng(seed)
     cases = 100
@@ -257,11 +257,9 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     scale = grid.log_step ** (shift * (_CFG.n - 2) / 2.0)
     base = draws[:_DILATED]
     starts = np.concatenate((base, base * scale[:, None]))
-    uv, done = np.empty((2, len(starts), len(grid))), 0
-    for r, block in sh.values_stream(
-            [sh.ShootInput(_CFG, float(u), float(v), r_max=50.0) for u, v in starts], grid):
-        uv[:, :, done:done + len(r)] = block
-        done += len(r)
+    profs = sh.integrate_radial_batch(
+        [sh.ShootInput(_CFG, float(u), float(v), r_max=50.0) for u, v in starts], grid)
+    uv = np.array([[p.u for p in profs], [p.v for p in profs]])
     dilation = _node_shift_gap(uv[:, :_DILATED], uv[:, _DILATED:], shift, scale)
     if not dilation <= 1e-8:
         fails.append("dilation-covariance")

@@ -5,11 +5,10 @@ from near the origin, classifies trajectories (bound state / positivity
 failure / no decay), and checks the nested integral identity that drives the
 crossing argument.
 
-The integrator is the package's own RK45, one step generator (_steps):
+The integrator is the package's own RK45, one step loop (solve_ivp):
 Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) with the step control
 and dense output of scipy's RK45, whose samples and RHS counts it reproduces
-bitwise.  solve_ivp collects its blocks; values_stream zero-fills and yields
-them one step at a time.
+bitwise.  Every shot, single or batched, is one call of it.
 """
 from __future__ import annotations
 
@@ -135,19 +134,18 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm's expression for a real vector
 
 
-def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | None = None):
-    """Integrate y' = f(t, y) forward over t_span with RK45, one step at a time.
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
+    """Integrate y' = f(t, y) forward over t_span with RK45, sampled at t_eval.
 
     ``fun(t, y, out)`` writes f(t, y) into ``out`` and must not write ``y``;
-    both are views in the shape of ``y0``, which may have any shape.  A
-    generator: for each accepted step that passes t_eval nodes it yields
-    (first, end, block), the dense output at t_eval[first:end] of the leading
-    ``rows`` entries of the flattened state (default all), a fresh
-    (rows, end - first) array.  Steps and error control stay over the whole
-    state, so the blocks are bitwise the leading rows of a full sampling.  It
-    returns (status, message, nfev): status 0 when it reached t_span[1], -1
-    with scipy's message when the step size fell below its floor; nfev
-    counts as scipy does, 2 for the start and 6 per attempted step.
+    both are views in the shape of ``y0``, which may have any shape.  Each
+    accepted step writes its dense output at the t_eval nodes it passed into
+    one preallocated (y0.size, len(t_eval)) array, so samples and nfev are
+    bitwise those of scipy.integrate.solve_ivp(method="RK45") with a fun that
+    returns the same values.  status is 0 when it reached t_span[1], -1 with
+    scipy's message when the step size fell below its floor, and the result
+    then holds the samples reached; nfev counts as scipy does, 2 for the
+    start and 6 per attempted step.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
     t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
@@ -160,7 +158,7 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
     scaled by h, then y added), fun writes its stage row of K, and an
     accepted step copies y_new into y and its last stage row into the
     first; the IEEE operations and BLAS calls are scipy's.  Like scipy, it
-    rejects a y0 that is not finite, at the first next().
+    rejects a y0 that is not finite.
     """
     t, t_bound = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
@@ -168,14 +166,11 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
         raise ValueError("All components of the initial state `y0` must be finite.")
     t_eval = np.asarray(t_eval)
     if rtol < (floor := 100 * np.finfo(float).eps):  # scipy's floor on rtol, and its warning
-        # stacklevel 3: past this generator and the function that drives it
         warnings.warn(f"rtol = {rtol} is below 100 machine epsilons; using rtol = {floor}",
-                      stacklevel=3)
+                      stacklevel=2)
         rtol = floor
-    m = y0.size if rows is None else rows
-    if not 0 < m <= y0.size:
-        raise ValueError(f"need 0 < rows <= {y0.size}, got {m}")
     shape, done = y0.shape, 0
+    out = np.empty((y0.size, len(t_eval)))
     # flat buffers, and the views in y0's shape that fun gets: the state, the inputs
     # of stages 1-5 and y_new (the input of stage 6), and the stage rows
     y = y0.flatten()
@@ -205,14 +200,14 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
     # stage s: (its input, its view, its row's view, the rows before it, its row of _A, its node)
     stages = [(Z[s - 1], Z[s - 1].reshape(shape), K_views[s], K[:s].T, _A[s, :s], float(_C[s]))
               for s in range(1, len(_C))]
-    KT, KT_rk, KT_out = K.T, K[:-1].T, K.T[:m]
+    KT, KT_rk = K.T, K[:-1].T
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return -1, TOO_SMALL_STEP, nfev
+                return _Solution(t_eval[:done], out[:, :done], nfev, -1, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -246,37 +241,18 @@ def _steps(fun, t_span, y0, *, t_eval, rtol: float, atol: float, rows: int | Non
             p = np.empty((_P.shape[1], x.size))  # x, x^2, x^3, x^4 as np.cumprod multiplies
             p[:] = x
             np.multiply.accumulate(p, axis=0, out=p)
-            q = np.dot(KT_out.dot(_P), p)
+            # formed whole, then copied: np.dot(out=) takes no strided column slice
+            q = np.dot(KT.dot(_P), p)
             q *= h
-            q += y[:m, None]
-            yield done, end, q
+            q += y[:, None]
+            out[:, done:end] = q
             done = end
         t = t_new
         y[:] = y_new
         f[:] = K[-1]
         abs_y, abs_new = abs_new, abs_y
-    return 0, "The solver successfully reached the end of the integration interval.", nfev
-
-
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution:
-    """Integrate y' = f(t, y) forward over t_span with RK45, sampled at t_eval.
-
-    ``fun(t, y, out)`` writes f(t, y) into ``out`` (see _steps).  Collects the
-    blocks of _steps into one preallocated (y0.size, len(t_eval)) array, so
-    samples and nfev are bitwise those of scipy.integrate.solve_ivp(
-    method="RK45") with a fun that returns the same values.  On status -1
-    the result holds the samples reached and scipy's message.
-    """
-    t_eval = np.asarray(t_eval)
-    out, done = np.empty((np.size(y0), len(t_eval))), 0
-    steps = _steps(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
-    while True:
-        try:
-            first, done, block = next(steps)
-        except StopIteration as stop:
-            status, message, nfev = stop.value
-            return _Solution(t_eval[:done], out[:, :done], nfev, status, message)
-        out[:, first:done] = block
+    return _Solution(t_eval[:done], out[:, :done], nfev, 0,
+                     "The solver successfully reached the end of the integration interval.")
 
 
 def _rhs(n: int, alpha: float, beta: float, k: int):
@@ -320,13 +296,13 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     u, v, u' and v' are each a block of k, and error control is the RMS over
     the whole stack.  A column that fails (u or v reaches zero) keeps being
     integrated with the clamped RHS, so every solve samples every node.
-    Returns the nodes up to r_max and the keyword arguments of solve_ivp
-    and _steps.  Raises ValueError unless the shots share config, r_max and
-    tol, or if the grid ends before r_max, and GridTooCoarse if a column's
-    series start at the first node already has u or v <= 0, or a slope that
-    RadialProfilePair would refuse as too steep for a regular origin (large
-    u0, v0 for that node): the first has no positive sample, so no zero to
-    bracket, and the second no profile.
+    Returns the nodes up to r_max and the keyword arguments of solve_ivp.
+    Raises ValueError unless the shots share config, r_max and tol, if the
+    grid ends before r_max or has fewer than 3 nodes up to it, and
+    GridTooCoarse if a column's series start at the first node already has
+    u or v <= 0, or a slope that RadialProfilePair would refuse as too steep
+    for a regular origin (large u0, v0 for that node): the first has no
+    positive sample, so no zero to bracket, and the second no profile.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -341,6 +317,9 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     if grid.rmax < first.r_max:
         raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, before r_max = {first.r_max:g}")
     nodes = grid.nodes[grid.nodes <= first.r_max]
+    if len(nodes) < 3:  # RadialProfilePair's minimum
+        raise ValueError(f"the grid has {len(nodes)} nodes from r0 = {grid.r0:g} to "
+                         f"r_max = {first.r_max:g}, fewer than 3")
     start = _taylor_start(cfg, np.array([inp.u0 for inp in inputs]),
                           np.array([inp.v0 for inp in inputs]), nodes[0])
     u, v, du, dv = start
@@ -357,35 +336,30 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
                        rtol=first.tol, atol=first.tol)
 
 
-def _failed(uv: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The (k, m) mask of a block's nodes from each column's first with min(u, v) <= 0 on.
+def _failed(uv: np.ndarray) -> np.ndarray:
+    """The (k, N) mask of each column's nodes from its first with min(u, v) <= 0 on.
 
-    ``uv`` holds the u and v rows of the block's k columns first.  ``live``
-    flags the columns that no earlier block of the solve has failed; it is
-    updated in place, so the blocks of one solve, taken in order, carry each
-    column's state.  Each column's first failing node is an argmax, and the
-    mask one compare of the node indices against them.  Every result is zero
+    ``uv`` holds the u and v rows of the k columns first.  Each column's
+    first failing node is an argmax, and the mask one compare of the node
+    indices against them; NaN never fails a node.  Every result is zero
     under the mask.
     """
     failed = np.minimum(uv[0], uv[1]) <= 0.0
-    failed[:, 0] |= ~live
-    live &= ~failed.any(axis=1)
-    first = np.where(live, failed.shape[1], failed.argmax(axis=1))
+    first = np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
     return np.arange(failed.shape[1]) >= first[:, None]
 
 
-def _solve_batch(inputs: list[ShootInput], grid: RadialGrid | None):
-    """Integrate k shots as one RK45 system (see _batch_system) out to r_max.
+def _solve_batch(system: dict):
+    """Integrate the k shots of a _batch_system as one RK45 system out to r_max.
 
-    Returns the nodes up to r_max, the (4, k, len(nodes)) samples of u, v,
-    u' and v', their _failed mask and the solver's nfev.
+    Returns the (4, k, len(nodes)) samples of u, v, u' and v', their
+    _failed mask and the solver's nfev.
     """
-    nodes, system = _batch_system(inputs, grid)
     sol = solve_ivp(**system)
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
         raise StepSizeUnderflow(sol.message)
-    samples = sol.y.reshape(4, len(inputs), -1)
-    return nodes, samples, _failed(samples, np.ones(len(inputs), dtype=bool)), sol.nfev
+    samples = sol.y.reshape(4, system["y0"].shape[-1], -1)
+    return samples, _failed(samples), sol.nfev
 
 
 def _profiles(nodes: np.ndarray, samples: np.ndarray,
@@ -400,37 +374,6 @@ def _profiles(nodes: np.ndarray, samples: np.ndarray,
     return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(len(failed))]
 
 
-def values_stream(inputs: list[ShootInput], grid: RadialGrid | None = None):
-    """u and v alone of k shots sharing config, r_max and tol, one RK45 step at a time.
-
-    A generator over the solve of integrate_radial_batch: for each step that
-    passes nodes it yields (r, uv), those nodes and the fresh (2, k, len(r))
-    block of u and v at them, each column zero from its first node with
-    min(u, v) <= 0 on, across blocks (_failed, which a block skips while
-    every column is live and its u and v are all positive).  The blocks,
-    concatenated, are bitwise the u and v of integrate_radial_batch; u' and
-    v' are stepped but never sampled.  The checks of integrate_radial_batch
-    run at the first next(); StepSizeUnderflow is raised after the last block
-    reached.
-    """
-    nodes, system = _batch_system(inputs, grid)
-    k = len(inputs)
-    live = np.ones(k, dtype=bool)
-    steps = _steps(**system, rows=2 * k)
-    while True:
-        try:
-            first, end, block = next(steps)
-        except StopIteration as stop:
-            status, message, _ = stop.value
-            break
-        uv = block.reshape(2, k, -1)
-        if not (live.all() and uv.min() > 0.0):  # else no column fails in the block
-            np.copyto(uv, 0.0, where=_failed(uv, live))
-        yield nodes[first:end], uv
-    if status == -1:  # RK45's only failure: the step size fell below its floor
-        raise StepSizeUnderflow(message)
-
-
 def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
     """Solve k shots sharing config, r_max and tol as one system out to r_max.
@@ -438,7 +381,8 @@ def integrate_radial_batch(inputs: list[ShootInput],
     A trajectory whose u or v hits zero is zero from its first nonpositive
     node on (flag available through classify_batch()).
     """
-    nodes, samples, failed, _ = _solve_batch(inputs, grid)
+    nodes, system = _batch_system(inputs, grid)
+    samples, failed, _ = _solve_batch(system)
     return _profiles(nodes, samples, failed)
 
 
@@ -536,9 +480,17 @@ def classify_batch(inputs: list[ShootInput],
     Priority: PositivityFailure if a component reaches zero, else BoundState
     if r^(n-2)u and r^(n-2)v both plateau over the last decade, else NoDecay.
     The zero radius ``at_r`` is the cubic-Hermite root on the two nodes that
-    bracket the column's first nonpositive sample.
+    bracket the column's first nonpositive sample.  Raises ValueError, before
+    the solve, if the grid starts above r_max / 10, where that decade is not
+    sampled.
     """
-    nodes, samples, failed, nfev = _solve_batch(inputs, grid)
+    nodes, system = _batch_system(inputs, grid)
+    r_max = inputs[0].r_max
+    if not nodes[0] <= r_max / 10.0:
+        raise ValueError(f"the grid starts at r0 = {nodes[0]}, above r_max / 10 for "
+                         f"r_max = {r_max}: a bound state is read over the last decade "
+                         f"[r_max / 10, r_max], so r_max must be at least 10 r0")
+    samples, failed, nfev = _solve_batch(system)
     k = len(inputs)
     n = inputs[0].config.n
     positive = len(nodes) - failed.sum(axis=1)  # each column's samples before its first zero

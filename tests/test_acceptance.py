@@ -19,36 +19,27 @@ def test_criterion(name, check, capsys):
     assert ok, f"{name}: {detail}"
 
 
-def record_stream(monkeypatch):
-    """Route shooting's values_stream through a recorder; returns (inputs, collected u and v)."""
-    streams, stream = [], sh.values_stream
+def test_property_suite_batches_match_single_shots(monkeypatch):
+    batches, batch = [], sh.integrate_radial_batch
+    solves, solve = [], sh.solve_ivp
 
     def recording(inputs, grid=None):
-        blocks = []
-        for r, uv in stream(inputs, grid):
-            blocks.append(uv.copy())
-            yield r, uv
-        streams.append((inputs, np.concatenate(blocks, axis=2)))
-
-    monkeypatch.setattr(sh, "values_stream", recording)
-    return streams
-
-
-def test_property_suite_batches_match_single_shots(monkeypatch):
-    streams = record_stream(monkeypatch)
-    solves, steps = [], sh._steps
+        profs = batch(inputs, grid)
+        batches.append((inputs, np.array([[p.u for p in profs], [p.v for p in profs]])))
+        return profs
 
     def counting(*args, **kwargs):
         solves.append(1)
-        return steps(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(sh, "_steps", counting)
+    monkeypatch.setattr(sh, "integrate_radial_batch", recording)
+    monkeypatch.setattr(sh, "solve_ivp", counting)
     ok, detail = acceptance.check_property_suites()
     assert ok, detail
     # the seeded draws and their dilated twins (lam^a u0, lam^a v0), lam = q^k with q
     # the ratio of the solve's geometric grid and k in [50, 200]: one solve of 40 columns
     assert len(solves) == 1
-    [(inputs, (us, vs))] = streams
+    [(inputs, (us, vs))] = batches
     starts = np.array([(inp.u0, inp.v0) for inp in inputs])
     k = acceptance._DILATED
     assert len(starts) == 2 * k == 40
@@ -142,20 +133,21 @@ def test_property_suite_swap_checks_catch_a_plant(monkeypatch, target, third, of
 
 
 def test_property_suite_fails_a_nan_dilation_block(monkeypatch):
-    # NaN in one block of the dilation solve, in one twin column (a running max that
-    # drops NaN would pass)
-    stream, planted_blocks = sh.values_stream, []
+    # NaN in the dilation solve's samples, in the v row of one twin column at a node
+    # before any column fails (a running max that drops NaN would pass)
+    solve, planted = sh.solve_ivp, []
 
-    def planted(inputs, grid=None):
-        for i, (r, uv) in enumerate(stream(inputs, grid)):
-            if i == 1:
-                uv[1, -1] = np.nan
-                planted_blocks.append(i)
-            yield r, uv
+    def planting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        v = sol.y.reshape(4, -1, sol.y.shape[1])[1]
+        if len(v) == 2 * acceptance._DILATED:
+            v[-1, 1500] = np.nan
+            planted.append(len(v))
+        return sol
 
-    monkeypatch.setattr(sh, "values_stream", planted)
+    monkeypatch.setattr(sh, "solve_ivp", planting)
     ok, detail = acceptance.check_property_suites()
-    assert planted_blocks == [1]
+    assert planted == [40]
     assert not ok and detail.startswith("failed: ['dilation-covariance']; ")
     assert "dilation gap nan" in detail
 
@@ -179,8 +171,9 @@ def test_property_suite_passes_at_every_seed(seed):
 
 def test_property_suite_holds_under_two_sample_blocks():
     # one (4, 100, 4000) float64 block of samples is 12.8 MB.  The suite's one solve
-    # keeps the u and v of its 40 columns, (2, 40, 4000), 2.6 MB, and its largest
-    # temporary is the first step's dense output (2 x 40 rows over about 1450 nodes)
+    # samples the 4 rows of its 40 columns, (4, 40, 4000), 5.1 MB, then stacks their
+    # u and v, 2.6 MB; the largest temporary is the first step's dense output
+    # (4 x 40 rows over about 1290 nodes, 1.7 MB)
     block = 4 * 100 * 4000 * 8
     tracemalloc.start()
     try:

@@ -373,6 +373,21 @@ def test_rmax_at_or_below_r0_is_usage_error(argv, capsys):
     assert err == f"error: --rmax {float(argv[-1]):g} must exceed the grid's r0 = 1e-06\n"
 
 
+@pytest.mark.parametrize("argv", [["shoot", "--u0", "1", "--v0", "1", "--rmax", "1.000001e-6"],
+                                  ["shoot", "--u0", "1", "--v0", "1", "--rmax", "2e-6"],
+                                  ["sweep", "--rmax", "5e-6"]], ids=" ".join)
+def test_rmax_below_ten_r0_is_usage_error(argv, capsys):
+    # the bound-state test reads the last decade [rmax / 10, rmax], which a grid from
+    # r0 = 1e-6 covers only from rmax = 1e-5 on: refused naming both radii
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: the grid starts at r0 = 1e-06, above r_max / 10 for "
+                          f"r_max = {float(argv[-1])}: ")
+    assert run(["shoot", "--u0", "1", "--v0", "1", "--rmax", "1e-5"]) == EXIT_OK
+    assert capsys.readouterr().out == "kind NoDecay\n"
+
+
 def test_identity_subcommand(capsys):
     assert run(["identity", "--radii", "0.1,1,10"]) == EXIT_OK
     assert "max_abs_gap" in capsys.readouterr().out

@@ -50,6 +50,7 @@ def test_removed_names_are_gone():
     (potential, "verify_hls_operator_bound"),
     (potential, "PicardState"),
     (core, "validate_config"),
+    (shooting, "values_stream"),
 ])
 def test_deleted_function_is_gone(module, name):
     assert not hasattr(module, name)

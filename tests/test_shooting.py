@@ -28,7 +28,6 @@ from critsys.shooting import (
     ordering_term,
     sweep_consistent,
     uniqueness_sweep,
-    values_stream,
 )
 
 CFG = ExponentConfig(3, 2.0, 3.0)
@@ -48,40 +47,26 @@ def first_crossing_loop(nodes, u, v):
     return None
 
 
-def tap_steps(monkeypatch, on_solve):
-    """Route shooting's RK45 step generator through a tap.
+def tap_solves(monkeypatch, on_solve):
+    """Route shooting's RK45 (solve_ivp) through a tap.
 
-    Once a solve's generator has returned, on_solve gets its arguments (a
-    dict) and a _Solution of the blocks it yielded, copied as they passed:
-    a consumer may zero-fill a block in place.
+    on_solve gets each solve's arguments (a dict) and its _Solution as the
+    solver returns it, before a caller zero-fills the samples in place.
     """
-    steps = shooting._steps
+    solve = shooting.solve_ivp
 
-    def tapped(fun, t_span, y0, *, t_eval, rtol, atol, rows=None):
-        gen = steps(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol, rows=rows)
-        blocks, done = [], 0
-        while True:
-            try:
-                first, done, block = next(gen)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            blocks.append(block.copy())
-            yield first, done, block
-        status, message, nfev = result
-        y = np.concatenate(blocks, axis=1) if blocks else np.empty((rows or np.size(y0), 0))
-        on_solve(dict(fun=fun, t_span=t_span, y0=y0, t_eval=t_eval, rtol=rtol, atol=atol,
-                      rows=rows),
-                 shooting._Solution(np.asarray(t_eval)[:done], y, nfev, status, message))
-        return result
+    def tapped(fun, t_span, y0, *, t_eval, rtol, atol):
+        sol = solve(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
+        on_solve(dict(fun=fun, t_span=t_span, y0=y0, t_eval=t_eval, rtol=rtol, atol=atol), sol)
+        return sol
 
-    monkeypatch.setattr(shooting, "_steps", tapped)
+    monkeypatch.setattr(shooting, "solve_ivp", tapped)
 
 
 def record_solves(monkeypatch):
-    """Record every solve of shooting's step generator; returns the _Solutions."""
+    """Record every solve of shooting's RK45; returns the _Solutions."""
     sols = []
-    tap_steps(monkeypatch, lambda args, sol: sols.append(sol))
+    tap_solves(monkeypatch, lambda args, sol: sols.append(sol))
     return sols
 
 
@@ -307,126 +292,49 @@ class TestBatch:
         assert len(sols) == 1
         assert all(row.diagnostics["batch"] == 5 for row in rows)
 
-
-class TestValuesBatch:
-    @pytest.mark.parametrize("k", [1, 3, 300])
-    def test_stream_is_bitwise_the_full_solve(self, k, monkeypatch):
-        # the same steps and nfev as a full sampling and its u and v rows bit for bit;
-        # the blocks, collected, are the zero-filled u and v of integrate_radial_batch
-        sols = record_solves(monkeypatch)
-        inputs = [ShootInput(CFG, 1.0, v0, r_max=50.0) for v0 in np.linspace(0.5, 2.0, k)]
-        profiles = integrate_radial_batch(inputs)
-        blocks = list(values_stream(inputs))
-        full, streamed = sols
-        assert streamed.nfev == full.nfev and np.array_equal(streamed.t, full.t)
-        assert streamed.y.shape == (2 * k, len(full.t))
-        assert streamed.y.tobytes() == full.y[:2 * k].tobytes()  # before the zero fill
-        assert len(blocks) > 1
-        nodes = np.concatenate([r for r, _ in blocks])
-        uv = np.concatenate([b for _, b in blocks], axis=2)
-        assert nodes.tobytes() == profiles[0].grid.nodes.tobytes()
-        assert uv.shape == (2, k, len(nodes))
-        assert uv[0].tobytes() == np.array([p.u for p in profiles]).tobytes()
-        assert uv[1].tobytes() == np.array([p.v for p in profiles]).tobytes()
-        # v0 = 0.5 and 2 fail before r_max; of 300, the near-diagonal columns do not
-        failing = (uv[:, :, -1] == 0.0).all(axis=0)
-        assert failing[0] and failing[-1] and failing.all() == (k < 300)
-
-    def test_zero_fill_carries_across_blocks(self):
-        # the mask of a block split anywhere is that of the whole block: a column is
-        # failed from its first node with min(u, v) <= 0 on, even where u and v are
-        # positive again, and NaN never fails a node
+    def test_zero_fill_is_the_node_by_node_rule(self):
+        # a column is failed from its first node with min(u, v) <= 0 on, even where u
+        # and v are positive again, and NaN never fails a node
         rng = np.random.default_rng(5)
         for _ in range(50):
             uv = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], size=(2, 6, 12),
                             p=[0.05, 0.05, 0.4, 0.4, 0.1])
-            whole = shooting._failed(uv, np.ones(6, dtype=bool))
-            cuts = np.sort(rng.choice(np.arange(1, 12), size=3, replace=False))
-            live = np.ones(6, dtype=bool)
-            parts = [shooting._failed(part, live) for part in np.split(uv, cuts, axis=2)]
-            assert np.array_equal(np.concatenate(parts, axis=1), whole)
-            assert np.array_equal(live, ~whole[:, -1])
+            whole = shooting._failed(uv)
             for j in range(6):
                 m = np.minimum(uv[0, j], uv[1, j]) <= 0.0
                 first = int(np.argmax(m)) if m.any() else 12
                 assert np.array_equal(whole[j], np.arange(12) >= first)
 
-    @pytest.mark.parametrize("k, cuts, fails", [
-        # blocks [0, 3) all live, [3, 4) one node, [4, 9), [9, 12) all positive again;
-        # column 0 fails at a block's first node, 1 mid-block, 2 at a block's last
-        # node, and in the last block 0, 1 and 2 are dead from earlier blocks
-        (4, [3, 4, 9], [(0, 0, 3), (1, 1, 6), (0, 2, 8)]),
-        (4, [3, 4, 9], []),  # never a failing node: every block takes the fast path
-        (1, [1, 2], [(1, 0, 2)]),  # one-node blocks, then a failure at a block's first node
-        (1, [5], [(0, 0, 11)]),  # the last node of the solve
-    ], ids=["k4", "k4-live", "k1-one-node", "k1-last-node"])
-    def test_stream_zero_fill_is_the_accumulated_rule(self, k, cuts, fails, monkeypatch):
-        # values_stream on crafted blocks against np.logical_or.accumulate over the
-        # whole solve: a column is zero from its first node with min(u, v) <= 0 on
-        uv = np.random.default_rng(k).uniform(0.5, 2.0, size=(2, k, 12))
-        for row, col, node in fails:
-            uv[row, col, node] = -uv[row, col, node] if node % 2 else 0.0
-        uv[:, -1, 1] = np.nan  # NaN never fails a node
-
-        def crafted(*args, **kwargs):
-            for first, end in zip([0] + cuts, cuts + [12]):
-                yield first, end, uv[:, :, first:end].reshape(2 * k, -1).copy()
-            return 0, "done", 0
-
-        monkeypatch.setattr(shooting, "_steps", crafted)
-        inputs = [ShootInput(CFG, 1.0, 1.0, r_max=10.0)] * k
-        got = np.concatenate([b for _, b in values_stream(inputs)], axis=2)
-        failed = np.logical_or.accumulate(np.minimum(uv[0], uv[1]) <= 0.0, axis=1)
-        assert got.tobytes() == np.where(failed, 0.0, uv).tobytes()
-
-    def test_step_size_underflow_in_the_stream(self, monkeypatch):
-        # the blocks reached come first, then StepSizeUnderflow with the solver's message
-        steps = shooting._steps
-
-        def failing(*args, **kwargs):
-            gen = steps(*args, **kwargs)
-            yield next(gen)
-            return -1, shooting.TOO_SMALL_STEP, 7
-
-        monkeypatch.setattr(shooting, "_steps", failing)
-        inputs = [ShootInput(CFG, 1.0, v0, r_max=10.0) for v0 in (1.0, 2.0)]
-        stream = values_stream(inputs)
-        r, uv = next(stream)
-        assert uv.shape == (2, 2, len(r)) and len(r) > 0
-        with pytest.raises(StepSizeUnderflow, match=shooting.TOO_SMALL_STEP):
-            next(stream)
-
-    def test_steps_sample_any_leading_rows(self):
-        # a linear system whose rows differ: 3 of 5 rows, and the bounds of rows
-        rates = np.arange(1.0, 6.0)
-        args = (lambda t, y, out: np.multiply(-rates, y, out=out), (0.0, 2.0), np.ones(5))
-        kwargs = dict(t_eval=np.linspace(0.0, 2.0, 21), rtol=1e-8, atol=1e-8)
-        full = shooting.solve_ivp(*args, **kwargs)
-        steps = shooting._steps(*args, rows=3, **kwargs)
-        blocks = []
-        with pytest.raises(StopIteration) as stop:
-            while True:
-                first, end, block = next(steps)
-                assert block.shape == (3, end - first)
-                blocks.append(block)
-        assert stop.value.value == (full.status, full.message, full.nfev)
-        assert np.concatenate(blocks, axis=1).tobytes() == full.y[:3].tobytes()
-        for rows in (0, 6):
-            with pytest.raises(ValueError, match="rows"):
-                next(shooting._steps(*args, rows=rows, **kwargs))
-
-    @pytest.mark.parametrize("rmax", [100.0, 5000.0])
-    def test_grid_ending_before_r_max_refused(self, rmax, monkeypatch):
+    @pytest.mark.parametrize("r_max, grid, match", [
+        (1e4, RadialGrid.geometric(rmax=100.0), "rmax = 100, before r_max = 10000"),
+        (1e4, RadialGrid.geometric(rmax=5000.0), "rmax = 5000, before r_max = 10000"),
+        # r_max before the first node, and r_max after it but before the second
+        (5e-5, RadialGrid.geometric(1e-4, 10.0, 100), "0 nodes from r0 = 0.0001 to r_max = 5e-05"),
+        (1.05e-4, RadialGrid.geometric(1e-4, 10.0, 100),
+         "1 nodes from r0 = 0.0001 to r_max = 0.000105"),
+    ], ids=["rmax-100", "rmax-5000", "before-r0", "one-node"])
+    def test_grid_ending_before_r_max_refused(self, r_max, grid, match, monkeypatch):
         # refused before any solve, naming both radii
         sols = record_solves(monkeypatch)
-        inp = ShootInput(CFG, 1.0, 1.0, r_max=1e4)
-        grid = RadialGrid.geometric(rmax=rmax)
+        inp = ShootInput(CFG, 1.0, 1.0, r_max=r_max)
         for shoot in (classify, integrate_radial):
-            with pytest.raises(ValueError, match=f"rmax = {rmax:g}, before r_max = 10000"):
+            with pytest.raises(ValueError, match=match):
                 shoot(inp, grid)
-        with pytest.raises(ValueError, match="before r_max"):
-            next(values_stream([inp], grid))
         assert sols == []
+
+    @pytest.mark.parametrize("r_max", [1.000001e-6, 2e-6, 9.999e-6])
+    def test_classify_needs_the_last_decade(self, r_max, monkeypatch):
+        # the bound-state test reads [r_max / 10, r_max]: a grid from r0 = 1e-6 covers it
+        # only from r_max = 1e-5 on; refused before any solve, naming both radii
+        sols = record_solves(monkeypatch)
+        inputs = [ShootInput(CFG, 1.0, v0, r_max=r_max) for v0 in (1.0, 2.0)]
+        for shoot in (classify_batch, lambda inputs: classify(inputs[0])):
+            with pytest.raises(ValueError, match=rf"r0 = 1e-06, .* r_max = {r_max}: "):
+                shoot(inputs)
+        assert sols == []
+        assert integrate_radial(inputs[0]).grid.rmax == r_max  # a solve needs no decade
+        # r^(n-2) u grows tenfold over that decade: a short window is NoDecay
+        assert classify(ShootInput(CFG, 1.0, 1.0, r_max=1e-5)).kind is Kind.NO_DECAY
 
 
 class TestFirstCrossing:
@@ -654,35 +562,32 @@ def test_rhs_writes_only_the_stage_rows(monkeypatch):
 
 
 def compare_with_scipy(monkeypatch):
-    """Route shooting's step generator through a bitwise comparison with scipy's RK45.
+    """Route shooting's RK45 through a bitwise comparison with scipy's RK45.
 
     Returns one (status, scipy status, same message, same t, same y, nfev,
-    scipy nfev) record per solve; y is compared with as many of scipy's
-    leading rows as the solve sampled.
+    scipy nfev) record per solve.
     """
     records = []
 
     def compared(args, got):
-        rows = args.pop("rows")  # scipy samples every row
         # scipy takes a flat y0 and a fun that returns its value
         y0 = np.asarray(args["y0"])
         args.update(fun=returning(args["fun"], y0.shape), y0=y0.ravel())
         ref = scipy_solve_ivp(method="RK45", **args)
         records.append((got.status, ref.status, got.message == ref.message,
-                        np.array_equal(got.t, ref.t), np.array_equal(got.y, ref.y[:rows]),
+                        np.array_equal(got.t, ref.t), np.array_equal(got.y, ref.y),
                         got.nfev, ref.nfev))
 
-    tap_steps(monkeypatch, compared)
+    tap_solves(monkeypatch, compared)
     return records
 
 
 class TestSolverMatchesScipy:
-    """shooting's RK45 (_steps, as solve_ivp and values_stream take it) is bitwise
-    scipy.integrate.solve_ivp(method="RK45")."""
+    """shooting's RK45 (solve_ivp) is bitwise scipy.integrate.solve_ivp(method="RK45")."""
 
     @pytest.mark.parametrize("run, solves", [
-        # the property suite's one streamed dilation solve of 40 columns at r_max 50,
-        # u and v sampled
+        # the property suite's one dilation solve of 40 columns at r_max 50, all 160
+        # rows sampled
         (lambda: acceptance.check_property_suites(), 1),
         # the gate's 7-ratio sweep out to 1e4
         (lambda: uniqueness_sweep(CFG, (0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 2.0)), 1),
