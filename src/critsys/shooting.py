@@ -52,8 +52,8 @@ class ShootInput:
         # written as "not x > bound" so that NaN fails too
         if not (self.u0 > 0.0 and self.v0 > 0.0):
             raise NonpositiveInput(f"need u0 > 0 and v0 > 0, got ({self.u0}, {self.v0})")
-        if not self.r_max > DEFAULT_R0:
-            raise ValueError(f"need r_max > {DEFAULT_R0}, got {self.r_max}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"need a finite r_max > 0, got {self.r_max}")
         if not self.tol > 0.0:
             raise ValueError(f"need tol > 0, got {self.tol}")
 
@@ -297,7 +297,8 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     the whole stack.  A column that fails (u or v reaches zero) keeps being
     integrated with the clamped RHS, so every solve samples every node.
     Returns the nodes up to r_max and the keyword arguments of solve_ivp.
-    Raises ValueError unless the shots share config, r_max and tol, if the
+    Raises ValueError unless the shots share config, r_max and tol, if no
+    grid is given and r_max is at or below the default grid's r0, if the
     grid ends before r_max or has fewer than 3 nodes up to it, and
     GridTooCoarse if a column's series start at the first node already has
     u or v <= 0, or a slope that RadialProfilePair would refuse as too steep
@@ -313,6 +314,10 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     cfg = first.config
     if grid is None:
         # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
+        if not first.r_max > DEFAULT_R0:
+            raise ValueError(f"the default grid starts at r0 = {DEFAULT_R0:g}, so it needs "
+                             f"r_max > r0, got r_max = {first.r_max:g}; pass a grid that "
+                             f"starts nearer the origin")
         grid = RadialGrid.geometric(rmax=first.r_max)
     if grid.rmax < first.r_max:
         raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, before r_max = {first.r_max:g}")

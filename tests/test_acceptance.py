@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,15 +62,79 @@ def test_property_suite_batches_match_single_shots(monkeypatch):
 def test_node_shift_gap_compares_node_i_with_node_i_plus_shift():
     # an exact dilation reads 0; a NaN anywhere in a base row, even before the nodes
     # that its twin is compared with, reads NaN
-    base = np.arange(1.0, 21.0).reshape(2, 1, 10)  # rows (u, v) of one column
+    u, v = np.arange(1.0, 11.0), np.arange(11.0, 21.0)
+    base = [SimpleNamespace(u=u, v=v)]  # one column
     shift, scale = np.array([3]), np.array([2.0])
-    twin = np.zeros_like(base)
-    twin[..., :7] = 2.0 * base[..., 3:]
+    twin = [SimpleNamespace(u=np.zeros(10), v=np.zeros(10))]
+    twin[0].u[:7], twin[0].v[:7] = 2.0 * u[3:], 2.0 * v[3:]
     assert acceptance._node_shift_gap(base, twin, shift, scale) == 0.0
-    twin[1, 0, 6] += 0.4  # v, relative to the v row's largest value, 20
+    twin[0].v[6] += 0.4  # v, relative to the v row's largest value, 20
     assert acceptance._node_shift_gap(base, twin, shift, scale) == pytest.approx(0.02)
-    base[0, 0, 0] = np.nan
+    u[0] = np.nan
     assert np.isnan(acceptance._node_shift_gap(base, twin, shift, scale))
+
+
+def test_shooting_criteria_share_one_solve(monkeypatch):
+    # from a cold cache, whichever criterion runs first pays for the one solve: the
+    # sweep's 7 ratios and the oracle's 3 diagonal shots, on the default grid
+    monkeypatch.setattr(acceptance, "_sweep_cache", None)
+    solves, solve = [], sh.solve_ivp
+
+    def counting(*args, **kwargs):
+        solves.append((kwargs["y0"].shape, kwargs["t_eval"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sh, "solve_ivp", counting)
+    details = {}
+    for name, check in ALL_CRITERIA:
+        if name in ("shooting-oracle agreement", "uniqueness witness", "sign lemma"):
+            ok, details[name] = check()
+            assert ok, f"{name}: {details[name]}"
+    [(shape, t_eval)] = solves
+    assert shape == (2, 2, len(acceptance._SWEEP_RATIOS) + len(acceptance._ORACLE_TS)) == (2, 2, 10)
+    assert np.array_equal(t_eval, RadialGrid.default().nodes)
+    # the oracle's shots on the sweep's grid to 1e4, read on the nodes up to 50
+    oracle = re.match(r"max relative error (\S+) ", details["shooting-oracle agreement"])
+    assert float(oracle[1]) <= 1e-8
+
+
+def test_shared_batch_matches_the_uniqueness_sweep(monkeypatch):
+    monkeypatch.setattr(acceptance, "_sweep_cache", None)
+    rows = acceptance._sweep_rows()
+    ref = sh.uniqueness_sweep(acceptance._CFG, acceptance._SWEEP_RATIOS)
+    assert [row.ratio for row in rows] == list(acceptance._SWEEP_RATIOS)
+    assert [row.kind for row in rows] == [row.kind for row in ref]
+    for row, want in zip(rows, ref):
+        for got, r in ((row.profile.u, want.profile.u), (row.profile.v, want.profile.v)):
+            assert np.max(np.abs(got - r)) <= 1e-8 * np.max(np.abs(r))
+
+
+def test_shooting_oracle_needs_bound_states(monkeypatch):
+    # no plateau is flat to 0: every diagonal shot is NoDecay, and the oracle fails by
+    # kind although its profiles still match the bubble
+    monkeypatch.setattr(acceptance, "_sweep_cache", None)
+    monkeypatch.setattr(sh, "DECAY_PLATEAU_RTOL", 0.0)
+    ok, detail = acceptance.check_shooting_oracle()
+    assert not ok
+    assert detail.startswith("not BoundState: t = 0.5: NoDecay, t = 1.0: NoDecay, "
+                             "t = 2.0: NoDecay; max relative error ")
+
+
+def test_shooting_oracle_fails_a_nan_sample(monkeypatch):
+    # NaN in u of the t = 1 diagonal shot at r = 0.1, far from the last decade that
+    # classifies it: the kind stays BoundState, so the error itself must fail
+    monkeypatch.setattr(acceptance, "_sweep_cache", None)
+    solve = sh.solve_ivp
+
+    def planting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.y.reshape(4, 10, -1)[0, 8, 2000] = np.nan
+        return sol
+
+    monkeypatch.setattr(sh, "solve_ivp", planting)
+    ok, detail = acceptance.check_shooting_oracle()
+    assert acceptance._shots()[8].kind is sh.Kind.BOUND_STATE
+    assert not ok and detail == "max relative error nan (tol 1e-6)"
 
 
 def plant_violation(monkeypatch, target: str, third: int, offset):
@@ -170,11 +236,11 @@ def test_property_suite_passes_at_every_seed(seed):
 
 
 def test_property_suite_holds_under_two_sample_blocks():
-    # one (4, 100, 4000) float64 block of samples is 12.8 MB.  The suite's one solve
-    # samples the 4 rows of its 40 columns, (4, 40, 4000), 5.1 MB, then stacks their
-    # u and v, 2.6 MB; the largest temporary is the first step's dense output
-    # (4 x 40 rows over about 1290 nodes, 1.7 MB)
-    block = 4 * 100 * 4000 * 8
+    # the suite's one solve samples the 4 rows of its 40 columns, (4, 40, 4000) float64,
+    # 5.1 MB, and reads their u and v where they are; the largest temporary is the first
+    # step's dense output (4 x 40 rows over about 1290 nodes, 1.7 MB).  The peak reads
+    # about 7.2 MB; a stacked copy of u and v, (2, 40, 4000), would add 2.6 MB
+    bound = 8.5e6
     tracemalloc.start()
     try:
         ok, detail = acceptance.check_property_suites()
@@ -182,4 +248,4 @@ def test_property_suite_holds_under_two_sample_blocks():
     finally:
         tracemalloc.stop()
     assert ok, detail
-    assert peak < block, f"peak {peak / 1e6:.1f} MB"
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB"

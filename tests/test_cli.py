@@ -285,6 +285,16 @@ def test_config_grid_radii_out_of_order_are_usage_error(argv, grid, radii, tmp_p
     assert err == f"error: {path}: grid needs 0 < r0 < rmax, got {radii}\n"
 
 
+def test_shoot_on_a_config_grid_below_the_default_r0(tmp_path, capsys):
+    # a grid that starts nearer the origin than 1e-6 shoots to an rmax below 1e-6
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3, "alpha": 2.0, "beta": 3.0,
+                                "grid": {"r0": 1e-8, "rmax": 5e-7, "nodes": 400}}))
+    assert run(["shoot", "--u0", "1", "--v0", "1", "--config", str(path)]) == EXIT_OK
+    # r u grows tenfold over [rmax / 10, rmax] this near the origin
+    assert capsys.readouterr().out == "kind NoDecay\n"
+
+
 _NONFINITE_FILES = {
     "nan.json": '{"n": 3, "alpha": NaN, "beta": NaN}',
     "r0.json": '{"n": 3, "alpha": 2.0, "beta": 3.0, "grid": {"r0": NaN}}',

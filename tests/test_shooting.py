@@ -111,6 +111,24 @@ class TestIntegrateRadial:
         with pytest.raises(ValueError, match="r_max"):
             ShootInput(CFG, 1.0, 1.0, r_max=np.nan)
 
+    @pytest.mark.parametrize("r_max", [np.inf, 0.0, -1.0])
+    def test_rejects_r_max_not_finite_or_positive(self, r_max):
+        with pytest.raises(ValueError, match=f"need a finite r_max > 0, got {r_max}"):
+            ShootInput(CFG, 1.0, 1.0, r_max=r_max)
+
+    def test_r_max_below_default_r0_on_a_nearer_grid(self, monkeypatch):
+        # ShootInput takes any finite positive r_max; only the default grid, which starts
+        # at r0 = 1e-6, needs more, and says so before any solve, naming both radii
+        inp = ShootInput(CFG, 1.0, 1.0, r_max=5e-7)
+        prof = integrate_radial(inp, RadialGrid.geometric(1e-8, 5e-7, 400))
+        assert len(prof.grid) == 400 and prof.grid.rmax == 5e-7
+        assert np.all(prof.u > 0.0) and np.all(prof.v > 0.0)
+        sols = record_solves(monkeypatch)
+        for shoot in (integrate_radial, classify):
+            with pytest.raises(ValueError, match="r0 = 1e-06, .* r_max = 5e-07"):
+                shoot(inp)
+        assert sols == []
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_rejects_nonpositive_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
