@@ -54,8 +54,8 @@ class ShootInput:
             raise NonpositiveInput(f"need u0 > 0 and v0 > 0, got ({self.u0}, {self.v0})")
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"need a finite r_max > 0, got {self.r_max}")
-        if not self.tol > 0.0:
-            raise ValueError(f"need tol > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"need tol > 0 and finite, got {self.tol}")
 
 
 class Kind(enum.Enum):
@@ -410,57 +410,13 @@ def _first_crossing(nodes, u, v):
     return float(nodes[i] + t * (nodes[i + 1] - nodes[i]))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Zero of f on [xa, xb], where f changes sign, by Brent's method.
-
-    A port of scipy 1.17's C brentq with its defaults (rtol of four float
-    epsilons, 100 iterations), so its roots are bitwise scipy's.
-    """
-    rtol = 4 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("brentq failed to converge after 100 iterations")
-
-
 def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
     """First zero of u or v on [ra, rb] from the cubic Hermite interpolant.
 
     ``ya``, ``yb`` are the states (u, v, u', v') at the ends; u and v are
-    positive at ra and at least one of them is nonpositive at rb.
+    positive at ra and at least one of them is nonpositive at rb.  Each
+    failing component's cubic in s = (r - ra) / h is bisected on [0, 1],
+    > 0 at lo and <= 0 at hi, until lo and hi are adjacent floats.
     """
     h = float(rb - ra)
     roots = {}
@@ -468,12 +424,15 @@ def _hermite_zero(ra: float, rb: float, ya: np.ndarray, yb: np.ndarray):
         f0, d0, f1, d1 = map(float, (ya[i], ya[i + 2], yb[i], yb[i + 2]))
         if f1 > 0.0:
             continue
-
-        def cubic(s):
-            return ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * h * d0 \
+        lo, hi = 0.0, 1.0
+        while lo < (s := (lo + hi) / 2) < hi:
+            cubic = ((2 * s - 3) * s * s + 1) * f0 + (s - 1) ** 2 * s * h * d0 \
                 + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * h * d1
-
-        roots[which] = ra + h * _brentq(cubic, 0.0, 1.0, xtol=1e-15)
+            if cubic > 0.0:
+                lo = s
+            else:
+                hi = s
+        roots[which] = ra + h * hi
     which = min(roots, key=roots.get)
     return which, float(roots[which])
 

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from critsys import acceptance
+from critsys import bubble as bb
+from critsys import moving_plane as mp
+from critsys import potential as pot
 from critsys import shooting as sh
 from critsys.acceptance import ALL_CRITERIA
 from critsys.core import RadialGrid
@@ -135,6 +138,39 @@ def test_shooting_oracle_fails_a_nan_sample(monkeypatch):
     ok, detail = acceptance.check_shooting_oracle()
     assert acceptance._shots()[8].kind is sh.Kind.BOUND_STATE
     assert not ok and detail == "max relative error nan (tol 1e-6)"
+
+
+def plant_nan(monkeypatch, module, name: str, calls, plant):
+    """Replace the result r of the listed calls (counted from 0) of module.name by plant(r)."""
+    fn, seen = getattr(module, name), []
+
+    def planting(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        seen.append(1)
+        return plant(result) if len(seen) - 1 in calls else result
+
+    monkeypatch.setattr(module, name, planting)
+
+
+@pytest.mark.parametrize("check, module, name, calls, plant, detail", [
+    # one of the nine bubble residuals, not the first
+    (acceptance.check_bubble_residual, bb, "bubble_residual", {4}, lambda r: np.nan,
+     "max residual nan (tol 1e-6)"),
+    # every pair residual: a running max that starts at 0 would read 0
+    (acceptance.check_system_closure, bb, "pair_residual", {0, 1, 2}, lambda r: (np.nan,) * 2,
+     "max pair residual nan (tol 1e-6)"),
+    # the right side at the second of the three points
+    (acceptance.check_greens_identity, mp, "greens_reflection_identity", {1},
+     lambda r: (r[0], np.nan), "max relative disagreement nan (tol 1e-10)"),
+    # the second of the four homogeneity values (calls 0-2 are the t-spread's)
+    (acceptance.check_hls_invariance, pot, "hls_functional", {4}, lambda r: np.nan,
+     "homogeneity nan (tol 1e-12)"),
+], ids=["bubble-residual", "system-closure", "greens-identity", "hls-homogeneity"])
+def test_criterion_fails_a_planted_nan(monkeypatch, check, module, name, calls, plant, detail):
+    # a NaN never compares greater, so Python's max keeps whatever came before it
+    plant_nan(monkeypatch, module, name, calls, plant)
+    ok, got = check()
+    assert not ok and got.endswith(detail)
 
 
 def plant_violation(monkeypatch, target: str, third: int, offset):

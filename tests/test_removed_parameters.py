@@ -51,6 +51,7 @@ def test_removed_names_are_gone():
     (potential, "PicardState"),
     (core, "validate_config"),
     (shooting, "values_stream"),
+    (shooting, "_brentq"),
 ])
 def test_deleted_function_is_gone(module, name):
     assert not hasattr(module, name)

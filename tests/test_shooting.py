@@ -116,6 +116,12 @@ class TestIntegrateRadial:
         with pytest.raises(ValueError, match=f"need a finite r_max > 0, got {r_max}"):
             ShootInput(CFG, 1.0, 1.0, r_max=r_max)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_tol_not_finite_or_positive(self, tol):
+        # an infinite tol lets a diagonal bubble shot fail positivity, with overflow
+        with pytest.raises(ValueError, match=f"need tol > 0 and finite, got {tol}"):
+            ShootInput(CFG, 1.0, 1.0, tol=tol)
+
     def test_r_max_below_default_r0_on_a_nearer_grid(self, monkeypatch):
         # ShootInput takes any finite positive r_max; only the default grid, which starts
         # at r0 = 1e-6, needs more, and says so before any solve, naming both radii
@@ -727,10 +733,11 @@ def test_outcomes_pinned(run, case, monkeypatch):
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_hermite_zero_matches_brentq():
+def test_hermite_zero_bisects_to_adjacent_floats():
     # slopes inside the Fritsch-Carlson box keep the cubic monotone, so the
     # root on [0, 1] is unique; h = 1 makes at_r the root s itself
     rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
     for i in range(200):
         f0 = rng.uniform(1e-3, 1.0)
         f1 = -rng.uniform(0.0, 1.0) if i % 10 else 0.0  # a zero exactly at s = 1 too
@@ -747,4 +754,23 @@ def test_hermite_zero_matches_brentq():
                 + (3 - 2 * s) * s * s * f1 + (s - 1) * s * s * d1
 
         assert which == ("u", "v")[i % 2]
-        assert s == brentq(cubic, 0.0, 1.0, xtol=1e-15)
+        # the bracket closed to adjacent floats, and within scipy's own stopping bound
+        assert cubic(s) <= 0.0 < cubic(np.nextafter(s, 0.0))
+        assert abs(s - brentq(cubic, 0.0, 1.0, xtol=1e-15)) <= 1e-15 + 4 * eps * s
+
+
+def test_hermite_zero_takes_the_smaller_root():
+    # linear u and v on [1, 1.5] (slope = jump / h): u reaches 0 at r = 1.25 and v
+    # at r = 1.125, so v wins; swapping u and v swaps the answer
+    ya, yb = np.array([1.0, 1.0, -4.0, -8.0]), np.array([-1.0, -3.0, -4.0, -8.0])
+    for (which, at_r), want in ((shooting._hermite_zero(1.0, 1.5, ya, yb), "v"),
+                                (shooting._hermite_zero(1.0, 1.5, ya[[1, 0, 3, 2]],
+                                                        yb[[1, 0, 3, 2]]), "u")):
+        assert which == want
+        assert at_r == pytest.approx(1.125, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_hermite_zero_at_the_right_node_returns_it():
+    # u falls linearly from 1 to exactly 0 at rb while v holds at 1
+    ya, yb = np.array([1.0, 1.0, -2.0, 0.0]), np.array([0.0, 1.0, -2.0, 0.0])
+    assert shooting._hermite_zero(1.0, 1.5, ya, yb) == ("u", 1.5)
