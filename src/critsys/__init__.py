@@ -33,7 +33,6 @@ from .shooting import (
     classify_batch,
     integrate_radial,
     integrate_radial_batch,
-    ordering_term,
     uniqueness_sweep,
 )
 from .potential import (

@@ -68,12 +68,6 @@ def _shots() -> list[sh.ShootOutcome]:
     return _sweep_cache
 
 
-def _sweep_rows() -> list[sh.SweepRow]:
-    """The uniqueness sweep (1, ratio) as rows, from the shared batch."""
-    return [sh.SweepRow(rho, out.kind, out.crossing_r, out.diagnostics, out.profile)
-            for rho, out in zip(_SWEEP_RATIOS, _shots())]
-
-
 def check_shooting_oracle() -> tuple[bool, str]:
     """Diagonal shots are bound states and reproduce phi_{0,t} to relative 1e-6 on [0, 50]."""
     errors, unbound = [], []
@@ -93,21 +87,21 @@ def check_shooting_oracle() -> tuple[bool, str]:
 
 def check_uniqueness_witness() -> tuple[bool, str]:
     """BoundState occurs exactly at ratio 1 across the sweep."""
-    rows = _sweep_rows()
-    ok = sh.sweep_consistent(rows)
-    table = ", ".join(f"{r.ratio}:{r.kind.value}" for r in rows)
-    return ok, table
+    outcomes = _shots()[:len(_SWEEP_RATIOS)]
+    table = ", ".join(f"{rho}:{out.kind.value}" for rho, out in zip(_SWEEP_RATIOS, outcomes))
+    return sh.sweep_consistent(_SWEEP_RATIOS, outcomes), table
 
 
 def check_sign_lemma() -> tuple[bool, str]:
     """u^a v^b > u^b v^a at every swept node with 0 < u < v."""
     violations = 0
     checked = 0
-    for row in _sweep_rows():
-        u, v = row.profile.u, row.profile.v
+    for out in _shots()[:len(_SWEEP_RATIOS)]:
+        u, v = out.profile.u, out.profile.v
         mask = (u > 0.0) & (v > 0.0) & (u < v)
         checked += int(np.sum(mask))
-        violations += int(np.sum(sh.ordering_term(u[mask], v[mask], _CFG) <= 0.0))
+        fu, fv = _CFG.forcing(u[mask], v[mask])
+        violations += int(np.sum(fu - fv <= 0.0))
     return violations == 0, f"{checked} ordered nodes, {violations} violations"
 
 

@@ -134,7 +134,6 @@ def pair_residual(params: BubbleParams, config: ExponentConfig,
         raise ValueError("residual check requires an origin-centered bubble")
     phi = eval_bubble_radial(params, grid.nodes)
     lap = radial_laplacian(phi, grid, config.n)  # shared by both equations
-    rhs_u = phi ** config.alpha * phi ** config.beta
-    rhs_v = phi ** config.beta * phi ** config.alpha
+    rhs_u, rhs_v = config.forcing(phi, phi)
     return (_trusted_residual(phi, lap, rhs_u, grid),
             _trusted_residual(phi, lap, rhs_v, grid))

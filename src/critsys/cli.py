@@ -171,15 +171,16 @@ def cmd_shoot(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, grid = _shooting_config(args)
-    rows = sh.uniqueness_sweep(cfg, _parse_floats(args.ratios, "--ratios"), base=args.base,
-                               grid=grid, tol=args.tol)
-    for row in rows:
-        print(f"ratio {row.ratio:g}: {row.kind.value}")
+    ratios = _parse_floats(args.ratios, "--ratios")
+    outcomes = sh.uniqueness_sweep(cfg, ratios, base=args.base, grid=grid, tol=args.tol)
+    for rho, out in zip(ratios, outcomes):
+        print(f"ratio {rho:g}: {out.kind.value}")
     # the ratio as parsed (str, not %.17g); a missing R0 is an empty cell
     _save(args, header=["ratio", "kind", "R0", "diagnostics"],
-          rows=[(str(row.ratio), row.kind.value, row.crossing_r,
-                 json.dumps(row.diagnostics, sort_keys=True, default=str)) for row in rows])
-    if not sh.sweep_consistent(rows):
+          rows=[(str(rho), out.kind.value, out.crossing_r,
+                 json.dumps(out.diagnostics, sort_keys=True, default=str))
+                for rho, out in zip(ratios, outcomes)])
+    if not sh.sweep_consistent(ratios, outcomes):
         print("sweep assertion FAILED: bound state pattern inconsistent", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK

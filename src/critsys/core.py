@@ -83,6 +83,12 @@ class ExponentConfig:
     def uniqueness_applicable(self) -> bool:
         return self.alpha < self.beta
 
+    def forcing(self, u, v):
+        """(u^alpha v^beta, u^beta v^alpha), the coupling, elementwise; for alpha < beta
+        the first minus the second has the sign of v - u (the sign lemma).
+        """
+        return u ** self.alpha * v ** self.beta, u ** self.beta * v ** self.alpha
+
 
 @dataclass(frozen=True)
 class RadialGrid:

@@ -106,10 +106,9 @@ def newton_potential_derivative(f: np.ndarray, grid: RadialGrid,
 def picard_step(profile: RadialProfilePair,
                 config: ExponentConfig) -> tuple[RadialProfilePair, float]:
     """u <- (-Lap)^-1(u^a v^b), v <- (-Lap)^-1(u^b v^a), and the sup-norm change."""
-    new_u, du = newton_potential_radial(profile.u ** config.alpha * profile.v ** config.beta,
-                                        profile.grid, config.n)
-    new_v, dv = newton_potential_radial(profile.u ** config.beta * profile.v ** config.alpha,
-                                        profile.grid, config.n)
+    fu, fv = config.forcing(profile.u, profile.v)
+    new_u, du = newton_potential_radial(fu, profile.grid, config.n)
+    new_v, dv = newton_potential_radial(fv, profile.grid, config.n)
     sup = max(np.max(new_u), np.max(new_v))
     if sup > BLOWUP_SUP:
         raise IterateBlowup(f"iterate sup-norm {sup:.3e} exceeds {BLOWUP_SUP:.0e}")

@@ -258,11 +258,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
 def _rhs(n: int, alpha: float, beta: float, k: int):
     """Right-hand side fun(r, y, out) of k stacked shots, y and out of shape (2, 2, k).
 
+    The in-place form of ExponentConfig.forcing, at u and v clamped at zero:
+    out gets (u', v') and (-(n-1)/r u' - u^alpha v^beta, -(n-1)/r v' - v^alpha u^beta).
     The axes are (values, slopes) x (u, v) x k, so (u, v) and (u', v') are
     contiguous halves: one clamp, one power per exponent and one product
     cover both equations.  The clamp and the powers go to buffers allocated
-    once, with the function, so a call allocates nothing; out gets (u', v')
-    and (-(n-1)/r u' - u^alpha v^beta, -(n-1)/r v' - v^alpha u^beta).
+    once, with the function, so a call allocates nothing.
     """
     w, wa, wb = np.empty((3, 2, k))
 
@@ -283,8 +284,7 @@ def _taylor_start(cfg: ExponentConfig, u0: np.ndarray, v0: np.ndarray, r0: float
 
     Returns the (4, k) state (u, v, u', v') of the k shots from u0 and v0.
     """
-    fu = u0 ** cfg.alpha * v0 ** cfg.beta
-    fv = u0 ** cfg.beta * v0 ** cfg.alpha
+    fu, fv = cfg.forcing(u0, v0)
     return np.array([u0 - fu * r0 ** 2 / (2 * cfg.n), v0 - fv * r0 ** 2 / (2 * cfg.n),
                      -fu * r0 / cfg.n, -fv * r0 / cfg.n])
 
@@ -492,20 +492,11 @@ def classify(inp: ShootInput, grid: RadialGrid | None = None) -> ShootOutcome:
     return classify_batch([inp], grid)[0]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    ratio: float
-    kind: Kind
-    crossing_r: float | None
-    diagnostics: dict
-    profile: RadialProfilePair
-
-
 def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
-                     grid: RadialGrid | None = None, tol: float = 1e-10) -> list[SweepRow]:
+                     grid: RadialGrid | None = None, tol: float = 1e-10) -> list[ShootOutcome]:
     """Classify (u0, v0) = (base, ratio*base) for each ratio, out to grid.rmax.
 
-    All ratios are columns of one stacked solve (see classify_batch).
+    One outcome per ratio, in order, from one stacked solve (see classify_batch).
 
     Only meaningful in the ordered regime alpha < beta, where a bound state
     should occur exactly at ratio 1.
@@ -520,28 +511,20 @@ def uniqueness_sweep(config: ExponentConfig, ratios, base: float = 1.0,
     for rho in ratios:
         if not rho > 0.0:
             raise NonpositiveInput(f"ratios must be positive, got {rho}")
-    outcomes = classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax, tol=tol)
-                               for rho in ratios], grid)
-    return [SweepRow(float(rho), out.kind, out.crossing_r, out.diagnostics, out.profile)
-            for rho, out in zip(ratios, outcomes)]
+    return classify_batch([ShootInput(config, base, rho * base, r_max=grid.rmax, tol=tol)
+                           for rho in ratios], grid)
 
 
-def sweep_consistent(rows: list[SweepRow]) -> bool:
-    """True iff the sweep has rows and BoundState occurs exactly at ratio 1.
+def sweep_consistent(ratios, outcomes: list[ShootOutcome]) -> bool:
+    """True iff the sweep has outcomes and BoundState occurs exactly at ratio 1.
 
-    Ratios within DIAGONAL_WINDOW of 1 count as the diagonal: shooting
-    cannot resolve it more finely.
+    ``outcomes`` are the sweep's, one per ratio; lists of different lengths
+    raise ValueError.  Ratios within DIAGONAL_WINDOW of 1 count as the
+    diagonal: shooting cannot resolve it more finely.
     """
-    return bool(rows) and all((abs(row.ratio - 1.0) <= DIAGONAL_WINDOW)
-                              == (row.kind is Kind.BOUND_STATE) for row in rows)
-
-
-def ordering_term(u, v, config: ExponentConfig):
-    """u^alpha v^beta - u^beta v^alpha elementwise; positive iff v > u when alpha < beta."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if np.any(u <= 0.0) or np.any(v <= 0.0):
-        raise NonpositiveInput(f"need u, v > 0, got minima ({np.min(u)}, {np.min(v)})")
-    return u ** config.alpha * v ** config.beta - u ** config.beta * v ** config.alpha
+    pairs = list(zip(ratios, outcomes, strict=True))
+    return bool(pairs) and all((abs(rho - 1.0) <= DIAGONAL_WINDOW)
+                               == (out.kind is Kind.BOUND_STATE) for rho, out in pairs)
 
 
 def _cumulative_nested(forcing: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
@@ -571,8 +554,7 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
     u, v = profile.u, profile.v
     # u(0), v(0) from the first sample: the offset is O(r0^2)
     u0, v0 = float(u[0]), float(v[0])
-    fu = u ** config.alpha * v ** config.beta
-    fv = u ** config.beta * v ** config.alpha
+    fu, fv = config.forcing(u, v)
     nested_u = _cumulative_nested(fu, profile.grid, config.n)
     nested_v = _cumulative_nested(fv, profile.grid, config.n)
 
@@ -592,6 +574,5 @@ def contradiction_witness(profile: RadialProfilePair,
     While 0 < u < v and alpha < beta this is positive and increasing: the
     numeric form of the crossing contradiction.
     """
-    f = (profile.u ** config.alpha * profile.v ** config.beta
-         - profile.u ** config.beta * profile.v ** config.alpha)
-    return _cumulative_nested(f, profile.grid, config.n)
+    fu, fv = config.forcing(profile.u, profile.v)
+    return _cumulative_nested(fu - fv, profile.grid, config.n)

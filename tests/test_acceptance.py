@@ -102,13 +102,18 @@ def test_shooting_criteria_share_one_solve(monkeypatch):
 
 
 def test_shared_batch_matches_the_uniqueness_sweep(monkeypatch):
+    # the batch's first len(_SWEEP_RATIOS) columns are the sweep, one start (1, ratio)
+    # per ratio in order, which the uniqueness witness and the sign lemma read
     monkeypatch.setattr(acceptance, "_sweep_cache", None)
-    rows = acceptance._sweep_rows()
-    ref = sh.uniqueness_sweep(acceptance._CFG, acceptance._SWEEP_RATIOS)
-    assert [row.ratio for row in rows] == list(acceptance._SWEEP_RATIOS)
-    assert [row.kind for row in rows] == [row.kind for row in ref]
-    for row, want in zip(rows, ref):
-        for got, r in ((row.profile.u, want.profile.u), (row.profile.v, want.profile.v)):
+    ratios = acceptance._SWEEP_RATIOS
+    outcomes = acceptance._shots()[:7]
+    assert len(ratios) == 7
+    assert [(out.diagnostics["u0"], out.diagnostics["v0"]) for out in outcomes] \
+        == [(1.0, rho) for rho in ratios]
+    ref = sh.uniqueness_sweep(acceptance._CFG, ratios)
+    assert [out.kind for out in outcomes] == [out.kind for out in ref]
+    for out, want in zip(outcomes, ref, strict=True):
+        for got, r in ((out.profile.u, want.profile.u), (out.profile.v, want.profile.v)):
             assert np.max(np.abs(got - r)) <= 1e-8 * np.max(np.abs(r))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from critsys.core import (
@@ -72,6 +74,36 @@ class TestValidateConfig:
     def test_totality_valid(self, n, alpha, beta):
         cfg = ExponentConfig(n, alpha, beta)
         assert math.isclose(cfg.alpha + cfg.beta, cfg.critical_sum)
+
+
+class TestForcing:
+    @pytest.mark.parametrize("n, alpha, beta", [(3, 2.0, 3.0), (4, 1.0, 2.0),
+                                                (5, 1.0, 4.0 / 3.0)])
+    def test_bitwise_the_written_out_pair(self, n, alpha, beta):
+        # the pair as its callers form it: on floats (a one-shot series start), on arrays,
+        # and at u = v (pair_residual); a float in gives a float out
+        rng = np.random.default_rng(n)
+        u, v = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 50))
+        cfg = ExponentConfig(n, alpha, beta)
+        for x, y in ((float(u[0]), float(v[0])), (u, v), (u, u)):
+            fu, fv = cfg.forcing(x, y)
+            assert np.array(fu).tobytes() == np.array(x ** alpha * y ** beta).tobytes()
+            assert np.array(fv).tobytes() == np.array(x ** beta * y ** alpha).tobytes()
+        assert isinstance(cfg.forcing(1.5, 2.5)[0], float)
+
+    @given(u=st.floats(0.01, 10.0), v=st.floats(0.01, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_contract(self, u, v):
+        # for alpha < beta, u^a v^b - u^b v^a has the sign of v - u: the sign lemma;
+        # the strict sign is only resolvable when u and v differ beyond roundoff
+        assume(u == v or abs(u - v) > 1e-12 * max(u, v))
+        fu, fv = ExponentConfig(3, 2.0, 3.0).forcing(u, v)
+        if u < v:
+            assert fu - fv > 0.0
+        elif u > v:
+            assert fu - fv < 0.0
+        else:
+            assert fu - fv == 0.0
 
 
 class TestRadialGrid:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import critsys
-from critsys import core, errors, moving_plane, potential, shooting
+from critsys import acceptance, core, errors, moving_plane, potential, shooting
 from critsys.bubble import make_bubble
 from critsys.core import ExponentConfig, RadialGrid, radial_laplacian
 from critsys.moving_plane import CartesianSampler, PlaneParam, greens_reflection_identity
@@ -18,7 +18,7 @@ F = np.exp(-GRID.nodes)
 @pytest.mark.parametrize("call", [
     lambda: radial_laplacian(F, GRID, 3, stencil=5),
     lambda: newton_potential_radial(F, GRID, 3, tail_power=4.0),
-    lambda: sweep_consistent([], window=0.1),
+    lambda: sweep_consistent([], [], window=0.1),
     lambda: CartesianSampler(L=10.0, m=64, budget=10),
     lambda: greens_reflection_identity(make_bubble(CFG, center=(1.0, 0, 0)), PlaneParam(0.0),
                                        np.array([-1.0, 0, 0]), CFG, ny=10),
@@ -52,6 +52,9 @@ def test_removed_names_are_gone():
     (core, "validate_config"),
     (shooting, "values_stream"),
     (shooting, "_brentq"),
+    (shooting, "ordering_term"),
+    (shooting, "SweepRow"),
+    (acceptance, "_sweep_rows"),
 ])
 def test_deleted_function_is_gone(module, name):
     assert not hasattr(module, name)

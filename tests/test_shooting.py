@@ -2,8 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
@@ -25,7 +23,6 @@ from critsys.shooting import (
     contradiction_witness,
     integrate_radial,
     integrate_radial_batch,
-    ordering_term,
     sweep_consistent,
     uniqueness_sweep,
 )
@@ -312,9 +309,9 @@ class TestBatch:
 
     def test_sweep_is_one_solve(self, monkeypatch):
         sols = record_solves(monkeypatch)
-        rows = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0])
+        outcomes = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0])
         assert len(sols) == 1
-        assert all(row.diagnostics["batch"] == 5 for row in rows)
+        assert all(out.diagnostics["batch"] == 5 for out in outcomes)
 
     def test_zero_fill_is_the_node_by_node_rule(self):
         # a column is failed from its first node with min(u, v) <= 0 on, even where u
@@ -386,31 +383,44 @@ class TestFirstCrossing:
 
         monkeypatch.setattr(shooting, "_first_crossing", both)
         ratios = [0.5, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25, 2.0]
-        rows = uniqueness_sweep(CFG, ratios)
+        outcomes = uniqueness_sweep(CFG, ratios)
         assert len(pairs) == len(ratios)
         assert all(a == b for a, b in pairs)
-        assert [row.crossing_r for row in rows] == [a for a, _ in pairs]
+        assert [out.crossing_r for out in outcomes] == [a for a, _ in pairs]
 
 
 class TestUniquenessSweep:
     def test_bound_state_only_on_diagonal(self):
-        rows = uniqueness_sweep(CFG, [0.5, 0.9, 1.0, 1.1, 2.0], base=1.0)
-        kinds = {row.ratio: row.kind for row in rows}
+        ratios = [0.5, 0.9, 1.0, 1.1, 2.0]
+        outcomes = uniqueness_sweep(CFG, ratios, base=1.0)
+        kinds = {rho: out.kind for rho, out in zip(ratios, outcomes, strict=True)}
         assert kinds[1.0] is Kind.BOUND_STATE
         assert all(k is not Kind.BOUND_STATE
                    for rho, k in kinds.items() if rho != 1.0)
-        assert sweep_consistent(rows)
+        assert sweep_consistent(ratios, outcomes)
+        # one (base, ratio * base) start per ratio, in order
+        assert [(out.diagnostics["u0"], out.diagnostics["v0"]) for out in outcomes] \
+            == [(1.0, rho) for rho in ratios]
 
     def test_empty_sweep_refused(self):
         with pytest.raises(ValueError, match="at least one shot"):
             uniqueness_sweep(CFG, [])
 
     def test_empty_sweep_is_not_consistent(self):
-        assert sweep_consistent([]) is False
+        assert sweep_consistent([], []) is False
+
+    def test_ratios_and_outcomes_must_pair_up(self):
+        # a ratio without its outcome, or an outcome without its ratio, is refused
+        # rather than dropped, even where the pairs that exist are consistent
+        outcomes = uniqueness_sweep(CFG, [0.5, 1.0])
+        for ratios, outs in (([0.5, 1.0, 2.0], outcomes), ([0.5], outcomes),
+                             ([1.0], []), ([], outcomes)):
+            with pytest.raises(ValueError, match="zip"):
+                sweep_consistent(ratios, outs)
 
     def test_single_ratio_one(self):
-        rows = uniqueness_sweep(CFG, [1.0], base=0.7)
-        assert rows[0].kind is Kind.BOUND_STATE
+        [out] = uniqueness_sweep(CFG, [1.0], base=0.7)
+        assert out.kind is Kind.BOUND_STATE
 
     def test_equal_exponents_rejected(self):
         cfg = ExponentConfig(3, 2.5, 2.5)
@@ -428,9 +438,8 @@ class TestUniquenessSweep:
             uniqueness_sweep(CFG, [1.0], base=base)
 
     def test_sign_lemma_on_swept_trajectories(self):
-        rows = uniqueness_sweep(CFG, [0.8, 1.25], base=1.0)
-        for row in rows:
-            u, v = row.profile.u, row.profile.v
+        for out in uniqueness_sweep(CFG, [0.8, 1.25], base=1.0):
+            u, v = out.profile.u, out.profile.v
             mask = (u > 0) & (v > 0) & (u < v)
             term = (u[mask] ** CFG.alpha * v[mask] ** CFG.beta
                     - u[mask] ** CFG.beta * v[mask] ** CFG.alpha)
@@ -492,40 +501,6 @@ class TestIntegralIdentity:
         assert rep.r_checked[2] == grid.nodes[np.argmin(np.abs(grid.nodes - 1.0))]
 
 
-class TestOrderingTerm:
-    def test_ordered_positive(self):
-        assert ordering_term(1.0, 2.0, CFG) == pytest.approx(4.0)
-
-    def test_equal_zero(self):
-        assert ordering_term(5.0, 5.0, CFG) == 0.0
-
-    def test_swap_negative(self):
-        assert ordering_term(2.0, 1.0, CFG) == pytest.approx(-4.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveInput):
-            ordering_term(0.0, 1.0, CFG)
-
-    def test_arrays_elementwise(self):
-        u, v = np.array([1.0, 5.0, 2.0]), np.array([2.0, 5.0, 1.0])
-        assert np.allclose(ordering_term(u, v, CFG), [4.0, 0.0, -4.0])
-        with pytest.raises(NonpositiveInput):
-            ordering_term(u, np.array([2.0, 0.0, 1.0]), CFG)
-
-    @given(u=st.floats(0.01, 10.0), v=st.floats(0.01, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_sign_contract(self, u, v):
-        # strict sign is only resolvable when u and v differ beyond roundoff
-        assume(u == v or abs(u - v) > 1e-12 * max(u, v))
-        term = ordering_term(u, v, CFG)
-        if u < v:
-            assert term > 0.0
-        elif u > v:
-            assert term < 0.0
-        else:
-            assert term == 0.0
-
-
 @pytest.mark.parametrize("k", [1, 7, 100])
 @pytest.mark.parametrize("n, alpha, beta", [(3, 2.0, 3.0), (4, 1.0, 2.0), (5, 1.0, 4.0 / 3.0)])
 def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
@@ -539,10 +514,9 @@ def test_rhs_is_bitwise_the_concatenated_form(n, alpha, beta, k):
         if i < 2:
             y[i, 0] = -abs(y[i, 0])  # u, then v, below zero in the first column
         u, v, du, dv = y
-        uu, vv = np.maximum(u, 0.0), np.maximum(v, 0.0)
+        fu, fv = ExponentConfig(n, alpha, beta).forcing(np.maximum(u, 0.0), np.maximum(v, 0.0))
         c = (n - 1) / r
-        ref = np.concatenate((du, dv, -c * du - uu ** alpha * vv ** beta,
-                              -c * dv - uu ** beta * vv ** alpha))
+        ref = np.concatenate((du, dv, -c * du - fu, -c * dv - fv))
         state = y.reshape(2, 2, k)
         before = state.tobytes()
         # NaN-filled, so an entry left unwritten fails; the second call reuses the buffers
