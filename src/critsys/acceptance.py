@@ -15,6 +15,7 @@ from . import moving_plane as mp
 from . import potential as pot
 from . import shooting as sh
 from .core import ExponentConfig, RadialGrid
+from .errors import CritsysError
 
 DEFAULT_SEED = 1234
 _CFG = ExponentConfig(3, 2.0, 3.0)  # the (n, alpha, beta) of every single-config criterion
@@ -227,11 +228,9 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     cases = 100
     fails = []
 
-    # reflect is an exact involution: one comparison at np.allclose's tolerances
+    # reflect is an involution: one comparison at np.allclose's tolerances
     x = rng.normal(size=(cases, 3)) * 5.0
-    draws = rng.normal(size=(cases, 4))  # rows (direction, lam / 3)
-    planes = [mp.PlaneParam(float(lam * 3.0), d / np.linalg.norm(d))
-              for d, lam in zip(draws[:, :3], draws[:, 3])]
+    planes = [mp.PlaneParam(float(lam)) for lam in rng.normal(size=cases) * 3.0]
     back = np.array([mp.reflect(mp.reflect(xi, plane), plane) for xi, plane in zip(x, planes)])
     if not np.all(np.abs(back - x) <= 1e-12 + 1e-5 * np.abs(x)):
         fails.append("involution")
@@ -305,12 +304,16 @@ def run_all(printer=print, seed: int = DEFAULT_SEED) -> bool:
     """Run every criterion, print one line each, return overall success.
 
     Each line carries the criterion's wall time in seconds.  ``seed`` drives
-    the randomized property suites.
+    the randomized property suites.  A criterion that raises a CritsysError
+    fails with the error as its detail, and the rest still run.
     """
     all_ok = True
     for name, fn in ALL_CRITERIA:
         start = time.perf_counter()
-        ok, detail = fn(seed=seed) if fn is check_property_suites else fn()
+        try:
+            ok, detail = fn(seed=seed) if fn is check_property_suites else fn()
+        except CritsysError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
         all_ok &= ok
         printer(f"[{'PASS' if ok else 'FAIL'}] {name} ({seconds:.2f} s): {detail}")

@@ -38,6 +38,15 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def as_dimension(n) -> int:
+    """n as an int; ValueError unless it is an integer, DimensionTooSmall below 3."""
+    if not float(n).is_integer():
+        raise ValueError(f"need an integer n, got n = {n}")
+    if int(n) < 3:
+        raise DimensionTooSmall(f"need n >= 3, got n = {int(n)}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ExponentConfig:
     """Dimension and nonlinearity exponents, constrained to the critical sum.
@@ -51,16 +60,14 @@ class ExponentConfig:
     beta: float
 
     def __post_init__(self):
-        """Raise DimensionTooSmall, ExponentOutOfRange, InfeasibleHypothesis or
-        CriticalityViolated (each check fails on NaN); warn for n >= 6, where
-        criticality leaves only alpha = beta.
+        """Raise ValueError for a non-integer n, DimensionTooSmall, ExponentOutOfRange,
+        InfeasibleHypothesis or CriticalityViolated (each check fails on NaN); warn
+        for n >= 6, where criticality leaves only alpha = beta.
         """
-        n, alpha, beta = int(self.n), float(self.alpha), float(self.beta)
+        n, alpha, beta = as_dimension(self.n), float(self.alpha), float(self.beta)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if n < 3:
-            raise DimensionTooSmall(f"need n >= 3, got n = {n}")
         if not (alpha >= 1.0 and beta >= 1.0):
             raise ExponentOutOfRange(f"need alpha, beta >= 1, got ({alpha}, {beta})")
         crit = self.critical_sum

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .bubble import eval_bubble, eval_bubble_radial
-from .core import ExponentConfig, unit_sphere_area
-from .errors import BudgetExceeded, DimensionTooSmall, ScanInconclusive
+from .core import ExponentConfig, as_dimension, unit_sphere_area
+from .errors import BudgetExceeded, ScanInconclusive
 
 SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
 GREENS_NODES = 64  # Gauss-Legendre nodes per variable on each panel of the Green's rule
@@ -36,49 +36,32 @@ _GREENS_RULE = np.polynomial.legendre.leggauss(GREENS_NODES)
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _e1(n: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
-
-
 @dataclass(frozen=True)
 class PlaneParam:
-    """Hyperplane x . direction = lam, lam finite (default direction e1 in R^3), n >= 3."""
+    """The hyperplane x1 = lam of R^n, lam finite, n >= 3 an integer; rotations give the rest."""
 
     lam: float
-    direction: np.ndarray | None = None
-    n: int | None = None  # must be len(direction) when both are given
+    _: KW_ONLY
+    n: int = 3
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
             raise ValueError(f"need a finite plane, got lam = {self.lam}")
-        if self.n is not None and self.n < 3:
-            raise DimensionTooSmall(f"need n >= 3, got n = {self.n}")
-        if self.direction is None:
-            d = _e1(3 if self.n is None else self.n)
-        else:
-            d = np.asarray(self.direction, dtype=float)
-        if self.n is not None and len(d) != self.n:
-            raise ValueError(f"direction has {len(d)} components, but n = {self.n}")
-        if len(d) < 3:
-            raise DimensionTooSmall(f"need n >= 3, got a direction of {len(d)} components")
-        norm = np.linalg.norm(d)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "n", len(d))
+        object.__setattr__(self, "n", as_dimension(self.n))
 
-    @property
-    def is_axis_aligned(self) -> bool:
-        return bool(np.array_equal(self.direction, _e1(self.n)))
+
+def _mirror(x1, lam):
+    """x1 mirrored across x1 = lam: the one mirror of every moving-plane pass."""
+    return x1 + 2.0 * (lam - x1)
 
 
 def reflect(x, plane: PlaneParam) -> np.ndarray:
-    """Mirror image across the hyperplane; an exact involution."""
-    x = np.asarray(x, dtype=float)
-    proj = x @ plane.direction
-    return x + np.multiply.outer(2.0 * (plane.lam - proj), plane.direction)
+    """A copy of the points x (..., n), mirrored across the plane; an involution."""
+    x = np.array(x, dtype=float)
+    if x.shape[-1:] != (plane.n,):
+        raise ValueError(f"points of shape {x.shape}, but the plane's n = {plane.n}")
+    x[..., 0] = _mirror(x[..., 0], plane.lam)
+    return x
 
 
 @dataclass(frozen=True)
@@ -149,9 +132,8 @@ class _NodeColumns:
         return np.searchsorted(self.x1, lam)
 
     def mirrored(self, lam, lo, hi) -> tuple[slice, np.ndarray]:
-        """(node rows, points) of columns [lo, hi), each x1 reflect's x1 + 2(lam - x1)."""
-        x1 = self.x1[lo:hi]
-        self.x1_row[lo:hi] = (x1 + 2.0 * (lam - x1))[:, None]
+        """(node rows, points) of columns [lo, hi), each x1 mirrored across lam."""
+        self.x1_row[lo:hi] = _mirror(self.x1[lo:hi], lam)[:, None]
         rows = slice(lo * self.m, hi * self.m)
         return rows, self.pts[rows]
 
@@ -190,17 +172,15 @@ def reflection_inequality_check(u_field, v_field, plane: PlaneParam,
     Reports |u_lam - u|_{p,Bu}, |v_lam - v|_{p,Bv} and the smallness factors
     |u_lam|, |v_lam| restricted to both sets, with p = 2n/(n-2).  Empty sets
     give exactly zero norms (the estimates hold vacuously).  Raises
-    ValueError unless config, plane and sampler share one dimension n, and
-    unless the plane's direction is exactly e1.  Each node's weight is the
-    ring volume of its place in its node column.  When u and v are one
-    callable, each v norm and Bv_measure is its u twin and is computed once.
+    ValueError unless config, plane and sampler share one dimension n.  Each
+    node's weight is the ring volume of its place in its node column.  When
+    u and v are one callable, each v norm and Bv_measure is its u twin and
+    is computed once.
     """
     n = config.n
     if not n == plane.n == sampler.n:
         raise ValueError(f"dimensions disagree: config.n = {n}, plane.n = {plane.n}, "
                          f"sampler.n = {sampler.n}")
-    if not plane.is_axis_aligned:
-        raise ValueError("the sampler fast path requires direction e1")
     p = 2.0 * n / (n - 2.0)
     m = sampler.m
     pts, ring = sampler.nodes()
@@ -340,8 +320,6 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     (R - D)^((n+3)/2) and needs no panel of its own.  Kernel normalized as
     the inverse Laplacian.
     """
-    if not plane.is_axis_aligned:
-        raise ValueError("the quadrature fast path requires direction e1")
     x = np.asarray(x, dtype=float)
     n = config.n
     if np.max(np.abs(x[1:])) > 1e-14 or np.max(np.abs(params.center[1:])) > 1e-14:
@@ -353,7 +331,7 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
 
     lam, x1, c1 = plane.lam, x[0], params.center[0]
     D = lam - x1
-    mirror_c1 = 2.0 * lam - c1
+    mirror_c1 = _mirror(c1, lam)
     centers = [d for d in (abs(c1 - x1), abs(mirror_c1 - x1)) if d > 0.0]
     knots = sorted({0.0, D, *centers})
     radii, weights = [], []

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critsys import acceptance
+from critsys import acceptance, cli
 from critsys import bubble as bb
 from critsys import moving_plane as mp
 from critsys import potential as pot
@@ -176,6 +176,53 @@ def test_criterion_fails_a_planted_nan(monkeypatch, check, module, name, calls, 
     plant_nan(monkeypatch, module, name, calls, plant)
     ok, got = check()
     assert not ok and got.endswith(detail)
+
+
+def plant_mirror(monkeypatch, delta: float):
+    """Mirror across x1 = lam + delta wherever a plane x1 = lam is meant: every
+    moving-plane pass reads the one mirror, mp._mirror.
+    """
+    mirror = mp._mirror
+    monkeypatch.setattr(mp, "_mirror", lambda x1, lam: mirror(x1, lam + delta))
+
+
+@pytest.mark.parametrize("check, delta, detail", [
+    # 1e-9 off, the two sides part by 5.9e-10 relative, past the 1e-10 tolerance (1e-10 passes)
+    (acceptance.check_greens_identity, 1e-9, "max relative disagreement 5.869e-10"),
+    # lambda0 misses by 0.375, more than the one cell (0.3125) it may (0.2 misses by 0.125)
+    (acceptance.check_moving_plane_symmetry, 0.4,
+     "center 0.0: lambda0 -0.3750; center 1.0: lambda0 +0.6250"),
+    # 0.1 short, points of H_lam within 0.2 of the plane mirror back into H_lam, where
+    # some kernel differences turn negative
+    (acceptance.check_property_suites, -0.1, "failed: ['kernel-positivity']"),
+], ids=["greens-identity", "moving-plane-symmetry", "kernel-positivity"])
+def test_moving_plane_criterion_fails_a_shifted_mirror(monkeypatch, check, delta, detail):
+    plant_mirror(monkeypatch, delta)
+    ok, got = check()
+    assert not ok and got.startswith(detail)
+
+
+def test_gate_reports_a_criterion_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    # mirrored across lam - 0.1, the scan's emptiness is non-monotone and it raises
+    plant_mirror(monkeypatch, -0.1)
+    lines = []
+    assert not acceptance.run_all(printer=lines.append)
+    assert len(lines) == len(ALL_CRITERIA) == 12
+    assert re.fullmatch(r"\[FAIL\] moving-plane symmetry \([0-9.]+ s\): ScanInconclusive: "
+                        r"set emptiness is non-monotone across the sweep \(grid artifacts\)",
+                        lines[8])
+    assert [line[1:5] for line in lines[9:]] == ["FAIL", "PASS", "FAIL"]
+    assert cli.run(["verify-all"]) == cli.EXIT_ASSERTION
+    assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+def test_gate_lets_an_error_that_is_not_numerical_through(monkeypatch):
+    def broken():
+        raise RuntimeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [("broken", broken)])
+    with pytest.raises(RuntimeError, match="a bug"):
+        acceptance.run_all(printer=lambda line: None)
 
 
 def plant_violation(monkeypatch, target: str, third: int, offset):

@@ -240,6 +240,15 @@ def test_bad_config_is_numerical_failure(tmp_path):
     assert run(["bubble", "residual", "--config", str(cfg_path)]) == EXIT_NUMERICAL
 
 
+def test_non_integer_dimension_is_usage_error(tmp_path, capsys):
+    # refused, not truncated to n = 3, a config that the file did not ask for
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 3.7, "alpha": 2.0, "beta": 3.0}))
+    assert run(["bubble", "residual", "--config", str(cfg_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need an integer n, got n = 3.7\n"
+
+
 @pytest.mark.parametrize("argv, name, text", [
     (["bubble", "residual", "--config"], "cfg.json", '{"alpha": 2.0, "beta": 3.0}'),
     (["bubble", "residual", "--config"], "cfg.json", "[3, 2.0, 3.0]"),

@@ -68,6 +68,12 @@ class TestValidateConfig:
         cfg = ExponentConfig(3.0, 2, 3)
         assert (type(cfg.n), type(cfg.alpha), type(cfg.beta)) == (int, float, float)
 
+    @pytest.mark.parametrize("n", [3.7, 2.5, math.nan, math.inf])
+    def test_non_integer_dimension_rejected(self, n):
+        # truncated, n = 3.7 would run n = 3, a config that no caller asked for
+        with pytest.raises(ValueError, match=f"need an integer n, got n = {n}"):
+            ExponentConfig(n, 2, 3)
+
     @pytest.mark.parametrize("n,alpha,beta", [
         (3, 1, 4), (3, 2, 3), (4, 1, 2), (5, 1, 4 / 3), (4, 1.5, 1.5),
     ])

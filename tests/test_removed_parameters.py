@@ -28,8 +28,9 @@ F = np.exp(-GRID.nodes)
     lambda: shooting.solve_ivp(lambda t, y, out: np.negative(y, out=out), (0.0, 1.0),
                                np.ones(2), t_eval=[0.0, 1.0], rtol=1e-6, atol=1e-6,
                                sample_rows=1),
+    lambda: PlaneParam(0.0, np.eye(3)[0]),
 ], ids=["stencil", "tail_power", "window", "budget", "ny", "atol", "check_tol", "callback",
-        "sample_rows"])
+        "sample_rows", "direction"])
 def test_removed_parameter_is_rejected(call):
     with pytest.raises(TypeError):
         call()
@@ -41,6 +42,7 @@ def test_removed_names_are_gone():
     assert not hasattr(errors, "QuadratureBudgetExceeded")
     assert not hasattr(errors, "ToleranceNotMet")
     assert not hasattr(RadialGrid, "coarsened")
+    assert not hasattr(PlaneParam, "is_axis_aligned")
     assert isinstance(core.lp_norm_radial(F, GRID, 2.0, 3), float)
 
 
@@ -55,6 +57,7 @@ def test_removed_names_are_gone():
     (shooting, "ordering_term"),
     (shooting, "SweepRow"),
     (acceptance, "_sweep_rows"),
+    (moving_plane, "_e1"),
 ])
 def test_deleted_function_is_gone(module, name):
     assert not hasattr(module, name)
