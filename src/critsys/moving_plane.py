@@ -69,7 +69,7 @@ class CartesianSampler:
     """Axisymmetric midpoint sampler on [-L, L] x [0, L] in (x1, rho).
 
     Each node carries the volume of its cell of revolution, so sums of
-    weights are grid measures in R^n.
+    weights are grid measures in R^n.  n >= 3 and m >= 8 are integers.
     """
 
     L: float
@@ -79,6 +79,10 @@ class CartesianSampler:
     def __post_init__(self):
         if not self.L > 0.0:
             raise ValueError(f"need L > 0, got {self.L}")
+        object.__setattr__(self, "n", as_dimension(self.n))
+        if not float(self.m).is_integer():
+            raise ValueError(f"need an integer m, got m = {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         if self.m < 8:
             raise ValueError("need m >= 8 nodes per axis")
         if self.m * self.m > SAMPLER_BUDGET:

@@ -109,11 +109,10 @@ def picard_step(profile: RadialProfilePair,
     fu, fv = config.forcing(profile.u, profile.v)
     new_u, du = newton_potential_radial(fu, profile.grid, config.n)
     new_v, dv = newton_potential_radial(fv, profile.grid, config.n)
-    sup = max(np.max(new_u), np.max(new_v))
-    if sup > BLOWUP_SUP:
+    sup = np.max([new_u, new_v])  # one np.max over u and v keeps a NaN, which fails too
+    if not sup <= BLOWUP_SUP:
         raise IterateBlowup(f"iterate sup-norm {sup:.3e} exceeds {BLOWUP_SUP:.0e}")
-    residual = max(float(np.max(np.abs(new_u - profile.u))),
-                   float(np.max(np.abs(new_v - profile.v))))
+    residual = float(np.max(np.abs([new_u - profile.u, new_v - profile.v])))
     return RadialProfilePair(profile.grid, new_u, new_v, du, dv), residual
 
 

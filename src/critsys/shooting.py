@@ -92,8 +92,8 @@ class IntegralIdentityReport:
 
     @property
     def max_abs_gap(self) -> float:
-        return float(max(np.max(np.abs(self.lhs_u - self.rhs_u)),
-                         np.max(np.abs(self.lhs_v - self.rhs_v))))
+        """The largest |lhs - rhs| of u and v; NaN if either side holds one."""
+        return float(np.max(np.abs([self.lhs_u - self.rhs_u, self.lhs_v - self.rhs_v])))
 
 
 # Dormand-Prince 5(4) tableau, error weights and dense-output matrix as scipy's RK45 has them
@@ -296,14 +296,14 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
     u, v, u' and v' are each a block of k, and error control is the RMS over
     the whole stack.  A column that fails (u or v reaches zero) keeps being
     integrated with the clamped RHS, so every solve samples every node.
-    Returns the nodes up to r_max and the keyword arguments of solve_ivp.
-    Raises ValueError unless the shots share config, r_max and tol, if no
-    grid is given and r_max is at or below the default grid's r0, if the
-    grid ends before r_max or has fewer than 3 nodes up to it, and
-    GridTooCoarse if a column's series start at the first node already has
-    u or v <= 0, or a slope that RadialProfilePair would refuse as too steep
-    for a regular origin (large u0, v0 for that node): the first has no
-    positive sample, so no zero to bracket, and the second no profile.
+    Returns the grid, which ends at r_max, and the keyword arguments of
+    solve_ivp.  Raises ValueError unless the shots share config, r_max and
+    tol, if no grid is given and r_max is at or below the default grid's r0,
+    if a given grid does not end at r_max, and GridTooCoarse if a column's
+    series start at the first node already has u or v <= 0, or a slope that
+    RadialProfilePair would refuse as too steep for a regular origin (large
+    u0, v0 for that node): the first has no positive sample, so no zero to
+    bracket, and the second no profile.
     """
     if not inputs:
         raise ValueError("need at least one shot")
@@ -319,46 +319,41 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
                              f"r_max > r0, got r_max = {first.r_max:g}; pass a grid that "
                              f"starts nearer the origin")
         grid = RadialGrid.geometric(rmax=first.r_max)
-    if grid.rmax < first.r_max:
-        raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, before r_max = {first.r_max:g}")
-    nodes = grid.nodes[grid.nodes <= first.r_max]
-    if len(nodes) < 3:  # RadialProfilePair's minimum
-        raise ValueError(f"the grid has {len(nodes)} nodes from r0 = {grid.r0:g} to "
-                         f"r_max = {first.r_max:g}, fewer than 3")
+    if grid.rmax != first.r_max:
+        raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, not at r_max = "
+                         f"{first.r_max:g}: a shot samples its whole grid")
     start = _taylor_start(cfg, np.array([inp.u0 for inp in inputs]),
-                          np.array([inp.v0 for inp in inputs]), nodes[0])
+                          np.array([inp.v0 for inp in inputs]), grid.r0)
     u, v, du, dv = start
     with np.errstate(over="ignore"):  # a bound that overflows to +-inf compares the right way
-        unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(nodes[0], u, v, du, dv)
+        unfit = (np.minimum(u, v) <= 0.0) | steep_at_origin(grid.r0, u, v, du, dv)
     # a non-finite start is left to the solver, which refuses it
     bad = np.flatnonzero(unfit & np.isfinite(start).all(axis=0))
     if bad.size:
         raise GridTooCoarse(
-            f"the series start at r0 = {nodes[0]:g} has u or v <= 0 or too steep a slope "
+            f"the series start at r0 = {grid.r0:g} has u or v <= 0 or too steep a slope "
             f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
-    return nodes, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta, len(inputs)),
-                       t_span=(nodes[0], first.r_max), y0=start.reshape(2, 2, -1), t_eval=nodes,
-                       rtol=first.tol, atol=first.tol)
+    return grid, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta, len(inputs)),
+                      t_span=(grid.r0, grid.rmax), y0=start.reshape(2, 2, -1), t_eval=grid.nodes,
+                      rtol=first.tol, atol=first.tol)
 
 
 def _failed(uv: np.ndarray) -> np.ndarray:
-    """The (k, N) mask of each column's nodes from its first with min(u, v) <= 0 on.
+    """Each column's first node with min(u, v) <= 0, or N if it has none.
 
-    ``uv`` holds the u and v rows of the k columns first.  Each column's
-    first failing node is an argmax, and the mask one compare of the node
-    indices against them; NaN never fails a node.  Every result is zero
-    under the mask.
+    ``uv`` holds the u and v rows of the k columns first, each of N nodes.
+    Returns a (k,) index; NaN never fails a node.  A column is zero from
+    its index on.
     """
     failed = np.minimum(uv[0], uv[1]) <= 0.0
-    first = np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
-    return np.arange(failed.shape[1]) >= first[:, None]
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
 
 
 def _solve_batch(system: dict):
     """Integrate the k shots of a _batch_system as one RK45 system out to r_max.
 
-    Returns the (4, k, len(nodes)) samples of u, v, u' and v', their
-    _failed mask and the solver's nfev.
+    Returns the (4, k, N) samples of u, v, u' and v', their _failed index
+    and the solver's nfev.
     """
     sol = solve_ivp(**system)
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
@@ -367,14 +362,14 @@ def _solve_batch(system: dict):
     return samples, _failed(samples), sol.nfev
 
 
-def _profiles(nodes: np.ndarray, samples: np.ndarray,
+def _profiles(grid: RadialGrid, samples: np.ndarray,
               failed: np.ndarray) -> list[RadialProfilePair]:
-    """One profile per column of the (4, k, N) samples, zero where ``failed``.
+    """One profile on ``grid`` per column of the (4, k, N) samples, zero from its _failed index.
 
     Zero-fills the solver's samples in place (no second copy of the batch).
     """
-    grid = RadialGrid(nodes)
-    np.copyto(samples, 0.0, where=failed)
+    for j, m in enumerate(failed):
+        samples[:, j, m:] = 0.0
     u, v, du, dv = samples
     return [RadialProfilePair(grid, u[j], v[j], du[j], dv[j]) for j in range(len(failed))]
 
@@ -383,12 +378,13 @@ def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
     """Solve k shots sharing config, r_max and tol as one system out to r_max.
 
-    A trajectory whose u or v hits zero is zero from its first nonpositive
-    node on (flag available through classify_batch()).
+    A given grid must end at r_max.  A trajectory whose u or v hits zero is
+    zero from its first nonpositive node on (flag available through
+    classify_batch()).
     """
-    nodes, system = _batch_system(inputs, grid)
+    grid, system = _batch_system(inputs, grid)
     samples, failed, _ = _solve_batch(system)
-    return _profiles(nodes, samples, failed)
+    return _profiles(grid, samples, failed)
 
 
 def integrate_radial(inp: ShootInput, grid: RadialGrid | None = None) -> RadialProfilePair:
@@ -448,41 +444,36 @@ def classify_batch(inputs: list[ShootInput],
     the solve, if the grid starts above r_max / 10, where that decade is not
     sampled.
     """
-    nodes, system = _batch_system(inputs, grid)
-    r_max = inputs[0].r_max
-    if not nodes[0] <= r_max / 10.0:
-        raise ValueError(f"the grid starts at r0 = {nodes[0]}, above r_max / 10 for "
+    grid, system = _batch_system(inputs, grid)
+    nodes, r_max = grid.nodes, grid.rmax
+    if not grid.r0 <= r_max / 10.0:
+        raise ValueError(f"the grid starts at r0 = {grid.r0}, above r_max / 10 for "
                          f"r_max = {r_max}: a bound state is read over the last decade "
                          f"[r_max / 10, r_max], so r_max must be at least 10 r0")
+    last_decade = nodes >= r_max / 10.0
+    decade_weight = nodes[last_decade] ** (inputs[0].config.n - 2)  # r^(n-2) there
     samples, failed, nfev = _solve_batch(system)
-    k = len(inputs)
-    n = inputs[0].config.n
-    positive = len(nodes) - failed.sum(axis=1)  # each column's samples before its first zero
     zeros = {j: _hermite_zero(nodes[m - 1], nodes[m], samples[:, j, m - 1], samples[:, j, m])
-             for j, m in enumerate(positive) if m < len(nodes)}  # before _profiles zero-fills
+             for j, m in enumerate(failed) if m < len(nodes)}  # before _profiles zero-fills
     outcomes = []
-    for j, (inp, prof) in enumerate(zip(inputs, _profiles(nodes, samples, failed))):
+    for j, (inp, prof) in enumerate(zip(inputs, _profiles(grid, samples, failed))):
         crossing = _first_crossing(nodes, prof.u, prof.v)
-        diagnostics = {"u0": inp.u0, "v0": inp.v0,
-                       "r_reached": float(nodes[positive[j] - 1]),
-                       "nfev": nfev, "batch": k}
+        diagnostics = {"u0": inp.u0, "v0": inp.v0, "r_reached": float(nodes[failed[j] - 1]),
+                       "nfev": nfev, "batch": len(inputs)}
         if j in zeros:  # a component reached zero
             which, at_r = zeros[j]
-            outcomes.append(ShootOutcome(Kind.POSITIVITY_FAILURE, prof, which=which,
-                                         at_r=at_r, crossing_r=crossing,
-                                         diagnostics=diagnostics))
+            outcomes.append(ShootOutcome(Kind.POSITIVITY_FAILURE, prof, which=which, at_r=at_r,
+                                         crossing_r=crossing, diagnostics=diagnostics))
             continue
 
-        last_decade = nodes >= inp.r_max / 10.0
         plateau = True
         for comp in (prof.u, prof.v):
-            w = nodes[last_decade] ** (n - 2) * comp[last_decade]
+            w = decade_weight * comp[last_decade]
             spread = (np.max(w) - np.min(w)) / max(np.mean(np.abs(w)), 1e-300)
             diagnostics.setdefault("plateau_spread", []).append(float(spread))
             plateau &= spread < DECAY_PLATEAU_RTOL
         kind = Kind.BOUND_STATE if plateau else Kind.NO_DECAY
-        outcomes.append(ShootOutcome(kind, prof,
-                                     at_r=None if plateau else float(inp.r_max),
+        outcomes.append(ShootOutcome(kind, prof, at_r=None if plateau else r_max,
                                      crossing_r=crossing, diagnostics=diagnostics))
     return outcomes
 

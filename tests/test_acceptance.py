@@ -12,7 +12,8 @@ from critsys import moving_plane as mp
 from critsys import potential as pot
 from critsys import shooting as sh
 from critsys.acceptance import ALL_CRITERIA
-from critsys.core import RadialGrid
+from critsys.core import ExponentConfig, RadialGrid
+from critsys.errors import IterateBlowup
 
 
 @pytest.mark.parametrize("name,check", ALL_CRITERIA,
@@ -176,6 +177,88 @@ def test_criterion_fails_a_planted_nan(monkeypatch, check, module, name, calls, 
     plant_nan(monkeypatch, module, name, calls, plant)
     ok, got = check()
     assert not ok and got.endswith(detail)
+
+
+def test_nan_in_the_v_forcing_fails_identity_and_picard(monkeypatch):
+    # NaN in u^beta v^alpha, the v equation's forcing, at node 100 of every array of grid
+    # length; folded with Python's max(u side, nan), which returns the u side, both criteria
+    # passed (gap 4.416e-06, residual 8.076e-06)
+    forcing = ExponentConfig.forcing
+
+    def planted(self, u, v):
+        fu, fv = forcing(self, u, v)
+        if np.size(fv) >= 1000:
+            fv = np.array(fv)
+            fv[100] = np.nan
+        return fu, fv
+
+    monkeypatch.setattr(ExponentConfig, "forcing", planted)
+    assert acceptance.check_integral_identity() == (
+        False, "gap nan (tol 1e-5), refinement factor nan (>= 3.5)")
+    with pytest.raises(IterateBlowup, match="sup-norm nan"):
+        acceptance.check_picard_fixed_point()
+    lines = []
+    assert not acceptance.run_all(printer=lines.append)
+    assert lines[5].startswith("[FAIL] integral identity ")
+    assert re.fullmatch(r"\[FAIL\] picard fixed point \([0-9.]+ s\): IterateBlowup: "
+                        r"iterate sup-norm nan exceeds 1e\+06", lines[7])
+
+
+def plant_trapezoid(monkeypatch, delta: float):
+    """Scale every cumulative trapezoid of the potential by 1 + delta: the Newtonian
+    potential, its derivative, and so the nested integrals of the integral identity.
+    """
+    trapezoid = pot.cumulative_trapezoid
+    monkeypatch.setattr(pot, "cumulative_trapezoid", lambda y, x: trapezoid(y, x) * (1 + delta))
+
+
+@pytest.mark.parametrize("check, delta, ok, detail", [
+    # at 1e-6 the gap (5.6e-6) is within 1e-5, but the refinement factor falls below 3.5
+    (acceptance.check_integral_identity, 1e-6, False,
+     "gap 5.601e-06 (tol 1e-5), refinement factor 2.45"),
+    (acceptance.check_integral_identity, 1e-7, True, "gap 4.534e-06 (tol 1e-5), "),
+    (acceptance.check_newton_potential, 1e-5, False, "u(0) error 5.000e-06, exterior error "),
+    (acceptance.check_newton_potential, 1e-6, True, "u(0) error 5.005e-07, exterior error "),
+    # the bubble's own quadrature residual, 8.1e-6, is 12 times below the 1e-4 tolerance
+    (acceptance.check_picard_fixed_point, 1e-4, False, "residual 1.389e-04 (tol 1e-4)"),
+    (acceptance.check_picard_fixed_point, 1e-5, True, "residual 2.044e-05 (tol 1e-4)"),
+], ids=["identity-1e-6", "identity-1e-7", "potential-1e-5", "potential-1e-6", "picard-1e-4",
+        "picard-1e-5"])
+def test_quadrature_criterion_resolution(monkeypatch, check, delta, ok, detail):
+    # the smallest scaled quadrature each criterion catches, and the next one it misses
+    plant_trapezoid(monkeypatch, delta)
+    got_ok, got = check()
+    assert bool(got_ok) is ok and got.startswith(detail)
+
+
+def swap_exponents(make):
+    return lambda n, alpha, beta, k: make(n, beta, alpha, k)
+
+
+def scale_alpha(eps: float):
+    return lambda make: lambda n, alpha, beta, k: make(n, alpha * (1 + eps), beta, k)
+
+
+_WITNESS = ("0.5:PositivityFailure, 0.8:PositivityFailure, 0.9:PositivityFailure, 1.0:{}, "
+            "1.1:PositivityFailure, 1.25:PositivityFailure, 2.0:PositivityFailure")
+
+
+@pytest.mark.parametrize("plant, ok, table", [
+    # alpha and beta swapped in the solver: every ratio reads BoundState
+    (swap_exponents, False, ", ".join(f"{rho}:BoundState" for rho in acceptance._SWEEP_RATIOS)),
+    # an off-critical alpha: the diagonal shot no longer decays like r^(2-n)
+    (scale_alpha(1e-4), False, _WITNESS.format("NoDecay")),
+    (scale_alpha(1e-6), True, _WITNESS.format("BoundState")),
+], ids=["swap", "alpha-1e-4", "alpha-1e-6"])
+def test_uniqueness_witness_resolution(monkeypatch, plant, ok, table):
+    # the gate's shared batch is solved again under the plant and restored after it
+    monkeypatch.setattr(acceptance, "_sweep_cache", None)
+    monkeypatch.setattr(sh, "_rhs", plant(sh._rhs))
+    assert acceptance.check_uniqueness_witness() == (ok, table)
+    if plant is swap_exponents:
+        # u^a v^b > u^b v^a holds for any 0 < u < v when a < b, so the sign lemma reads
+        # the swapped shots and still passes
+        assert acceptance.check_sign_lemma() == (True, "12000 ordered nodes, 0 violations")
 
 
 def plant_mirror(monkeypatch, delta: float):

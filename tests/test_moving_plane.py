@@ -125,6 +125,24 @@ class TestExceedanceSets:
             _, w = CartesianSampler(L=L, m=64, n=n).nodes()
         assert np.all(np.isfinite(w))
 
+    @pytest.mark.parametrize("kw, error, match", [
+        ({"n": 3.5}, ValueError, "need an integer n, got n = 3.5"),
+        ({"n": 2}, DimensionTooSmall, "need n >= 3, got n = 2"),
+        ({"m": 64.5}, ValueError, "need an integer m, got m = 64.5"),
+        ({"m": np.nan}, ValueError, "need an integer m, got m = nan"),
+    ], ids=["n-fraction", "n-two", "m-fraction", "m-nan"])
+    def test_dimension_and_count_refused_unless_integers(self, kw, error, match):
+        # the integer-dimension rule of ExponentConfig and PlaneParam; these were built
+        # and failed later in nodes() with numpy's TypeError (n = 2 built a 2-D sampler)
+        with pytest.raises(error, match=match):
+            CartesianSampler(**{"L": 10.0, "m": 64, **kw})
+
+    def test_integral_floats_stored_as_ints(self, sampler):
+        s = CartesianSampler(L=10.0, m=64.0, n=3.0)
+        assert (s.m, s.n) == (64, 3) and type(s.m) is int and type(s.n) is int
+        for got, want in zip(s.nodes(), sampler.nodes()):
+            assert np.array_equal(got, want)
+
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("m", [8, 64])

@@ -204,6 +204,15 @@ class TestPicard:
         with pytest.raises(IterateBlowup):
             list(picard_iterate(prof, CFG, max_steps=10))
 
+    def test_nan_iterate_is_a_blowup(self):
+        # a NaN never compares greater than BLOWUP_SUP, and Python's max can drop it
+        grid = RadialGrid.default()
+        prof = bubble_profile(make_bubble(CFG, t=1.0), grid)
+        v = prof.v.copy()
+        v[100] = np.nan
+        with pytest.raises(IterateBlowup, match="sup-norm nan"):
+            picard_step(RadialProfilePair(grid, prof.u, v, prof.du, prof.dv), CFG)
+
 
 class TestLogStep:
     @pytest.mark.parametrize("grid, q", [

@@ -15,6 +15,7 @@ from critsys.errors import (
     StepSizeUnderflow,
 )
 from critsys.shooting import (
+    IntegralIdentityReport,
     Kind,
     ShootInput,
     check_integral_identity,
@@ -314,25 +315,24 @@ class TestBatch:
         assert all(out.diagnostics["batch"] == 5 for out in outcomes)
 
     def test_zero_fill_is_the_node_by_node_rule(self):
-        # a column is failed from its first node with min(u, v) <= 0 on, even where u
-        # and v are positive again, and NaN never fails a node
+        # a column fails at its first node with min(u, v) <= 0, even where u and v are
+        # positive again later, or at 12 (no node) if it has none; NaN never fails a node
         rng = np.random.default_rng(5)
         for _ in range(50):
             uv = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], size=(2, 6, 12),
                             p=[0.05, 0.05, 0.4, 0.4, 0.1])
-            whole = shooting._failed(uv)
+            index = shooting._failed(uv)
+            assert index.shape == (6,)
             for j in range(6):
                 m = np.minimum(uv[0, j], uv[1, j]) <= 0.0
-                first = int(np.argmax(m)) if m.any() else 12
-                assert np.array_equal(whole[j], np.arange(12) >= first)
+                assert index[j] == (int(np.argmax(m)) if m.any() else 12)
 
     @pytest.mark.parametrize("r_max, grid, match", [
-        (1e4, RadialGrid.geometric(rmax=100.0), "rmax = 100, before r_max = 10000"),
-        (1e4, RadialGrid.geometric(rmax=5000.0), "rmax = 5000, before r_max = 10000"),
+        (1e4, RadialGrid.geometric(rmax=100.0), "rmax = 100, not at r_max = 10000"),
+        (1e4, RadialGrid.geometric(rmax=5000.0), "rmax = 5000, not at r_max = 10000"),
         # r_max before the first node, and r_max after it but before the second
-        (5e-5, RadialGrid.geometric(1e-4, 10.0, 100), "0 nodes from r0 = 0.0001 to r_max = 5e-05"),
-        (1.05e-4, RadialGrid.geometric(1e-4, 10.0, 100),
-         "1 nodes from r0 = 0.0001 to r_max = 0.000105"),
+        (5e-5, RadialGrid.geometric(1e-4, 10.0, 100), "rmax = 10, not at r_max = 5e-05"),
+        (1.05e-4, RadialGrid.geometric(1e-4, 10.0, 100), "rmax = 10, not at r_max = 0.000105"),
     ], ids=["rmax-100", "rmax-5000", "before-r0", "one-node"])
     def test_grid_ending_before_r_max_refused(self, r_max, grid, match, monkeypatch):
         # refused before any solve, naming both radii
@@ -342,6 +342,20 @@ class TestBatch:
             with pytest.raises(ValueError, match=match):
                 shoot(inp, grid)
         assert sols == []
+
+    def test_grid_running_past_r_max_refused(self, monkeypatch):
+        # a shot samples its whole grid: the default grid, which ends at 1e4, does not
+        # serve r_max = 50; refused before any solve, naming both radii
+        sols = record_solves(monkeypatch)
+        inp = ShootInput(CFG, 1.0, 2.0, r_max=50.0)
+        for shoot in (classify, integrate_radial):
+            with pytest.raises(ValueError, match="rmax = 10000, not at r_max = 50"):
+                shoot(inp, RadialGrid.default())
+        assert sols == []
+        # the grid that ends at 50 serves it, and every profile shares that grid object
+        grid = RadialGrid.geometric(rmax=50.0)
+        assert classify(inp, grid).profile.grid is grid
+        assert integrate_radial(inp, grid).grid is grid
 
     @pytest.mark.parametrize("r_max", [1.000001e-6, 2e-6, 9.999e-6])
     def test_classify_needs_the_last_decade(self, r_max, monkeypatch):
@@ -479,6 +493,15 @@ class TestIntegralIdentity:
         rep = check_integral_identity(prof, CFG, [1.0])
         # lhs = 0 but the nested integral of 1 is r^2/(2n) > 0
         assert rep.max_abs_gap == pytest.approx(1.0 / 6.0, rel=1e-2)
+
+    @pytest.mark.parametrize("side", ["lhs_u", "rhs_v"])
+    def test_a_nan_on_either_side_is_the_gap(self, side):
+        # Python's max(u gap, nan) returns the u gap: a NaN only in v read 0.0
+        arrays = {name: np.zeros(3) for name in ("r_checked", "lhs_u", "rhs_u", "lhs_v", "rhs_v")}
+        arrays["lhs_v"][2] = 0.5
+        assert IntegralIdentityReport(**arrays).max_abs_gap == 0.5
+        arrays[side][1] = np.nan
+        assert np.isnan(IntegralIdentityReport(**arrays).max_abs_gap)
 
     def test_empty_radii_refused(self):
         prof = bubble_profile(UNIT, RadialGrid.geometric(num=1000))
