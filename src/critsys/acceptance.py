@@ -126,7 +126,7 @@ def check_newton_potential() -> tuple[bool, str]:
     grid = RadialGrid(nodes[np.concatenate(([True], np.diff(nodes) > 0.0))])
     f = (grid.nodes <= 1.0).astype(float)
     u, _ = pot.newton_potential_radial(f, grid, 3)
-    err0 = abs(u[0] - 0.5)
+    err0 = float(abs(u[0] - 0.5))
     mass = 1.0 / 3.0
     ext = grid.nodes > 1.0
     err_ext = float(np.max(np.abs(u[ext] - mass / grid.nodes[ext])))
@@ -178,7 +178,7 @@ def check_hls_invariance() -> tuple[bool, str]:
     fs = [bb.eval_bubble_radial(bb.make_bubble(_CFG, t=t), grid.nodes) ** 5
           for t in (0.5, 1.0, 2.0)]
     vals = [pot.hls_functional(f, f, grid, kernel, 6.0 / 5.0, 6.0 / 5.0) for f in fs]
-    spread = (max(vals) - min(vals)) / np.mean(vals)
+    spread = float((max(vals) - min(vals)) / np.mean(vals))
     f, base = fs[1], vals[1]  # t = 1
     hom = float(np.max([abs(pot.hls_functional(c1 * f, c2 * f, grid, kernel,
                                                6.0 / 5.0, 6.0 / 5.0) - base)

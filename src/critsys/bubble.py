@@ -6,6 +6,7 @@ pair (phi, phi) solves the coupled system for any critical (alpha, beta).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ class BubbleParams:
             raise NonpositiveScale(f"need t > 0, got {self.t}")
         if not self.c > 0.0:
             raise NonpositiveScale(f"need c > 0, got {self.c}")
+        # every evaluation forms t^2; t * t overflows to inf where t ** 2 would raise
+        if not math.isfinite(self.t * self.t):
+            raise ValueError(f"need a finite t whose square is finite, got t = {self.t}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"need a finite c, got {self.c}")
 
     @property
     def n(self) -> int:

@@ -21,6 +21,7 @@ import json
 # the package keeps that import out of the first command run
 import locale  # noqa: F401
 import math
+import re
 import sys
 
 import numpy as np
@@ -346,6 +347,15 @@ _COMMANDS = [
 _GROUPS = {"bubble": "the exact solution family", "mp": "moving-plane scans and checks"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads -1e-3 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own negative-number pattern has no exponent: "--x -1e-3" read as two options
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process.
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     Each parse_args call returns a new Namespace and every default is
     immutable, so what a run writes to its args never reaches the next run.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critsys", description="Solve and verify the critical-exponent elliptic system")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -289,39 +289,38 @@ def _taylor_start(cfg: ExponentConfig, u0: np.ndarray, v0: np.ndarray, r0: float
                      -fu * r0 / cfg.n, -fv * r0 / cfg.n])
 
 
-def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
-    """The checked RK45 system of k shots sharing config, r_max and tol.
+def _solve(inputs: list[ShootInput], grid: RadialGrid | None):
+    """Solve k shots sharing config, r_max and tol as one RK45 system out to r_max.
 
-    The state (u, v, u', v') has shape (2, 2, k) (see _rhs), so flattened
-    u, v, u' and v' are each a block of k, and error control is the RMS over
-    the whole stack.  A column that fails (u or v reaches zero) keeps being
-    integrated with the clamped RHS, so every solve samples every node.
-    Returns the grid, which ends at r_max, and the keyword arguments of
-    solve_ivp.  Raises ValueError unless the shots share config, r_max and
-    tol, if no grid is given and r_max is at or below the default grid's r0,
-    if a given grid does not end at r_max, and GridTooCoarse if a column's
-    series start at the first node already has u or v <= 0, or a slope that
-    RadialProfilePair would refuse as too steep for a regular origin (large
-    u0, v0 for that node): the first has no positive sample, so no zero to
-    bracket, and the second no profile.
+    The state (u, v, u', v') has shape (2, 2, k) (see _rhs), so error control
+    is the RMS over the whole stack.  A column that fails (u or v reaches
+    zero) keeps being integrated with the clamped RHS, so every solve samples
+    every node.  Returns the grid, which ends at r_max, the (4, k, N) samples
+    of u, v, u' and v', their _failed index and the solver's nfev.
+
+    Raises before any solve: ValueError unless the shots share config, r_max
+    and tol, if a given grid does not end at r_max, or if the grid (from
+    DEFAULT_R0 when none is given) starts above r_max / 10, so that it misses
+    the last decade; GridTooCoarse if a column's series start at the first
+    node has u or v <= 0 (no zero to bracket) or a slope too steep for a
+    regular origin (no profile): u0, v0 too large for that node.
     """
     if not inputs:
         raise ValueError("need at least one shot")
     first = inputs[0]
-    shared = (first.config, first.r_max, first.tol)
-    if any((inp.config, inp.r_max, inp.tol) != shared for inp in inputs):
+    cfg, r_max, tol = first.config, first.r_max, first.tol
+    if any((inp.config, inp.r_max, inp.tol) != (cfg, r_max, tol) for inp in inputs):
         raise ValueError("shots of a batch must share config, r_max and tol")
-    cfg = first.config
-    if grid is None:
-        # the Taylor handoff sits at the first node DEFAULT_R0: (n-1)/r is singular at 0
-        if not first.r_max > DEFAULT_R0:
-            raise ValueError(f"the default grid starts at r0 = {DEFAULT_R0:g}, so it needs "
-                             f"r_max > r0, got r_max = {first.r_max:g}; pass a grid that "
-                             f"starts nearer the origin")
-        grid = RadialGrid.geometric(rmax=first.r_max)
-    if grid.rmax != first.r_max:
+    if grid is not None and grid.rmax != r_max:
         raise ValueError(f"the grid ends at rmax = {grid.rmax:g}, not at r_max = "
-                         f"{first.r_max:g}: a shot samples its whole grid")
+                         f"{r_max:g}: a shot samples its whole grid")
+    # the Taylor handoff sits at the first node: (n-1)/r is singular at 0
+    r0 = DEFAULT_R0 if grid is None else grid.r0
+    if not r0 <= r_max / 10.0:
+        raise ValueError(f"the grid starts at r0 = {r0}, above r_max / 10 for r_max = {r_max}: "
+                         f"a shot's decay is read over its last decade [r_max / 10, r_max], "
+                         f"so r_max must be at least 10 r0")
+    grid = RadialGrid.geometric(rmax=r_max) if grid is None else grid
     start = _taylor_start(cfg, np.array([inp.u0 for inp in inputs]),
                           np.array([inp.v0 for inp in inputs]), grid.r0)
     u, v, du, dv = start
@@ -333,9 +332,12 @@ def _batch_system(inputs: list[ShootInput], grid: RadialGrid | None):
         raise GridTooCoarse(
             f"the series start at r0 = {grid.r0:g} has u or v <= 0 or too steep a slope "
             f"in columns {bad.tolist()}: u0, v0 this large need a smaller first node")
-    return grid, dict(fun=_rhs(cfg.n, cfg.alpha, cfg.beta, len(inputs)),
-                      t_span=(grid.r0, grid.rmax), y0=start.reshape(2, 2, -1), t_eval=grid.nodes,
-                      rtol=first.tol, atol=first.tol)
+    sol = solve_ivp(_rhs(cfg.n, cfg.alpha, cfg.beta, len(inputs)), (grid.r0, grid.rmax),
+                    y0=start.reshape(2, 2, -1), t_eval=grid.nodes, rtol=tol, atol=tol)
+    if sol.status == -1:  # RK45's only failure: the step size fell below its floor
+        raise StepSizeUnderflow(sol.message)
+    samples = sol.y.reshape(4, len(inputs), -1)
+    return grid, samples, _failed(samples), sol.nfev
 
 
 def _failed(uv: np.ndarray) -> np.ndarray:
@@ -347,19 +349,6 @@ def _failed(uv: np.ndarray) -> np.ndarray:
     """
     failed = np.minimum(uv[0], uv[1]) <= 0.0
     return np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
-
-
-def _solve_batch(system: dict):
-    """Integrate the k shots of a _batch_system as one RK45 system out to r_max.
-
-    Returns the (4, k, N) samples of u, v, u' and v', their _failed index
-    and the solver's nfev.
-    """
-    sol = solve_ivp(**system)
-    if sol.status == -1:  # RK45's only failure: the step size fell below its floor
-        raise StepSizeUnderflow(sol.message)
-    samples = sol.y.reshape(4, system["y0"].shape[-1], -1)
-    return samples, _failed(samples), sol.nfev
 
 
 def _profiles(grid: RadialGrid, samples: np.ndarray,
@@ -378,12 +367,11 @@ def integrate_radial_batch(inputs: list[ShootInput],
                            grid: RadialGrid | None = None) -> list[RadialProfilePair]:
     """Solve k shots sharing config, r_max and tol as one system out to r_max.
 
-    A given grid must end at r_max.  A trajectory whose u or v hits zero is
-    zero from its first nonpositive node on (flag available through
-    classify_batch()).
+    A given grid must end at r_max and start at or below r_max / 10 (see
+    _solve).  A trajectory whose u or v hits zero is zero from its first
+    nonpositive node on (flag available through classify_batch()).
     """
-    grid, system = _batch_system(inputs, grid)
-    samples, failed, _ = _solve_batch(system)
+    grid, samples, failed, _ = _solve(inputs, grid)
     return _profiles(grid, samples, failed)
 
 
@@ -440,19 +428,13 @@ def classify_batch(inputs: list[ShootInput],
     Priority: PositivityFailure if a component reaches zero, else BoundState
     if r^(n-2)u and r^(n-2)v both plateau over the last decade, else NoDecay.
     The zero radius ``at_r`` is the cubic-Hermite root on the two nodes that
-    bracket the column's first nonpositive sample.  Raises ValueError, before
-    the solve, if the grid starts above r_max / 10, where that decade is not
-    sampled.
+    bracket the column's first nonpositive sample.  The grid is checked as in
+    integrate_radial_batch.
     """
-    grid, system = _batch_system(inputs, grid)
+    grid, samples, failed, nfev = _solve(inputs, grid)
     nodes, r_max = grid.nodes, grid.rmax
-    if not grid.r0 <= r_max / 10.0:
-        raise ValueError(f"the grid starts at r0 = {grid.r0}, above r_max / 10 for "
-                         f"r_max = {r_max}: a bound state is read over the last decade "
-                         f"[r_max / 10, r_max], so r_max must be at least 10 r0")
     last_decade = nodes >= r_max / 10.0
     decade_weight = nodes[last_decade] ** (inputs[0].config.n - 2)  # r^(n-2) there
-    samples, failed, nfev = _solve_batch(system)
     zeros = {j: _hermite_zero(nodes[m - 1], nodes[m], samples[:, j, m - 1], samples[:, j, m])
              for j, m in enumerate(failed) if m < len(nodes)}  # before _profiles zero-fills
     outcomes = []

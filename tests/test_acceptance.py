@@ -228,7 +228,20 @@ def test_quadrature_criterion_resolution(monkeypatch, check, delta, ok, detail):
     # the smallest scaled quadrature each criterion catches, and the next one it misses
     plant_trapezoid(monkeypatch, delta)
     got_ok, got = check()
-    assert bool(got_ok) is ok and got.startswith(detail)
+    assert got_ok is ok and got.startswith(detail)
+
+
+def test_every_criterion_returns_a_python_bool(monkeypatch):
+    # a numpy bool prints as PASS or FAIL too, but is never `ok is False`; the
+    # potential's and the t-spread's comparisons read numpy floats, and when they failed
+    # their `and` returned np.False_
+    for name, check in ALL_CRITERIA:
+        assert type(check()[0]) is bool, name
+    plant_nan(monkeypatch, pot, "hls_functional", {1}, lambda r: r * 1.001)
+    ok, detail = acceptance.check_hls_invariance()
+    assert ok is False and detail.startswith("t-spread 9.997e-04 (tol 1e-4)")
+    plant_trapezoid(monkeypatch, 1e-5)
+    assert acceptance.check_newton_potential()[0] is False
 
 
 def swap_exponents(make):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ class TestMakeBubble:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(NonpositiveScale):
             BubbleParams(center=np.zeros(3), t=1.0, c=-1.0)
+
+    @pytest.mark.parametrize("t", [1e155, 1e200, np.inf])
+    def test_scale_whose_square_is_not_finite_rejected(self, t):
+        # t ** 2 raised OverflowError at 1e155, and t = inf evaluated to NaN
+        with pytest.raises(ValueError, match=re.escape(f"got t = {t}")):
+            make_bubble(cfg_for(3), t=t)
+        assert make_bubble(cfg_for(3), t=1e150).t == 1e150
+
+    def test_infinite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="need a finite c, got inf"):
+            BubbleParams(center=np.zeros(3), t=1.0, c=np.inf)
 
 
 class TestEvalBubble:

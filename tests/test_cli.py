@@ -373,6 +373,41 @@ def test_flag_type_error_names_the_rule(argv, reason, capsys):
     assert "invalid" not in err
 
 
+@pytest.mark.parametrize("line", [
+    "picard --perturb=-1e-3 --steps 1",
+    "mp scan --lmin=-2e0",
+    "mp scan --center=-5e-1 --lmin=-3",
+    "mp identity --x=-1e0",
+    "mp identity --center 1 --lam 0.5 --x=-5E-1",
+    "mp check --center=-.5e1 --lam=-5e+0 --m 16",
+])
+def test_negative_number_with_an_exponent_is_a_value(line, capsys):
+    # argparse's own negative-number pattern has no exponent, so "--x -1e0" read as --x
+    # without its value, a usage error; the spaced form now reads as the "=" form
+    assert run(line.split()) == EXIT_OK
+    want = capsys.readouterr()
+    assert run(line.replace("=", " ").split()) == EXIT_OK
+    assert capsys.readouterr() == want
+
+
+def test_scan_from_a_negative_centre_written_with_an_exponent(capsys):
+    assert run(["mp", "scan", "--center", "-5e-1", "--lmin", "-3"]) == EXIT_OK
+    assert capsys.readouterr() == ("lambda0 -0.45\n", "")
+    # a dash and a letter is still an option, so --lmin has no value
+    assert run(["mp", "scan", "--lmin", "-x"]) == EXIT_USAGE
+    assert "argument --lmin: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bubble", "residual"], ["bubble", "eval"], ["identity"],
+                                  ["hls"], ["picard"], ["mp", "scan"], ["mp", "check"],
+                                  ["mp", "identity"]], ids=" ".join)
+def test_scale_whose_square_overflows_is_usage_error(argv, capsys):
+    # every bubble forms t^2, which overflowed to an uncaught OverflowError at 1e155
+    assert run([*argv, "--t", "1e155"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: need a finite t whose square is finite, got t = 1e+155\n")
+
+
 @pytest.mark.parametrize("argv", [["identity", "--radii", "nan"],
                                   ["sweep", "--ratios", "1,nan"]], ids=" ".join)
 def test_nonfinite_list_entry_is_usage_error(argv, capsys):

@@ -121,8 +121,9 @@ class TestIntegrateRadial:
             ShootInput(CFG, 1.0, 1.0, tol=tol)
 
     def test_r_max_below_default_r0_on_a_nearer_grid(self, monkeypatch):
-        # ShootInput takes any finite positive r_max; only the default grid, which starts
-        # at r0 = 1e-6, needs more, and says so before any solve, naming both radii
+        # ShootInput takes any finite positive r_max; a shot's grid must start at or
+        # below r_max / 10, so the default grid, which starts at r0 = 1e-6, needs more,
+        # and says so before any solve, naming both radii
         inp = ShootInput(CFG, 1.0, 1.0, r_max=5e-7)
         prof = integrate_radial(inp, RadialGrid.geometric(1e-8, 5e-7, 400))
         assert len(prof.grid) == 400 and prof.grid.rmax == 5e-7
@@ -360,14 +361,16 @@ class TestBatch:
     @pytest.mark.parametrize("r_max", [1.000001e-6, 2e-6, 9.999e-6])
     def test_classify_needs_the_last_decade(self, r_max, monkeypatch):
         # the bound-state test reads [r_max / 10, r_max]: a grid from r0 = 1e-6 covers it
-        # only from r_max = 1e-5 on; refused before any solve, naming both radii
+        # only from r_max = 1e-5 on; every shot, classified or not, holds that decade, and
+        # one without it is refused before any solve, naming both radii
         sols = record_solves(monkeypatch)
         inputs = [ShootInput(CFG, 1.0, v0, r_max=r_max) for v0 in (1.0, 2.0)]
-        for shoot in (classify_batch, lambda inputs: classify(inputs[0])):
-            with pytest.raises(ValueError, match=rf"r0 = 1e-06, .* r_max = {r_max}: "):
+        for shoot in (classify_batch, lambda inputs: classify(inputs[0]),
+                      integrate_radial_batch, lambda inputs: integrate_radial(inputs[0])):
+            with pytest.raises(ValueError, match=rf"r0 = 1e-06, above r_max / 10 for "
+                                                 rf"r_max = {r_max}: "):
                 shoot(inputs)
         assert sols == []
-        assert integrate_radial(inputs[0]).grid.rmax == r_max  # a solve needs no decade
         # r^(n-2) u grows tenfold over that decade: a short window is NoDecay
         assert classify(ShootInput(CFG, 1.0, 1.0, r_max=1e-5)).kind is Kind.NO_DECAY
 
