@@ -348,12 +348,14 @@ _GROUPS = {"bubble": "the exact solution family", "mp": "moving-plane scans and 
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so each of its subparsers, that reads -1e-3 as a value."""
+    """An ArgumentParser, and so each of its subparsers, that reads -1e-3 and -1,1 as values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own negative-number pattern has no exponent: "--x -1e-3" read as two options
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own negative-number pattern has no exponent and no list: "--x -1e-3"
+        # and "--radii -1,1" read as two options
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
 
 
 @functools.cache

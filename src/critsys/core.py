@@ -92,7 +92,8 @@ class ExponentConfig:
 
     def forcing(self, u, v):
         """(u^alpha v^beta, u^beta v^alpha), the coupling, elementwise; for alpha < beta
-        the first minus the second has the sign of v - u (the sign lemma).
+        the first minus the second has the sign of v - u, which drives the crossing
+        argument (shooting.contradiction_witness, the gate's sign lemma).
         """
         return u ** self.alpha * v ** self.beta, u ** self.beta * v ** self.alpha
 

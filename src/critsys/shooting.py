@@ -542,10 +542,12 @@ def check_integral_identity(profile: RadialProfilePair, config: ExponentConfig,
 
 def contradiction_witness(profile: RadialProfilePair,
                           config: ExponentConfig) -> np.ndarray:
-    """Accumulated int_0^r tau^(1-n) int_0^tau s^(n-1)(u^a v^b - u^b v^a).
+    """W(r) = int_0^r tau^(1-n) int_0^tau s^(n-1)(u^a v^b - u^b v^a), accumulated.
 
-    While 0 < u < v and alpha < beta this is positive and increasing: the
-    numeric form of the crossing contradiction.
+    v - u = (v0 - u0) + W.  For alpha < beta and positive u, v, the integrand
+    has the sign of v - u, so W has the sign of v0 - u0, for either order,
+    and grows in size: |v - u| never falls and the shot never crosses the
+    diagonal (the crossing argument).
     """
     fu, fv = config.forcing(profile.u, profile.v)
     return _cumulative_nested(fu - fv, profile.grid, config.n)

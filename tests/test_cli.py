@@ -390,6 +390,20 @@ def test_negative_number_with_an_exponent_is_a_value(line, capsys):
     assert capsys.readouterr() == want
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["identity", "--radii", "-1,1"], EXIT_USAGE,
+     "error: radii must be finite and nonnegative, got [-1.0, 1.0]\n"),
+    (["sweep", "--ratios", "-0.5,1"], EXIT_NUMERICAL,
+     "numerical failure: NonpositiveInput: ratios must be positive, got -0.5\n"),
+], ids=["radii", "ratios"])
+def test_list_that_starts_negative_reaches_its_rule(argv, code, err, capsys):
+    # argparse's own pattern takes no list, so "--radii -1,1" read as --radii without
+    # its value; the spaced form now reaches the rule that the "=" form reaches
+    for line in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+        assert run(line) == code
+        assert capsys.readouterr() == ("", err)
+
+
 def test_scan_from_a_negative_centre_written_with_an_exponent(capsys):
     assert run(["mp", "scan", "--center", "-5e-1", "--lmin", "-3"]) == EXIT_OK
     assert capsys.readouterr() == ("lambda0 -0.45\n", "")

@@ -462,13 +462,13 @@ class TestUniquenessSweep:
                     - u[mask] ** CFG.beta * v[mask] ** CFG.alpha)
             assert np.all(term > 0.0)
 
-    def test_contradiction_witness_monotone(self):
-        # with u0 < v0 the nested ordering integral is positive and
-        # increasing while the ordering holds
-        prof = integrate_radial(ShootInput(CFG, 1.0, 1.5, r_max=50.0))
-        wit = contradiction_witness(prof, CFG)
-        ordered = (prof.u > 0) & (prof.v > 0) & (prof.u < prof.v)
-        last = np.max(np.nonzero(ordered))
+    @pytest.mark.parametrize("u0, v0", [(1.0, 1.5), (1.5, 1.0)])
+    def test_contradiction_witness_monotone(self, u0, v0):
+        # the nested ordering integral has the sign of v0 - u0, for either order, and
+        # grows in size while both components are positive
+        prof = integrate_radial(ShootInput(CFG, u0, v0, r_max=50.0))
+        wit = np.sign(v0 - u0) * contradiction_witness(prof, CFG)
+        last = np.max(np.nonzero((prof.u > 0) & (prof.v > 0)))
         assert np.all(wit[1:last] > 0.0)
         assert np.all(np.diff(wit[:last]) >= 0.0)
 
