@@ -21,7 +21,6 @@ from .bubble import (
     eval_bubble,
     eval_bubble_radial,
     make_bubble,
-    pair_residual,
 )
 from .shooting import (
     IntegralIdentityReport,

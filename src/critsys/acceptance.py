@@ -41,7 +41,7 @@ def check_system_closure() -> tuple[bool, str]:
     residuals = []
     for n, alpha, beta in [(3, 2.0, 3.0), (4, 1.0, 2.0), (5, 1.0, 4.0 / 3.0)]:
         cfg = ExponentConfig(n, alpha, beta)
-        residuals.extend(bb.pair_residual(bb.make_bubble(cfg, t=1.0), cfg, grid))
+        residuals.append(bb.bubble_residual(bb.make_bubble(cfg, t=1.0), cfg, grid))
     worst = float(np.max(residuals))  # keeps a NaN, which then fails
     return worst <= 1e-6, f"max pair residual {worst:.3e} (tol 1e-6)"
 

@@ -98,48 +98,26 @@ def bubble_field(params: BubbleParams):
     return lambda pts: eval_bubble(params, np.atleast_2d(pts))
 
 
-def _trusted_residual(phi: np.ndarray, lap: np.ndarray, rhs: np.ndarray,
-                      grid: RadialGrid) -> float:
-    """Max |(-lap) - rhs| on nodes where the FD Laplacian ``lap`` of phi is trustworthy.
+def bubble_residual(params: BubbleParams, config: ExponentConfig,
+                    grid: RadialGrid) -> float:
+    """Max FD residual |-Laplace(phi) - phi^alpha phi^beta| of the pair (phi, phi).
 
-    Near the origin the geometric spacing shrinks so fast that second
-    differences of phi are pure cancellation noise; nodes whose estimated
-    roundoff eps*|phi|/h^2 exceeds the budget are excluded.
+    Both equations read alike at u = v = phi, so one residual checks the
+    pair; a small value certifies the amplitude constant.  Needs an
+    origin-centered bubble, and r0 <= t/10, 10 t <= rmax (GridTooCoarse).
+    Nodes whose FD roundoff eps*|phi|/h^2 exceeds the budget (near the
+    origin, where geometric spacing shrinks fast) are excluded.
     """
-    residual = np.abs(-lap - rhs)
-    h = np.gradient(grid.nodes)
-    roundoff = 16.0 * _EPS * np.abs(phi) / h ** 2
-    trusted = roundoff < _ROUNDOFF_BUDGET
+    if np.any(params.center != 0.0):
+        raise ValueError("residual check requires an origin-centered bubble")
+    if not (grid.r0 <= params.t / 10.0 and 10.0 * params.t <= grid.rmax):
+        raise GridTooCoarse(
+            f"grid [{grid.r0:g}, {grid.rmax:g}] does not span the bubble's transition "
+            f"[t/10, 10t] for t = {params.t:g}")
+    phi = eval_bubble_radial(params, grid.nodes)
+    residual = np.abs(-radial_laplacian(phi, grid, config.n) - config.forcing(phi, phi)[0])
+    trusted = 16.0 * _EPS * np.abs(phi) / np.gradient(grid.nodes) ** 2 < _ROUNDOFF_BUDGET
     trusted[:3] = trusted[-3:] = False  # one-sided stencils excluded
     if np.count_nonzero(trusted) < 50:
         raise GridTooCoarse("too few trustworthy nodes for the residual check")
     return float(np.max(residual[trusted]))
-
-
-def bubble_residual(params: BubbleParams, config: ExponentConfig,
-                    grid: RadialGrid) -> float:
-    """Finite-difference residual of -Laplace(phi) = phi^((n+2)/(n-2)).
-
-    Requires a bubble centered at the origin; a small value certifies the
-    amplitude constant.
-    """
-    if np.any(params.center != 0.0):
-        raise ValueError("residual check requires an origin-centered bubble")
-    phi = eval_bubble_radial(params, grid.nodes)
-    lap = radial_laplacian(phi, grid, config.n)
-    return _trusted_residual(phi, lap, phi ** config.critical_sum, grid)
-
-
-def pair_residual(params: BubbleParams, config: ExponentConfig,
-                  grid: RadialGrid) -> tuple[float, float]:
-    """Residuals of both system equations for the pair (u, v) = (phi, phi).
-
-    Since phi^alpha * phi^beta = phi^((n+2)/(n-2)), both must be small.
-    """
-    if np.any(params.center != 0.0):
-        raise ValueError("residual check requires an origin-centered bubble")
-    phi = eval_bubble_radial(params, grid.nodes)
-    lap = radial_laplacian(phi, grid, config.n)  # shared by both equations
-    rhs_u, rhs_v = config.forcing(phi, phi)
-    return (_trusted_residual(phi, lap, rhs_u, grid),
-            _trusted_residual(phi, lap, rhs_v, grid))

@@ -39,6 +39,10 @@ class QuadratureDivergence(CritsysError):
     pass
 
 
+class QuadratureUnresolved(CritsysError):
+    pass
+
+
 class ExponentRelationViolated(CritsysError):
     pass
 

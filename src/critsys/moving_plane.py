@@ -28,7 +28,7 @@ import numpy as np
 
 from .bubble import eval_bubble, eval_bubble_radial
 from .core import ExponentConfig, as_dimension, unit_sphere_area
-from .errors import BudgetExceeded, ScanInconclusive
+from .errors import BudgetExceeded, QuadratureUnresolved, ScanInconclusive
 
 SAMPLER_BUDGET = 4_000_000  # most sampler nodes m^2 (the CLI's --m is external input)
 GREENS_NODES = 64  # Gauss-Legendre nodes per variable on each panel of the Green's rule
@@ -322,7 +322,7 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     breakpoints too.  Both factors of the integrand vanish on the plane, so
     the square-root edge of arccos(D/R) at R = D enters only at order
     (R - D)^((n+3)/2) and needs no panel of its own.  Kernel normalized as
-    the inverse Laplacian.
+    the inverse Laplacian.  A non-finite side raises QuadratureUnresolved.
     """
     x = np.asarray(x, dtype=float)
     n = config.n
@@ -358,8 +358,12 @@ def greens_reflection_identity(params, plane: PlaneParam, x,
     source = (eval_bubble_radial(params, np.hypot(y1 - mirror_c1, rho)) ** crit
               - eval_bubble_radial(params, np.hypot(y1 - c1, rho)) ** crit)
     # R^(n-1) (R^(2-n) - |x_lam - y|^(2-n)) with |x_lam - y|^2 = R^2 (1 + q)
-    q = 4.0 * D * (lam - y1) / R ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # R^2 underflows below D ~ 1e-154
+        q = 4.0 * D * (lam - y1) / R ** 2
     kernel = -R * np.expm1((2.0 - n) / 2.0 * np.log1p(q))
     ring = unit_sphere_area(n - 1) * np.sin(theta) ** (n - 2)
     total = np.sum(np.concatenate(weights)[:, None] * w_theta * source * kernel * ring)
-    return lhs, float(total) / ((n - 2.0) * unit_sphere_area(n))
+    rhs = float(total) / ((n - 2.0) * unit_sphere_area(n))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise QuadratureUnresolved(f"Green's rule reads lhs {lhs} rhs {rhs} at x1 = {x1:g}")
+    return lhs, rhs

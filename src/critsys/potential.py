@@ -260,6 +260,8 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     g = np.asarray(g, dtype=float)
     if np.any(f < 0.0) or np.any(g < 0.0):
         raise NonintegrableInput("f and g must be nonnegative")
+    if (q := grid.log_step) is None:
+        raise NonGeometricGrid("HLS needs a geometric grid")
     r = grid.nodes
     _check_integrable_tail(r ** (n - 1) * f ** r_exp, grid)
     _check_integrable_tail(r ** (n - 1) * g ** s_exp, grid)
@@ -267,8 +269,6 @@ def hls_functional(f: np.ndarray, g: np.ndarray, grid: RadialGrid,
     ng = lp_norm_radial(g, grid, s_exp, n)
     if nf == 0.0 or ng == 0.0:
         return 0.0
-    if (q := grid.log_step) is None:
-        raise NonGeometricGrid("HLS needs a geometric grid")
 
     # trapezoid in ln r: dr = r d(ln r), weights h r_i with halved ends
     h = math.log(q)

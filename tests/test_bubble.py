@@ -10,10 +10,9 @@ from critsys.bubble import (
     eval_bubble,
     eval_bubble_radial,
     make_bubble,
-    pair_residual,
 )
 from critsys.core import ExponentConfig, RadialGrid
-from critsys.errors import NonpositiveScale
+from critsys.errors import GridTooCoarse, NonpositiveScale
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +116,30 @@ class TestBubbleResidual:
         with pytest.raises(ValueError):
             bubble_residual(b, cfg, grid)
 
-
-class TestPairProperty:
-    @pytest.mark.parametrize("n,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 1, 4 / 3)])
-    def test_pair_solves_both_equations(self, n, alpha, beta, grid):
+    @pytest.mark.parametrize("n, alpha, beta, value", [
+        (3, 2.0, 3.0, 6.166601451695897e-09),
+        (4, 1.0, 2.0, 9.510548792945883e-09),
+        (5, 1.0, 4.0 / 3.0, 5.1604175155262055e-08)])
+    def test_pair_solves_both_equations(self, n, alpha, beta, value, grid):
+        # at u = v = phi both right sides are phi^alpha phi^beta, bitwise (IEEE products
+        # commute), so one residual covers both equations
         cfg = ExponentConfig(n, alpha, beta)
-        ru, rv = pair_residual(make_bubble(cfg, t=1.0), cfg, grid)
-        assert ru <= 1e-6 and rv <= 1e-6
+        assert bubble_residual(make_bubble(cfg, t=1.0), cfg, grid) == value
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_doubled_constant_detected_at_every_accepted_scale(self, t, grid):
+        # the default grid [1e-6, 1e4] spans [t/10, 10t] for these t; the ratio is
+        # smallest at the ends, 3.7e2 at t = 1e-5 and 6.8e2 at t = 1e3
+        cfg = ExponentConfig(3, 2.0, 3.0)
+        good = make_bubble(cfg, t=t)
+        bad = BubbleParams(center=good.center, t=t, c=2.0 * good.c)
+        assert bubble_residual(bad, cfg, grid) >= 100.0 * bubble_residual(good, cfg, grid)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e4, 1e20])
+    def test_grid_must_span_the_transition(self, t, grid):
+        # at t = 1e20 the residual read 3.9e-50 and a doubled amplitude 1.3e-48
+        cfg = ExponentConfig(3, 2.0, 3.0)
+        with pytest.raises(GridTooCoarse, match=re.escape(
+                f"grid [1e-06, 10000] does not span the bubble's transition [t/10, 10t] "
+                f"for t = {t:g}")):
+            bubble_residual(make_bubble(cfg, t=t), cfg, grid)

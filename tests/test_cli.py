@@ -787,6 +787,20 @@ def test_scan_skips_planes_without_nodes(argv, out, capsys):
     assert capsys.readouterr() == (out, "")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["bubble", "residual", "--t", "1e20"],
+     "numerical failure: GridTooCoarse: grid [1e-06, 10000] does not span the bubble's "
+     "transition [t/10, 10t] for t = 1e+20\n"),
+    (["mp", "identity", "--lam", "0", "--x", "-1e-300"],
+     "numerical failure: QuadratureUnresolved: Green's rule reads lhs 0.0 rhs nan "
+     "at x1 = -1e-300\n"),
+], ids=["residual-t-1e20", "identity-x-1e-300"])
+def test_unresolved_check_is_numerical_failure(argv, err, capsys):
+    # each printed a number and exited 0: residual 3.948222e-50, and rel nan
+    assert run(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", err)
+
+
 def test_main_passes_the_exit_code_through():
     proc = fresh_python("-m", "critsys.cli", "hls", "--lam", "4")
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr

@@ -87,7 +87,7 @@ class TestForcing:
                                                 (5, 1.0, 4.0 / 3.0)])
     def test_bitwise_the_written_out_pair(self, n, alpha, beta):
         # the pair as its callers form it: on floats (a one-shot series start), on arrays,
-        # and at u = v (pair_residual); a float in gives a float out
+        # and at u = v (bubble_residual); a float in gives a float out
         rng = np.random.default_rng(n)
         u, v = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 50))
         cfg = ExponentConfig(n, alpha, beta)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from critsys.bubble import bubble_field, make_bubble
 from critsys.core import ExponentConfig, unit_sphere_area
-from critsys.errors import BudgetExceeded, DimensionTooSmall, ScanInconclusive
+from critsys.errors import (BudgetExceeded, DimensionTooSmall, QuadratureUnresolved,
+                            ScanInconclusive)
 from critsys.moving_plane import (
     CartesianSampler,
     PlaneParam,
@@ -656,6 +657,14 @@ class TestGreensReflectionIdentity:
             xl = reflect(x, plane)
             assert (np.linalg.norm(x - y) ** -1.0
                     > np.linalg.norm(xl - y) ** -1.0)
+
+    @pytest.mark.parametrize("x1", [-1e-200, -1e-300])
+    def test_non_finite_side_refused(self, x1):
+        # the ball panel's R^2 underflows to 0 and the kernel's q to 0/0: the right side
+        # read nan, beside lhs 0
+        with pytest.raises(QuadratureUnresolved, match=f"rhs nan at x1 = {x1:g}$"):
+            greens_reflection_identity(make_bubble(CFG, t=1.0), PlaneParam(0.0),
+                                       np.array([x1, 0, 0]), CFG)
 
     def test_requires_axis_point(self):
         params = make_bubble(CFG, center=(1.0, 0, 0), t=1.0)

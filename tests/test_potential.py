@@ -359,13 +359,16 @@ class TestHlsFunctional:
             hls_functional(f, f, grid, KernelSpec(3, lam), p, p)
 
     def test_non_geometric_grid_refused_off_harmonic(self):
-        # and at the harmonic exponent lam = n-2 as well: one path at every lam
+        # and at the harmonic exponent lam = n-2 as well: one path at every lam; and for
+        # all-zero f and g, whose zero norms returned 0.0 before the grid was read
         grid = indicator_grid(num=500)
         f = np.exp(-grid.nodes)
         with pytest.raises(NonGeometricGrid):
             hls_functional(f, f, grid, KernelSpec(3, 1.5), 12 / 9, 12 / 9)
         with pytest.raises(NonGeometricGrid):
             hls_functional(f, f, grid, KernelSpec(3, 1.0), 6 / 5, 6 / 5)
+        with pytest.raises(NonGeometricGrid):
+            hls_functional(0 * f, 0 * f, grid, KernelSpec(3, 1.5), 12 / 9, 12 / 9)
 
     def test_lieb_error_third_order(self):
         # the trapezoid in ln r with the diagonal cusp correction is
