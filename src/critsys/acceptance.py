@@ -5,10 +5,11 @@ CLI ``verify-all`` subcommand both run this list.
 """
 from __future__ import annotations
 
+import operator
+import random
 import time
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import bubble as bb
 from . import moving_plane as mp
@@ -234,8 +235,16 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     acts on its columns alone, so they are checked on those, over the draws,
     their u<->v swaps and their equal starts.  Dilation covariance is checked
     on the solver: one solve of seeded draws and their dilated twins.
+
+    The draws come from random.Random(seed), in this order: the 100 rows
+    (u0, v0) of uniform(0.5, 2.0), then the 4 x 100 states of gauss(0, 1) row
+    by row, then the _DILATED shifts of randint(50, 200).  A seed that is not
+    an integer raises TypeError, and a negative one ValueError, before any draw.
     """
-    rng = default_rng(seed)
+    seed = operator.index(seed)  # TypeError unless an integer; Random would take 1.5
+    if seed < 0:  # Random(-s) would draw as Random(s)
+        raise ValueError(f"need a nonnegative seed, got {seed}")
+    rng = random.Random(seed)
     cases = 100
     fails = []
 
@@ -243,11 +252,12 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     # the equal starts c, through the series start and then one RHS call, which also
     # takes seeded states whose u and v go below 0, so that the clamp is exercised
     grid = RadialGrid.geometric(rmax=50.0)  # the dilation solve's; its first node is r0
-    draws = rng.uniform(0.5, 2.0, size=(cases, 2))  # rows (u0, v0)
+    draws = np.array([[rng.uniform(0.5, 2.0) for _ in range(2)] for _ in range(cases)])
     u0, v0 = np.concatenate((draws, draws[:, ::-1], draws[:, [0, 0]])).T
     r0 = grid.r0
     start = sh._taylor_start(_CFG, u0, v0, r0)
-    a = np.concatenate((start[:, :cases], rng.normal(size=(4, cases))), axis=1)
+    noise = [[rng.gauss(0.0, 1.0) for _ in range(cases)] for _ in range(4)]
+    a = np.concatenate((start[:, :cases], noise), axis=1)
     states = np.concatenate((a, a[[1, 0, 3, 2]], a[[0, 0, 2, 2]]), axis=1)
     rates = np.empty_like(states)
     sh._rhs(_CFG.n, _CFG.alpha, _CFG.beta, states.shape[1])(
@@ -262,7 +272,7 @@ def check_property_suites(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     # lam^a u(lam r).  With lam = q^k on the geometric grid of ratio q, twin node i
     # compares with base node i + k.  Base and twin take different steps, so the gap
     # measures solver error
-    shift = rng.integers(50, 201, size=_DILATED)
+    shift = np.array([rng.randint(50, 200) for _ in range(_DILATED)])
     scale = grid.log_step ** (shift * (_CFG.n - 2) / 2.0)
     base = draws[:_DILATED]
     starts = np.concatenate((base, base * scale[:, None]))

@@ -121,11 +121,17 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 @dataclass(frozen=True)
 class _Solution:
-    """t_eval samples (t, y of shape (len(y0), len(t))) and solver counters."""
+    """t_eval samples (t, y of shape (len(y0), len(t))) and solver counters.
+
+    nfev = 2 + 6 (accepted + rejected): the start's two evaluations, then six
+    per attempted step.
+    """
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
+    accepted: int
+    rejected: int
     status: int  # 0: reached t_span[1]; -1: step size underflow
     message: str
 
@@ -145,7 +151,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     returns the same values.  status is 0 when it reached t_span[1], -1 with
     scipy's message when the step size fell below its floor, and the result
     then holds the samples reached; nfev counts as scipy does, 2 for the
-    start and 6 per attempted step.
+    start and 6 per attempted step, which the result also counts as accepted
+    and rejected.
 
     A port of scipy 1.17's solve_ivp(method="RK45") for forward runs with
     t_eval and scalar tolerances: the initial step of Hairer-Norsett-Wanner
@@ -195,7 +202,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval)
-    nfev = 2
+    nfev, accepted, rejected = 2, 0, 0
 
     # stage s: (its input, its view, its row's view, the rows before it, its row of _A, its node)
     stages = [(Z[s - 1], Z[s - 1].reshape(shape), K_views[s], K[:s].T, _A[s, :s], float(_C[s]))
@@ -204,10 +211,11 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = False
+        step_rejected = False
         while True:
             if h_abs < min_step:
-                return _Solution(t_eval[:done], out[:, :done], nfev, -1, TOO_SMALL_STEP)
+                return _Solution(t_eval[:done], out[:, :done], nfev, accepted, rejected, -1,
+                                 TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -231,10 +239,12 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
             error_norm = _rms(err)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
+                h_abs *= min(1, factor) if step_rejected else factor
+                accepted += 1
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** _ERROR_EXPONENT)
-            rejected = True
+            step_rejected = True
+            rejected += 1
         end = t_eval.searchsorted(t_new, side="right")
         if end > done:
             x = (t_eval[done:end] - t) / h
@@ -251,7 +261,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float, atol: float) -> _Solution
         y[:] = y_new
         f[:] = K[-1]
         abs_y, abs_new = abs_new, abs_y
-    return _Solution(t_eval[:done], out[:, :done], nfev, 0,
+    return _Solution(t_eval[:done], out[:, :done], nfev, accepted, rejected, 0,
                      "The solver successfully reached the end of the integration interval.")
 
 
@@ -296,7 +306,8 @@ def _solve(inputs: list[ShootInput], grid: RadialGrid | None):
     is the RMS over the whole stack.  A column that fails (u or v reaches
     zero) keeps being integrated with the clamped RHS, so every solve samples
     every node.  Returns the grid, which ends at r_max, the (4, k, N) samples
-    of u, v, u' and v', their _failed index and the solver's nfev.
+    of u, v, u' and v', their _failed index and the solver's counters nfev,
+    accepted and rejected (steps), by name.
 
     Raises before any solve: ValueError unless the shots share config, r_max
     and tol, if a given grid does not end at r_max, or if the grid (from
@@ -337,7 +348,8 @@ def _solve(inputs: list[ShootInput], grid: RadialGrid | None):
     if sol.status == -1:  # RK45's only failure: the step size fell below its floor
         raise StepSizeUnderflow(sol.message)
     samples = sol.y.reshape(4, len(inputs), -1)
-    return grid, samples, _failed(samples), sol.nfev
+    counters = {"nfev": sol.nfev, "accepted": sol.accepted, "rejected": sol.rejected}
+    return grid, samples, _failed(samples), counters
 
 
 def _failed(uv: np.ndarray) -> np.ndarray:
@@ -431,7 +443,7 @@ def classify_batch(inputs: list[ShootInput],
     bracket the column's first nonpositive sample.  The grid is checked as in
     integrate_radial_batch.
     """
-    grid, samples, failed, nfev = _solve(inputs, grid)
+    grid, samples, failed, counters = _solve(inputs, grid)
     nodes, r_max = grid.nodes, grid.rmax
     last_decade = nodes >= r_max / 10.0
     decade_weight = nodes[last_decade] ** (inputs[0].config.n - 2)  # r^(n-2) there
@@ -441,7 +453,7 @@ def classify_batch(inputs: list[ShootInput],
     for j, (inp, prof) in enumerate(zip(inputs, _profiles(grid, samples, failed))):
         crossing = _first_crossing(nodes, prof.u, prof.v)
         diagnostics = {"u0": inp.u0, "v0": inp.v0, "r_reached": float(nodes[failed[j] - 1]),
-                       "nfev": nfev, "batch": len(inputs)}
+                       **counters, "batch": len(inputs)}
         if j in zeros:  # a component reached zero
             which, at_r = zeros[j]
             outcomes.append(ShootOutcome(Kind.POSITIVITY_FAILURE, prof, which=which, at_r=at_r,

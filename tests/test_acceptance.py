@@ -1,4 +1,5 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
+import random
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -55,6 +56,13 @@ def test_property_suite_batches_match_single_shots(monkeypatch):
     shift = np.log(scale) / (0.5 * np.log(RadialGrid.geometric(rmax=50.0).log_step))
     assert np.allclose(shift, np.round(shift), rtol=0.0, atol=1e-9)
     assert (np.round(shift) >= 50).all() and (np.round(shift) <= 200).all()
+    # the stated draw order: 100 rows (u0, v0), 4 x 100 states, then the shifts
+    rng = random.Random(acceptance.DEFAULT_SEED)
+    rows = [[rng.uniform(0.5, 2.0) for _ in range(2)] for _ in range(100)]
+    for _ in range(4 * 100):  # the states
+        rng.gauss(0.0, 1.0)
+    assert starts[:k].tolist() == rows[:k]
+    assert np.round(shift).tolist() == [rng.randint(50, 200) for _ in range(k)]
     monkeypatch.undo()
     for j in range(0, len(inputs), 4):
         ref = sh.integrate_radial(inputs[j])
@@ -459,6 +467,17 @@ def test_property_suite_passes_at_every_seed(seed):
     # at each (the gap reads at most 1.5e-9 over seeds 0-40)
     ok, detail = acceptance.check_property_suites(seed=seed)
     assert ok, detail
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("7", TypeError)])
+def test_property_suite_refuses_a_bad_seed(monkeypatch, seed, error):
+    # random.Random(-s) draws as Random(s), and Random takes 1.5 and "7": each is
+    # refused before any draw
+    made = []
+    monkeypatch.setattr(acceptance.random, "Random", lambda *args: made.append(args))
+    with pytest.raises(error):
+        acceptance.check_property_suites(seed=seed)
+    assert made == []
 
 
 def test_property_suite_holds_under_two_sample_blocks():

@@ -720,6 +720,26 @@ def test_scipy_is_never_imported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_command_runs_with_unused_modules_blocked():
+    # critsys needs numpy (with its linalg and fft) and the standard library only: with
+    # scipy, numpy.random and numpy.polynomial blocked, an import of any of them, lazy
+    # or not, raises.  Every command runs, with the flags it requires
+    code = """if True:
+        import contextlib, io, sys
+        for name in ("scipy", "numpy.random", "numpy.polynomial"):
+            sys.modules[name] = None
+        from critsys import cli
+        extra = {"shoot": ["--u0", "1", "--v0", "1"], "picard": ["--steps", "3"]}
+        for command, *_ in cli._COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run([*command.split(), *extra.get(command, [])])
+            if code:
+                sys.exit(f"{command} exited {code}")
+    """
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_commands_import_nothing_after_the_package():
     # every module a command needs is loaded by import critsys.cli, none by its first run
     code = """if True:

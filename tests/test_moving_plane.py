@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from critsys.core import ExponentConfig, unit_sphere_area
 from critsys.errors import (BudgetExceeded, DimensionTooSmall, QuadratureUnresolved,
                             ScanInconclusive)
 from critsys.moving_plane import (
+    GREENS_NODES,
     CartesianSampler,
     PlaneParam,
     ReflectionReport,
     ScanResult,
+    _gauss_legendre,
     critical_plane_scan,
     greens_reflection_identity,
     reflect,
@@ -608,6 +611,35 @@ class TestReflectionInequalityCheck:
         assert rep.Bu_measure > 0.0
         assert rep.norms["u_lam-u_p_Bu"] > 0.0
         assert rep.inequality_margins["factor_u"] > 0.0
+
+
+def mp_gauss_legendre(k: int, guesses, dps: int = 30):
+    """Nodes and weights of the k-node Gauss-Legendre rule, as mpf at dps digits.
+
+    Each node is mpmath.findroot's zero of mpmath.legendre(k, .) from its guess;
+    the weight is 2 / ((1 - x^2) P_k'(x)^2), P_k' = k (x P_k - P_(k-1)) / (x^2 - 1).
+    """
+    with mpmath.workdps(dps):
+        nodes = [mpmath.findroot(lambda t: mpmath.legendre(k, t), mpmath.mpf(float(g)))
+                 for g in guesses]
+        slopes = [k * (x * mpmath.legendre(k, x) - mpmath.legendre(k - 1, x)) / (x * x - 1)
+                  for x in nodes]
+        return nodes, [2 / ((1 - x * x) * d * d) for x, d in zip(nodes, slopes)]
+
+
+@pytest.mark.parametrize("k", [GREENS_NODES, 65])
+def test_gauss_legendre_rule_matches_mpmath(k):
+    # the odd rule has a node at 0; weights read 9.3e-14 at k = 64 (numpy's leggauss 1.3e-12)
+    x, w = _gauss_legendre(k)
+    ref_x, ref_w = mp_gauss_legendre(k, x)
+    with mpmath.workdps(30):
+        assert max(abs(mpmath.mpf(xi) - ri) for xi, ri in zip(x, ref_x)) <= 4.5e-16
+        assert max(abs((mpmath.mpf(wi) - ri) / ri) for wi, ri in zip(w, ref_w)) <= 2e-13
+    assert len(x) == k and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 4e-15
+    if k % 2:
+        assert x[k // 2] == 0.0
 
 
 class TestGreensReflectionIdentity:

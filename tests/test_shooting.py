@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
@@ -631,6 +632,25 @@ class TestSolverMatchesScipy:
         for status, ref_status, message, t, y, nfev, ref_nfev in records:
             assert status == ref_status == 0 and message and t and y
             assert nfev == ref_nfev
+
+    def test_step_counters(self, monkeypatch):
+        # the off-diagonal shot (1, 2) rejects 7 of its 273 attempted steps; scipy's RK45
+        # stepper, run on the same system, takes one accepted step per step() call
+        solves = []
+        tap_solves(monkeypatch, lambda args, sol: solves.append((args, sol)))
+        out = classify(ShootInput(CFG, 1.0, 2.0))
+        [(args, sol)] = solves
+        d = out.diagnostics
+        assert (d["nfev"], d["accepted"], d["rejected"]) == (sol.nfev, sol.accepted, sol.rejected)
+        assert sol.rejected >= 1 and sol.nfev == 2 + 6 * (sol.accepted + sol.rejected)
+        y0, (t0, t_bound) = np.asarray(args["y0"]), args["t_span"]
+        ref = RK45(returning(args["fun"], y0.shape), t0, y0.ravel(), t_bound,
+                   rtol=args["rtol"], atol=args["atol"])
+        steps = 0
+        while ref.status == "running":
+            ref.step()
+            steps += 1
+        assert (sol.accepted, sol.nfev) == (steps, ref.nfev)
 
     def test_step_size_underflow(self):
         # y = 1/(1-t) blows up at t = 1: the step falls below ten float spacings
